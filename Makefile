@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt
+.PHONY: all build test lint staticcheck govulncheck race fmt bench
 
 all: build test lint
 
@@ -38,5 +38,11 @@ race:
 
 fmt:
 	gofmt -l -w .
+
+# bench runs the repository's benchmark (BENCHMARK.json, benchmark/README.md):
+# every workload once against a freshly built olapserve, results on
+# stdout, build outputs under the git-ignored benchmark/out/.
+bench:
+	bash benchmark/run.sh -workload all -seed 1
 
 FORCE:

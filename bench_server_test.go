@@ -1,27 +1,21 @@
-// Server benchmarks and the perf-regression baseline. The repeated-
-// query workload (a small set of distinct statements, many
-// submissions each) runs through the concurrent query server at 1, 4
-// and 8 streams, once in measured mode and once in profile-free fast
-// mode:
+// Server sweep tests and benchmarks. The repeated-query workload (a
+// small set of distinct statements, many submissions each) runs
+// through the concurrent query server at 1, 4 and 8 streams, once in
+// measured mode and once in profile-free fast mode:
 //
 //	go test -bench Server -benchtime=1x
 //
-// measures it, and both the benchmarks and TestServerBenchBaseline
-// rewrite BENCH_server.json — queries/sec per stream count, simulated
-// per-query cost, and the plan-cache hit rate for both series, plus
-// the fast-over-measured throughput ratio — so future changes have a
-// trajectory to compare against. Wall-clock rates are host-dependent;
-// the simulated per-query milliseconds and the hit rates are
-// deterministic. The fast series is the regression gate: fast mode
-// exists to strip the simulation cost, so its single-stream
-// throughput must stay >= 50x the measured baseline's.
+// reports queries/sec per stream count, simulated per-query cost and
+// the plan-cache hit rate for both series. Nothing is written to disk:
+// the repository's benchmark is benchmark/ (see its README); what
+// lives here is the host-independent gate. Fast mode exists to strip
+// the simulation cost, so its single-stream throughput must stay
+// >= 50x the measured series'.
 package olapmicro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -57,41 +51,23 @@ var serverBenchWorkload = []string{
 	"select c_nationkey, count(*) from customer group by c_nationkey order by c_nationkey limit 5",
 }
 
-// streamPoint is one measured sweep point of the baseline file. The
-// percentiles come from the server's own latency histograms (the obs
-// layer feeding /metrics), so the baseline records what a scrape
-// would report: wall = submit-to-finish, queue = admission wait,
-// both host-clock milliseconds.
+// streamPoint is one measured sweep point. The percentiles come from
+// the server's own latency histograms (the obs layer feeding
+// /metrics), so they are what a scrape would report: wall =
+// submit-to-finish, queue = admission wait, both host-clock
+// milliseconds.
 type streamPoint struct {
-	Streams     int     `json:"streams"`
-	Queries     int     `json:"queries"`
-	WallQPS     float64 `json:"wall_qps"`
-	SimMsMean   float64 `json:"sim_ms_per_query"`
-	PlanHitRate float64 `json:"plan_hit_rate"`
-	WallP50Ms   float64 `json:"wall_p50_ms"`
-	WallP95Ms   float64 `json:"wall_p95_ms"`
-	WallP99Ms   float64 `json:"wall_p99_ms"`
-	QueueP50Ms  float64 `json:"queue_p50_ms"`
-	QueueP95Ms  float64 `json:"queue_p95_ms"`
-	QueueP99Ms  float64 `json:"queue_p99_ms"`
-}
-
-// benchBaseline is the BENCH_server.json document. Schema 3 added the
-// fast-mode series and the fast-over-measured throughput ratio.
-type benchBaseline struct {
-	Schema   int           `json:"schema"`
-	Workload string        `json:"workload"`
-	Machine  string        `json:"machine"`
-	SF       float64       `json:"scale_factor"`
-	Workers  int           `json:"workers"`
-	Threads  int           `json:"query_threads"`
-	Streams  []streamPoint `json:"streams"`
-	// FastStreams is the same sweep submitted with WithFast: identical
-	// results, no simulation, so wall throughput is the executor's own.
-	FastStreams []streamPoint `json:"fast_streams"`
-	// FastSpeedup is single-stream fast wall-qps over single-stream
-	// measured wall-qps — the ratio the regression gate pins.
-	FastSpeedup float64 `json:"fast_speedup_x"`
+	Streams     int
+	Queries     int
+	WallQPS     float64
+	SimMsMean   float64
+	PlanHitRate float64
+	WallP50Ms   float64
+	WallP95Ms   float64
+	WallP99Ms   float64
+	QueueP50Ms  float64
+	QueueP95Ms  float64
+	QueueP99Ms  float64
 }
 
 // runServerWorkload pushes reps rounds of the workload through a
@@ -174,40 +150,6 @@ func runServerWorkload(tb testing.TB, streams, reps int, fast bool) streamPoint 
 	return p
 }
 
-// writeServerBaseline measures every stream count in both modes and
-// rewrites BENCH_server.json. Fast executions finish in microseconds,
-// so the fast series runs fastReps submissions per stream to get a
-// stable wall-clock rate.
-func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
-	tb.Helper()
-	_, m := benchServerDB()
-	doc := benchBaseline{
-		Schema:   3,
-		Workload: fmt.Sprintf("%d distinct statements, %d measured / %d fast submissions per stream, plan cache primed", len(serverBenchWorkload), reps, fastReps),
-		Machine:  m.Name,
-		SF:       0.02,
-		Workers:  4,
-		Threads:  2,
-	}
-	for _, streams := range []int{1, 4, 8} {
-		doc.Streams = append(doc.Streams, runServerWorkload(tb, streams, reps, false))
-	}
-	for _, streams := range []int{1, 4, 8} {
-		doc.FastStreams = append(doc.FastStreams, runServerWorkload(tb, streams, fastReps, true))
-	}
-	if doc.Streams[0].WallQPS > 0 {
-		doc.FastSpeedup = doc.FastStreams[0].WallQPS / doc.Streams[0].WallQPS
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_server.json", append(buf, '\n'), 0o644); err != nil {
-		tb.Fatal(err)
-	}
-	return doc
-}
-
 // fastSpeedupFloor is the regression gate on the fast path: the whole
 // point of profile-free execution is shedding the simulation cost, so
 // single-stream fast throughput must stay at least this many times the
@@ -215,44 +157,49 @@ func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
 // run, so the ratio is robust to machine speed.
 const fastSpeedupFloor = 50.0
 
-// TestServerBenchBaseline produces the baseline during plain `go
-// test` and pins its invariants: every sweep point serves the whole
-// workload and hits the primed plan cache, the measured series carries
-// simulated profiles and the fast series none, and the fast series
-// clears the throughput floor.
+// TestServerBenchBaseline sweeps both series and pins their
+// invariants: every sweep point serves the whole workload and hits the
+// primed plan cache, the measured series carries simulated profiles
+// and the fast series none, and the fast series clears the throughput
+// floor.
 func TestServerBenchBaseline(t *testing.T) {
 	reps, fastReps := 6, 120
 	if testing.Short() {
 		reps, fastReps = 2, 40
 	}
-	doc := writeServerBaseline(t, reps, fastReps)
-	if len(doc.Streams) != 3 || len(doc.FastStreams) != 3 {
-		t.Fatalf("want 3 sweep points per series, got %d measured + %d fast", len(doc.Streams), len(doc.FastStreams))
-	}
-	for _, p := range doc.Streams {
-		if p.Queries != p.Streams*reps {
-			t.Errorf("streams %d: served %d, want %d", p.Streams, p.Queries, p.Streams*reps)
+	var measuredQPS, fastQPS float64
+	for _, streams := range []int{1, 4, 8} {
+		p := runServerWorkload(t, streams, reps, false)
+		if p.Queries != streams*reps {
+			t.Errorf("streams %d: served %d, want %d", streams, p.Queries, streams*reps)
 		}
 		if p.SimMsMean <= 0 {
-			t.Errorf("streams %d: simulated per-query cost missing", p.Streams)
+			t.Errorf("streams %d: simulated per-query cost missing", streams)
 		}
 		if p.WallP50Ms <= 0 {
-			t.Errorf("streams %d: wall p50 missing (latency histograms not fed)", p.Streams)
+			t.Errorf("streams %d: wall p50 missing (latency histograms not fed)", streams)
 		}
 		checkSweepPoint(t, "measured", p)
+		if streams == 1 {
+			measuredQPS = p.WallQPS
+		}
 	}
-	for _, p := range doc.FastStreams {
-		if p.Queries != p.Streams*fastReps {
-			t.Errorf("fast streams %d: served %d, want %d", p.Streams, p.Queries, p.Streams*fastReps)
+	for _, streams := range []int{1, 4, 8} {
+		p := runServerWorkload(t, streams, fastReps, true)
+		if p.Queries != streams*fastReps {
+			t.Errorf("fast streams %d: served %d, want %d", streams, p.Queries, streams*fastReps)
 		}
 		if p.SimMsMean != 0 {
-			t.Errorf("fast streams %d: simulated cost %.4f ms leaked into profile-free mode", p.Streams, p.SimMsMean)
+			t.Errorf("fast streams %d: simulated cost %.4f ms leaked into profile-free mode", streams, p.SimMsMean)
 		}
 		checkSweepPoint(t, "fast", p)
+		if streams == 1 {
+			fastQPS = p.WallQPS
+		}
 	}
-	if doc.FastSpeedup < fastSpeedupFloor {
+	if measuredQPS <= 0 || fastQPS < fastSpeedupFloor*measuredQPS {
 		t.Errorf("fast mode speedup %.1fx below the %.0fx floor (measured %.1f qps, fast %.1f qps)",
-			doc.FastSpeedup, fastSpeedupFloor, doc.Streams[0].WallQPS, doc.FastStreams[0].WallQPS)
+			fastQPS/measuredQPS, fastSpeedupFloor, measuredQPS, fastQPS)
 	}
 }
 
@@ -273,9 +220,7 @@ func checkSweepPoint(t *testing.T, series string, p streamPoint) {
 }
 
 // BenchmarkServerStreams measures wall queries/sec per stream count in
-// both modes; -benchtime=1x gives one full workload pass. The final
-// sub-benchmark also rewrites BENCH_server.json so `go test -bench
-// Server` emits the baseline too.
+// both modes; -benchtime=1x gives one full workload pass.
 func BenchmarkServerStreams(b *testing.B) {
 	for _, streams := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
@@ -298,5 +243,4 @@ func BenchmarkServerStreams(b *testing.B) {
 			b.ReportMetric(last.PlanHitRate, "hit-rate")
 		})
 	}
-	writeServerBaseline(b, 6, 120)
 }

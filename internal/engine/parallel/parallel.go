@@ -15,21 +15,15 @@ package parallel
 
 import (
 	"fmt"
-	"sync"
 
 	"olapmicro/internal/engine"
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/hw"
 	"olapmicro/internal/mem"
+	"olapmicro/internal/obs"
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
 )
-
-// Executor is the engine-side entry point; typer.Engine and
-// tectorwise.Engine both implement it.
-type Executor interface {
-	PreparePipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (relop.Prepared, error)
-}
 
 // Morsel is one contiguous slice of the driver table's rows.
 type Morsel struct {
@@ -44,27 +38,35 @@ const DefaultMorselRows = 16384
 // WorkerWindow is the simulated address-space window each worker's
 // private structures are carved from — 64 GB of free simulated
 // addresses, far past any group table a planner estimate can size.
-// Everything that builds morsel workers (Run here, the concurrent
-// internal/server pool) must fork windows of this one size, or
-// per-query address-space layout would diverge between a dedicated
-// and a shared run.
 const WorkerWindow = 1 << 36
 
-// Options tunes one parallel run.
-type Options struct {
+// Scan describes one engine scan for Run: everything but the scan step
+// itself, which Run takes from its caller.
+type Scan struct {
+	Machine  *hw.Machine
+	Pipeline *relop.Pipeline
+	// Prepare instantiates the engine against as and runs the pipeline's
+	// build phase on p, returning the read-only fragment the workers
+	// probe (sql.Compiled.Prepare, or an engine's PreparePipeline).
+	Prepare func(p *probe.Probe, as *probe.AddrSpace) (relop.Prepared, error)
 	// Threads is the worker count, clamped to [1, 2 x cores-per-socket]
-	// — the single-socket hyper-threaded maximum the Section-10 model
-	// covers; each worker costs a full simulated core.
+	// (see ClampThreads) and to the morsel count.
 	Threads int
-	// MorselRows overrides DefaultMorselRows (rounded up to the
-	// engine's morsel alignment).
-	MorselRows int
-	// Prefetchers overrides the default all-enabled configuration for
-	// every worker core.
-	Prefetchers *mem.PrefetcherConfig
+	// Measured attaches a probe — a simulated core — to the build phase
+	// and to every worker and accounts them into the Result. A
+	// profile-free run (false) executes the identical computation with
+	// nil probes, whose event hooks are no-ops: same morsel partition,
+	// same merge, bit-identical answer, and a Result carrying only
+	// Result, Threads and Morsels.
+	Measured bool
+	// Name prefixes the workers' address-space forks (Name0, Name1, ...).
+	Name string
+	// Trace, when non-nil, receives the "build" and "finalize" phase
+	// spans as children.
+	Trace *obs.Span
 }
 
-// Result is one measured parallel execution.
+// Result is one morsel-driven execution.
 type Result struct {
 	Threads int
 	Morsels int
@@ -155,131 +157,101 @@ func ClampThreads(m *hw.Machine, threads int) int {
 	return threads
 }
 
-// Run executes a pipeline on ex with morsel-driven parallelism: the
-// build phase once on a dedicated probe, then opts.Threads workers —
-// each a goroutine with a private probe and address-space fork —
-// running their strided share of the morsels until the scan drains.
-func Run(m *hw.Machine, as *probe.AddrSpace, ex Executor, pl *relop.Pipeline, opts Options) (*Result, error) {
-	threads := ClampThreads(m, opts.Threads)
-	pf := mem.AllPrefetchers()
-	if opts.Prefetchers != nil {
-		pf = *opts.Prefetchers
+// Run is the one morsel driver every engine scan goes through: the
+// build phase once, serially, on the run's own probe; the driver table
+// cut into Morsels; one worker per thread, each with a private probe
+// and a WorkerWindow-sized address-space fork; the scan step, which is
+// the caller's — Dedicated for a run that owns its goroutines, the
+// shared pool for internal/server; then the thread-local partials
+// merged and the post-aggregation operators (HAVING, sort, top-k) run
+// on the coordinator, charged to the build probe so they count toward
+// the serial span, not any worker's. Because the partition and the
+// worker shape never depend on who scans, a query's result and profile
+// are identical however its morsels were interleaved with other
+// queries'.
+//
+// scan must run workers[t] over morsels t, t+T, t+2T, ... for
+// T = len(workers) and return once every worker is quiescent. The
+// assignment is strided and deterministic: claiming from a shared
+// queue in host time would let a faster-scheduled goroutine drain it
+// and inflate its simulated core's profile; simulated cores are
+// homogeneous, so dynamic morsel stealing converges to this even
+// interleave anyway, and the fixed assignment keeps every worker's
+// profile reproducible regardless of how the host schedules the scan.
+func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Result, error) {
+	threads := ClampThreads(s.Machine, s.Threads)
+	newProbe := func() *probe.Probe {
+		if !s.Measured {
+			return nil
+		}
+		return probe.New(s.Machine, mem.AllPrefetchers())
 	}
 
-	buildProbe := probe.New(m, pf)
-	prep, err := ex.PreparePipeline(buildProbe, as, pl)
+	end := s.phase("build")
+	as := probe.NewAddrSpace()
+	buildProbe := newProbe()
+	prep, err := s.Prepare(buildProbe, as)
+	end()
 	if err != nil {
 		return nil, err
 	}
-	morsels := Morsels(prep.Rows(), opts.MorselRows, prep.MorselAlign(), threads)
-	probes, workers := NewWorkers(m, pf, as, prep, morsels, threads, "parallel.worker")
-	threads = len(workers)
-
-	// Morsel assignment is strided and deterministic: worker t runs
-	// morsels t, t+T, t+2T, ... Claiming from a shared queue in host
-	// time would let a faster-scheduled goroutine drain it and inflate
-	// its simulated core's profile; simulated cores are homogeneous,
-	// so dynamic morsel stealing converges to this even interleave
-	// anyway, and the fixed assignment keeps every worker's profile
-	// reproducible regardless of how the host schedules the
-	// goroutines.
-	// A worker panic must surface on the caller's goroutine, not kill
-	// the process from an unrecoverable worker frame: capture the first
-	// one and re-panic after the fleet drains, where the caller's own
-	// recover (the server's execute barrier, a test harness) can
-	// convert it.
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int, w relop.Worker) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for i := t; i < len(morsels); i += threads {
-				w.RunMorsel(morsels[i].Start, morsels[i].End)
-			}
-		}(t, workers[t])
+	morsels := Morsels(prep.Rows(), 0, prep.MorselAlign(), threads)
+	// The thread count clamps to the morsel count: a driver smaller than
+	// the worker fleet leaves workers idle, and idle workers must not
+	// count toward the shared-bandwidth divisor ("with T cores
+	// streaming" means cores that actually stream) or depress the busy
+	// workers' ceiling.
+	if len(morsels) > 0 && threads > len(morsels) {
+		threads = len(morsels)
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	probes := make([]*probe.Probe, threads)
+	workers := make([]relop.Worker, threads)
+	for t := range workers {
+		probes[t] = newProbe()
+		workers[t] = prep.NewWorker(probes[t], as.Fork(fmt.Sprintf("%s%d", s.Name, t), WorkerWindow))
 	}
 
+	if err := scan(workers, morsels); err != nil {
+		return nil, err
+	}
+
+	defer s.phase("finalize")()
 	partials := make([]*relop.Partial, threads)
 	for t, w := range workers {
 		partials[t] = w.Partial()
 	}
-
-	// The merge plus the post-aggregation operators (HAVING, sort,
-	// top-k) run serially on the coordinator; charge them to the build
-	// probe so they count toward the serial span, not any worker's.
-	merged := relop.FinalizeProbed(buildProbe, pl, partials)
-
-	return Assemble(m, buildProbe, probes, merged, len(morsels)), nil
+	merged := relop.FinalizeProbed(buildProbe, s.Pipeline, partials)
+	if !s.Measured {
+		return &Result{Threads: threads, Morsels: len(morsels), Result: merged}, nil
+	}
+	return assemble(s.Machine, buildProbe, probes, merged, len(morsels)), nil
 }
 
-// NewWorkers builds the per-thread execution state of one
-// morsel-driven run — a probe (a simulated core) and a worker with a
-// WorkerWindow-sized address-space fork named name0, name1, ... per
-// thread. The thread count clamps to the morsel count first: a driver
-// smaller than the worker fleet leaves workers idle, and idle workers
-// must not count toward the shared-bandwidth divisor ("with T cores
-// streaming" means cores that actually stream) or depress the busy
-// workers' ceiling. Run and the concurrent internal/server pool both
-// build workers here, which is what keeps a shared-pool query's
-// partition — and therefore its results and profiles — identical to a
-// dedicated run's.
-func NewWorkers(m *hw.Machine, pf mem.PrefetcherConfig, as *probe.AddrSpace, prep relop.Prepared, morsels []Morsel, threads int, name string) ([]*probe.Probe, []relop.Worker) {
-	if len(morsels) > 0 && threads > len(morsels) {
-		threads = len(morsels)
+// phase opens a child span of the scan's trace, if it has one, and
+// returns the function that closes it.
+func (s Scan) phase(name string) func() {
+	if s.Trace == nil {
+		return func() {}
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	probes := make([]*probe.Probe, threads)
-	workers := make([]relop.Worker, threads)
-	for t := 0; t < threads; t++ {
-		probes[t] = probe.New(m, pf)
-		workers[t] = prep.NewWorker(probes[t], as.Fork(fmt.Sprintf("%s%d", name, t), WorkerWindow))
-	}
-	return probes, workers
+	return s.Trace.Child(name).End
 }
 
-// NewFastWorkers builds the worker fleet of a profile-free fast run:
-// the same address-space forks and worker shape as NewWorkers (thread
-// count clamped to the morsel count the same way), but no probes —
-// every worker runs with a nil probe, whose event hooks are no-ops.
-// The real computation, morsel partition and merge are untouched, so
-// a fast run's result is bit-identical to a measured run's; it simply
-// has no simulated cores to account.
-func NewFastWorkers(as *probe.AddrSpace, prep relop.Prepared, morsels []Morsel, threads int, name string) []relop.Worker {
-	if len(morsels) > 0 && threads > len(morsels) {
-		threads = len(morsels)
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	workers := make([]relop.Worker, threads)
-	for t := 0; t < threads; t++ {
-		workers[t] = prep.NewWorker(nil, as.Fork(fmt.Sprintf("%s%d", name, t), WorkerWindow))
-	}
-	return workers
+// Dedicated is the scan step of a run that owns its workers end to
+// end: one goroutine per worker until the scan drains.
+func Dedicated(workers []relop.Worker, morsels []Morsel) error {
+	relop.Fleet(len(workers), func(t int) {
+		for i := t; i < len(morsels); i += len(workers) {
+			workers[t].RunMorsel(morsels[i].Start, morsels[i].End)
+		}
+	})
+	return nil
 }
 
-// Assemble accounts one completed morsel-driven run from its probes:
-// the build probe's serial span (which must already include the
-// finalize work) plus every worker probe under the shared-socket
-// ceiling — with T cores streaming, each one gets at most
-// per-socket/T. Run calls it on its own probes; internal/server calls
-// it per query after driving the same worker shape through its shared
-// pool, so a query's accounting is identical however its morsels were
-// interleaved with other queries'.
-func Assemble(m *hw.Machine, buildProbe *probe.Probe, probes []*probe.Probe, merged engine.Result, morsels int) *Result {
+// assemble accounts one completed measured run from its probes: the
+// build probe's serial span (which must already include the finalize
+// work) plus every worker probe under the shared-socket ceiling — with
+// T cores streaming, each one gets at most per-socket/T.
+func assemble(m *hw.Machine, buildProbe *probe.Probe, probes []*probe.Probe, merged engine.Result, morsels int) *Result {
 	threads := len(probes)
 	params := tmam.Params{
 		BWSeq:  min(m.PerCoreBW.Sequential, m.PerSocketBW.Sequential/float64(threads)),
@@ -313,4 +285,17 @@ func Assemble(m *hw.Machine, buildProbe *probe.Probe, probes []*probe.Probe, mer
 		res.Speedup = res.Single.Seconds / res.Seconds
 	}
 	return res
+}
+
+// Profile is the run's statement-level profile: the slowest worker's
+// shared-ceiling profile, its Seconds widened to the whole simulated
+// span (serial build + parallel scan + serial finalize), with the
+// socket's aggregate bandwidth and the single-core-equivalent
+// instruction count.
+func (r *Result) Profile() tmam.Profile {
+	prof := r.PerThread
+	prof.Seconds = r.Seconds
+	prof.BandwidthGBs = r.SocketBandwidthGBs
+	prof.Instructions = r.Single.Instructions
+	return prof
 }

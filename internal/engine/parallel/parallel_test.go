@@ -6,8 +6,7 @@ import (
 	"testing"
 
 	"olapmicro/internal/engine/parallel"
-	"olapmicro/internal/engine/tectorwise"
-	"olapmicro/internal/engine/typer"
+	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/hw"
 	"olapmicro/internal/multicore"
 	"olapmicro/internal/probe"
@@ -54,14 +53,10 @@ func run(t *testing.T, engName, query string, threads int) *parallel.Result {
 	if err != nil {
 		t.Fatalf("compile %q: %v", query, err)
 	}
-	as := probe.NewAddrSpace()
-	var ex parallel.Executor
-	if engName == "typer" {
-		ex = typer.New(d, as)
-	} else {
-		ex = tectorwise.New(d, as, m.L1D.SizeBytes, m.SIMDLanes64)
-	}
-	r, err := parallel.Run(m, as, ex, c.Pipeline, parallel.Options{Threads: threads})
+	r, err := parallel.Run(parallel.Scan{
+		Machine: m, Pipeline: c.Pipeline, Prepare: c.Prepare,
+		Threads: threads, Measured: true, Name: "parallel.worker",
+	}, parallel.Dedicated)
 	if err != nil {
 		t.Fatalf("parallel run x%d: %v", threads, err)
 	}
@@ -190,5 +185,42 @@ func TestMorselsPartition(t *testing.T) {
 		if tc.rows > tc.align*tc.threads && len(ms)%tc.threads != 0 {
 			t.Errorf("%+v: %d morsels do not split evenly over %d workers", tc, len(ms), tc.threads)
 		}
+	}
+}
+
+// panicPrepared is a relop.Prepared whose workers panic on their
+// first morsel.
+type panicPrepared struct{}
+
+func (panicPrepared) Rows() int        { return 4 * parallel.DefaultMorselRows }
+func (panicPrepared) MorselAlign() int { return 1 }
+func (panicPrepared) NewWorker(*probe.Probe, *probe.AddrSpace) relop.Worker {
+	return panicWorker{}
+}
+
+type panicWorker struct{}
+
+func (panicWorker) RunMorsel(start, end int) { panic("morsel boom") }
+func (panicWorker) Partial() *relop.Partial  { return &relop.Partial{} }
+
+// A worker panic must re-surface on the goroutine that called Run —
+// where a recover barrier can convert it — for the measured and the
+// probe-free fleet alike, not kill the process from a worker frame.
+func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
+	_, m := pt(t)
+	for _, measured := range []bool{true, false} {
+		func() {
+			defer func() {
+				if r := recover(); r != "morsel boom" {
+					t.Errorf("measured=%v: recovered %v on the caller, want the worker's panic", measured, r)
+				}
+			}()
+			_, err := parallel.Run(parallel.Scan{
+				Machine: m,
+				Prepare: func(*probe.Probe, *probe.AddrSpace) (relop.Prepared, error) { return panicPrepared{}, nil },
+				Threads: 2, Measured: measured, Name: "panic.worker",
+			}, parallel.Dedicated)
+			t.Errorf("measured=%v: Run returned (err %v) past a panicking worker", measured, err)
+		}()
 	}
 }

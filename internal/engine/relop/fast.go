@@ -254,41 +254,18 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 	workers := make([]*fastWorker, threads)
 	parts := make([]*Partial, threads)
 	per := (p.rows + threads - 1) / threads
-	// A worker panic re-panics on the caller's goroutine after the
-	// fleet drains (panicking workers stay out of the pool — their
-	// state is suspect), so the caller's recover barrier can convert it
-	// into a per-query error instead of the process dying in a worker
-	// frame nothing can recover.
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for t := 0; t < threads; t++ {
+	// Panicking workers stay out of the pool — their state is suspect.
+	Fleet(threads, func(t int) {
 		lo := t * per
-		hi := lo + per
-		if hi > p.rows {
-			hi = p.rows
-		}
+		hi := min(lo+per, p.rows)
 		if lo >= hi {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			w := p.worker()
-			w.run(lo, hi)
-			workers[t] = w
-			parts[t] = w.partial()
-		}(t, lo, hi)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+		w := p.worker()
+		w.run(lo, hi)
+		workers[t] = w
+		parts[t] = w.partial()
+	})
 	res := FinalizeProbed(nil, p.pl, parts)
 	for _, w := range workers {
 		if w != nil {

@@ -2,6 +2,7 @@ package relop
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"olapmicro/internal/join"
 	"olapmicro/internal/probe"
@@ -32,6 +33,34 @@ type Worker interface {
 	RunMorsel(start, end int)
 	// Partial returns the worker's accumulated aggregation state.
 	Partial() *Partial
+}
+
+// Fleet runs body(0) .. body(n-1), each on its own goroutine, and
+// returns when all have. A worker panic must surface on the caller's
+// goroutine, not kill the process from a frame nothing can recover:
+// the first one is captured and re-panicked after the fleet drains,
+// where the caller's own recover barrier (the server's execute frame,
+// a test harness) can convert it into a per-query error.
+func Fleet(n int, body func(t int)) {
+	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
+	wg.Add(n)
+	for t := 0; t < n; t++ {
+		go func(t int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+				}
+			}()
+			body(t)
+		}(t)
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // BuildState is one join's shared, read-only build result: the hash

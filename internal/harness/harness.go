@@ -115,28 +115,22 @@ type Harness struct {
 	cache map[string]Series
 }
 
-// New generates the database and prepares predicate cutoffs.
+// New generates the database. Predicate cutoffs are computed on first
+// use (see Cutoffs): a process that never runs the selection
+// micro-benchmark — the query server — never sorts for them.
 func New(cfg Config) *Harness {
-	h := &Harness{
+	return &Harness{
 		Cfg:   cfg,
 		Data:  tpch.Generate(cfg.SF),
 		cuts:  make(map[int]engine.SelectionCutoffs),
 		cache: make(map[string]Series),
 	}
-	for _, s := range engine.Selectivities() {
-		h.cuts[permil(s)] = engine.SelectionCutoffs{
-			Selectivity: s,
-			ShipDate:    tpch.Quantile(h.Data.Lineitem.ShipDate, s),
-			CommitDate:  tpch.Quantile(h.Data.Lineitem.CommitDate, s),
-			ReceiptDate: tpch.Quantile(h.Data.Lineitem.ReceiptDate, s),
-		}
-	}
-	return h
 }
 
 func permil(s float64) int { return int(s*1000 + 0.5) }
 
-// Cutoffs returns the per-predicate cutoffs for a selectivity.
+// Cutoffs returns the per-predicate cutoffs for a selectivity,
+// memoized per permille.
 func (h *Harness) Cutoffs(s float64) engine.SelectionCutoffs {
 	if c, ok := h.cuts[permil(s)]; ok {
 		return c

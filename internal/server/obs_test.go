@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,15 +19,52 @@ import (
 // describe, so every snapshot satisfies the exact invariant
 // Submitted == Completed + Failed + Canceled + InFlight + Queued —
 // even while queries are admitted, promoted from the queue, canceled
-// and finished concurrently. Run under -race this also hammers the
+// and finished concurrently. Half the readers check it through
+// /metrics instead: one exposition is one snapshot, so the same
+// equation holds across the lines of every scrape (it did not while
+// each line took its own Stats). Run under -race this also hammers the
 // lock discipline of the whole stats path.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueryThreads: 1, MaxInFlight: 2, MaxQueue: 64})
 	ctx := context.Background()
 
+	occupancy := regexp.MustCompile(`(?m)^olap_(queries_submitted_total|queries_completed_total|queries_failed_total|queries_canceled_total|in_flight|queue_depth) (\d+)$`)
+	scrape := func() (st Stats) {
+		var b strings.Builder
+		if err := s.WriteMetrics(&b); err != nil {
+			t.Error(err)
+		}
+		lines := occupancy.FindAllStringSubmatch(b.String(), -1)
+		if len(lines) != 6 {
+			t.Errorf("scrape carries %d of the 6 occupancy samples:\n%s", len(lines), b.String())
+		}
+		for _, m := range lines {
+			v, _ := strconv.ParseUint(m[2], 10, 64)
+			switch m[1] {
+			case "queries_submitted_total":
+				st.Submitted = v
+			case "queries_completed_total":
+				st.Completed = v
+			case "queries_failed_total":
+				st.Failed = v
+			case "queries_canceled_total":
+				st.Canceled = v
+			case "in_flight":
+				st.InFlight = int(v)
+			case "queue_depth":
+				st.Queued = int(v)
+			}
+		}
+		return st
+	}
+
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
+		snapshot := s.Stats
+		if r%2 == 1 {
+			snapshot = scrape
+		}
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -36,7 +74,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				st := s.Stats()
+				st := snapshot()
 				if got := st.Completed + st.Failed + st.Canceled + uint64(st.InFlight) + uint64(st.Queued); got != st.Submitted {
 					t.Errorf("torn stats snapshot: submitted=%d but completed=%d+failed=%d+canceled=%d+inflight=%d+queued=%d = %d",
 						st.Submitted, st.Completed, st.Failed, st.Canceled, st.InFlight, st.Queued, got)

@@ -2,27 +2,10 @@ package server
 
 import (
 	"container/list"
-	"strconv"
-	"strings"
 	"sync"
 
 	"olapmicro/internal/sql"
 )
-
-// PlanKey is a statement's plan-cache identity: the normalized SQL
-// text plus everything else that changes the compiled artifact — the
-// engine the caller forces ("auto" when unset) and the per-query
-// worker count the plan's predictions and auto-selection were made
-// for. Queries differing only in whitespace, case or comments share a
-// key; queries differing in any literal, the forced engine or the
-// thread count do not.
-func PlanKey(text, engine string, threads int) string {
-	e := strings.ToLower(engine)
-	if e == "" {
-		e = "auto"
-	}
-	return sql.NormalizeSQL(text) + "\x00" + e + "\x00" + strconv.Itoa(threads)
-}
 
 // planCache is a thread-safe LRU of compiled statements. Compiled
 // plans are read-only after compilation (every execution binds a
@@ -59,39 +42,10 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element), flights: make(map[string]*inflight)}
 }
 
-// get returns the cached plan for key and promotes it to most
-// recently used.
-func (pc *planCache) get(key string) (*sql.Compiled, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	e, ok := pc.byKey[key]
-	if !ok {
-		pc.misses++
-		return nil, false
-	}
-	pc.hits++
-	pc.ll.MoveToFront(e)
-	return e.Value.(*planEntry).c, true
-}
-
-// put inserts (or refreshes) a plan and evicts from the LRU tail past
-// capacity. Callers racing get-then-put on one key may still both
-// compile; the server's execute path goes through getOrCompile, which
-// dedupes the compilation instead.
-func (pc *planCache) put(key string, c *sql.Compiled) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.putLocked(key, c)
-}
-
-func (pc *planCache) putLocked(key string, c *sql.Compiled) {
-	if e, ok := pc.byKey[key]; ok {
-		e.Value.(*planEntry).c = c
-		pc.ll.MoveToFront(e)
-		return
-	}
-	pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, c: c})
-	for pc.ll.Len() > pc.cap {
+// evictLocked drops least-recently-used entries until at most keep
+// remain, counting each as an eviction.
+func (pc *planCache) evictLocked(keep int) {
+	for pc.ll.Len() > keep {
 		tail := pc.ll.Back()
 		pc.ll.Remove(tail)
 		delete(pc.byKey, tail.Value.(*planEntry).key)
@@ -139,7 +93,10 @@ func (pc *planCache) getOrCompile(key string, count bool, compile func() (*sql.C
 	pc.mu.Lock()
 	delete(pc.flights, key)
 	if f.err == nil {
-		pc.putLocked(key, f.c)
+		// The flight made this goroutine key's only writer, so the key
+		// cannot already be present.
+		pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, c: f.c})
+		pc.evictLocked(pc.cap)
 	}
 	pc.mu.Unlock()
 	close(f.done)
@@ -153,12 +110,7 @@ func (pc *planCache) getOrCompile(key string, count bool, compile func() (*sql.C
 func (pc *planCache) purge() {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for pc.ll.Len() > 0 {
-		tail := pc.ll.Back()
-		pc.ll.Remove(tail)
-		delete(pc.byKey, tail.Value.(*planEntry).key)
-		pc.evictions++
-	}
+	pc.evictLocked(0)
 }
 
 // len reports the current entry count.

@@ -13,26 +13,29 @@ import (
 // Keys must separate literals, engines and thread counts, and unify
 // textual variants.
 func TestPlanKey(t *testing.T) {
-	base := PlanKey("select count(*) from nation", "auto", 4)
+	keyOf := func(text, engine string, threads int) string {
+		return planKey(sql.Identify(text, false).Key, engine, threads)
+	}
+	base := keyOf("select count(*) from nation", "auto", 4)
 	same := []string{
 		"SELECT COUNT(*) FROM nation",
 		"select count(*)  from nation;",
 		"select count(*) -- c\nfrom nation",
 	}
 	for _, v := range same {
-		if PlanKey(v, "auto", 4) != base {
+		if keyOf(v, "auto", 4) != base {
 			t.Errorf("variant %q must share the key", v)
 		}
 	}
-	if PlanKey("select count(*) from nation", "", 4) != base {
+	if keyOf("select count(*) from nation", "", 4) != base {
 		t.Error("empty engine must key as auto")
 	}
 	distinct := []string{
-		PlanKey("select count(*) from region", "auto", 4),
-		PlanKey("select count(*) from nation where n_nationkey >= 5", "auto", 4),
-		PlanKey("select count(*) from nation", "typer", 4),
-		PlanKey("select count(*) from nation", "tectorwise", 4),
-		PlanKey("select count(*) from nation", "auto", 8),
+		keyOf("select count(*) from region", "auto", 4),
+		keyOf("select count(*) from nation where n_nationkey >= 5", "auto", 4),
+		keyOf("select count(*) from nation", "typer", 4),
+		keyOf("select count(*) from nation", "tectorwise", 4),
+		keyOf("select count(*) from nation", "auto", 8),
 	}
 	seen := map[string]bool{base: true}
 	for i, k := range distinct {
@@ -43,7 +46,7 @@ func TestPlanKey(t *testing.T) {
 	}
 	// Queries differing only in a literal must never collide.
 	for v := 0; v < 100; v++ {
-		k := PlanKey(fmt.Sprintf("select count(*) from nation where n_nationkey < %d", v), "auto", 4)
+		k := keyOf(fmt.Sprintf("select count(*) from nation where n_nationkey < %d", v), "auto", 4)
 		if seen[k] {
 			t.Fatalf("literal %d collides with an earlier key", v)
 		}
@@ -55,44 +58,52 @@ func TestPlanKey(t *testing.T) {
 // exceeded, eviction counter advances.
 func TestPlanCacheEviction(t *testing.T) {
 	pc := newPlanCache(2)
-	put := func(k string) { pc.put(k, &sql.Compiled{}) }
-	put("a")
-	put("b")
-	if _, ok := pc.get("a"); !ok { // promotes a over b
+	// lookup reports whether k was cached, compiling it in on a miss.
+	lookup := func(k string) bool {
+		_, cached, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached
+	}
+	lookup("a")
+	lookup("b")
+	if !lookup("a") { // promotes a over b
 		t.Fatal("a must be cached")
 	}
-	put("c") // evicts b, the least recently used
+	lookup("c") // evicts b, the least recently used
 	if pc.len() != 2 {
 		t.Fatalf("len %d, want 2", pc.len())
 	}
-	if _, ok := pc.get("b"); ok {
-		t.Error("b must have been evicted")
-	}
-	if _, ok := pc.get("a"); !ok {
+	if !lookup("a") {
 		t.Error("a must have survived")
 	}
-	if _, ok := pc.get("c"); !ok {
+	if !lookup("c") {
 		t.Error("c must be cached")
 	}
+	if lookup("b") { // recompiles b in, evicting a
+		t.Error("b must have been evicted")
+	}
 	hits, misses, evictions, _ := pc.counters()
-	if evictions != 1 {
-		t.Errorf("evictions %d, want 1", evictions)
+	if evictions != 2 {
+		t.Errorf("evictions %d, want 2", evictions)
 	}
-	if hits != 3 || misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 3/1", hits, misses)
+	if hits != 3 || misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 3/4", hits, misses)
 	}
-	// Re-putting an existing key refreshes, never grows.
-	put("c")
 	if pc.len() != 2 {
-		t.Errorf("refresh grew the cache to %d", pc.len())
+		t.Errorf("the cache grew to %d", pc.len())
 	}
 }
 
 // Degenerate capacities clamp to one entry.
 func TestPlanCacheMinCapacity(t *testing.T) {
 	pc := newPlanCache(0)
-	pc.put("a", &sql.Compiled{})
-	pc.put("b", &sql.Compiled{})
+	for _, k := range []string{"a", "b"} {
+		if _, _, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if pc.len() != 1 {
 		t.Fatalf("len %d, want 1", pc.len())
 	}
@@ -206,8 +217,8 @@ func TestPlanCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("q%d", (g+i)%16)
-				if _, ok := pc.get(k); !ok {
-					pc.put(k, &sql.Compiled{})
+				if _, _, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
+					t.Error(err)
 				}
 			}
 		}(g)

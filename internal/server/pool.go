@@ -15,7 +15,7 @@ import (
 // phase runs on. It owns n long-lived goroutines, one per slot. An
 // admitted query contributes one share per query-thread: share i
 // drives the query's worker i over morsels i, i+T, i+2T, ... — the
-// exact partition a dedicated parallel.Run at T threads uses, so a
+// exact partition parallel.Dedicated uses at T threads, so a
 // query's per-worker event streams (and therefore its results and
 // profiles) are identical however its morsels interleave with other
 // queries'. Each slot services its shares round-robin, one morsel per

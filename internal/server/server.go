@@ -27,9 +27,7 @@ import (
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/faults"
 	"olapmicro/internal/hw"
-	"olapmicro/internal/mem"
 	"olapmicro/internal/obs"
-	"olapmicro/internal/probe"
 	"olapmicro/internal/sql"
 	"olapmicro/internal/tmam"
 	"olapmicro/internal/tpch"
@@ -191,6 +189,7 @@ type submitConfig struct {
 	threads    int
 	args       []int64
 	hasArgs    bool
+	id         *sql.Identity // resolved at prepare time; nil resolves in plan
 	fast       bool
 	timeout    time.Duration
 	hasTimeout bool
@@ -216,6 +215,12 @@ func WithThreads(n int) SubmitOption {
 // argument count must match the placeholder count exactly.
 func WithArgs(args []int64) SubmitOption {
 	return func(c *submitConfig) { c.args = args; c.hasArgs = true }
+}
+
+// withPrepared is WithArgs for a statement a session resolved at
+// prepare time: the submission skips the lexer altogether.
+func withPrepared(id *sql.Identity, args []int64) SubmitOption {
+	return func(c *submitConfig) { c.id, c.args, c.hasArgs = id, args, true }
 }
 
 // WithFast runs this submission in profile-free fast mode: the real
@@ -620,39 +625,68 @@ func (s *Server) safeExecute(t *Ticket, text string, sc submitConfig, root *obs.
 	return s.execute(t, text, sc, root)
 }
 
-// argsKey renders bound arguments as a cache-key suffix.
-func argsKey(args []int64) string {
-	var b strings.Builder
+// planKey is a statement's plan-cache identity: its canonical spelling
+// plus everything else that changes the compiled artifact — the engine
+// the caller forces ("auto" when unset) and the per-query worker count
+// the plan's predictions and auto-selection were made for. Queries
+// differing only in whitespace, case or comments share a key; queries
+// differing in any literal, the forced engine or the thread count do
+// not.
+func planKey(norm, engine string, threads int) string {
+	e := strings.ToLower(engine)
+	if e == "" {
+		e = "auto"
+	}
+	return norm + "\x00" + e + "\x00" + strconv.Itoa(threads)
+}
+
+// boundKey extends a template's plan key with its bound arguments.
+func boundKey(key string, args []int64) string {
+	b := make([]byte, 0, len(key)+1+8*len(args))
+	b = append(append(b, key...), 0)
 	for i, a := range args {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatInt(a, 10))
+		b = strconv.AppendInt(b, a, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // plan resolves one submission's compiled, fully-bound plan through
-// the two-level plan cache. Every statement is keyed on its template:
-// explicit prepared executions (WithArgs) use their text verbatim,
-// while plain literal texts are auto-parameterized by sql.Parameterize
-// so literal-varied repetitions of one workload statement share a
-// single template compilation. Bound plans are additionally cached
-// under template-key + arguments, so exact repetitions skip the bind
-// replan too — the behavior literal texts always had. Compilation and
-// bind are both single-flighted per key; text the lexer rejects never
-// caches (its compile fails, and failures are never stored).
+// the two-level plan cache. Every statement is keyed on its template;
+// bound plans are additionally cached under template-key + arguments,
+// so exact repetitions skip the bind replan too — the behavior literal
+// texts always had. Compilation and bind are both single-flighted per
+// key; text the lexer rejects never caches (its compile fails, and
+// failures are never stored).
 //
 // cached reports whether the execution-ready (bound) plan came from
 // the cache — the bit Response.CacheHit and the stats hit counters
 // expose; the nested template lookup is deliberately uncounted so one
 // submission is still one lookup.
 func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Compiled, cached bool, err error) {
-	template, args := text, sc.args
+	// The one lexer pass a text gets: the breaker key, the template key
+	// and the bound key all derive from its verdict. Explicit templates
+	// (WithArgs, prepare) keep their literals; plain literal texts are
+	// auto-parameterized so literal-varied repetitions of one workload
+	// statement share a single template compilation.
+	var id sql.Identity
+	if sc.id != nil {
+		id = *sc.id
+	} else {
+		id = sql.Identify(text, !sc.hasArgs)
+	}
+	// src is what sql.Compile sees on a miss: the canonical `?` template
+	// of an auto-parameterized statement, else the caller's text verbatim
+	// (explicit templates, EXPLAIN, and anything whose error positions
+	// must cite the original).
+	src, args := text, sc.args
+	if id.Templated {
+		src = id.Key
+	}
 	if !sc.hasArgs {
-		if tmpl, auto, ok := sql.Parameterize(text); ok {
-			template, args = tmpl, auto
-		}
+		args = id.Args
 	}
 	// Poison templates trip a per-template circuit breaker: after
 	// breakerThreshold consecutive compile failures the next
@@ -660,26 +694,25 @@ func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Comp
 	// any compile work (or admission of downstream phases) happens.
 	// The breaker keys the normalized template, so literal variants of
 	// one poison statement share a trip.
-	norm := sql.NormalizeSQL(template)
-	if err := s.brk.admit(norm); err != nil {
+	if err := s.brk.admit(id.Key); err != nil {
 		return nil, false, err
 	}
 	if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.EvictionStorm, text) {
 		s.plans.purge()
 	}
-	key := PlanKey(template, sc.engine, sc.threads)
+	key := planKey(id.Key, sc.engine, sc.threads)
 	compileTemplate := func(counted bool) func() (*sql.Compiled, error) {
 		return func() (*sql.Compiled, error) {
 			if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.CompileError, text) {
 				return nil, &faults.ErrInjected{Point: faults.CompileError, Key: text}
 			}
 			t0 := time.Now() //olap:allow wallclock compile-time telemetry
-			tc, err := sql.Compile(s.cfg.Data, s.cfg.Machine, template,
+			tc, err := sql.Compile(s.cfg.Data, s.cfg.Machine, src,
 				sql.Options{Engine: sc.engine, Threads: sc.threads, Trace: span})
 			if err == nil && counted {
 				s.tel.CompileMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond)) //olap:allow wallclock compile-time telemetry
 			}
-			s.brk.onCompile(norm, err)
+			s.brk.onCompile(id.Key, err)
 			return tc, err
 		}
 	}
@@ -696,8 +729,7 @@ func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Comp
 		}
 		return c, cached, nil
 	}
-	boundKey := key + "\x00" + argsKey(args)
-	return s.plans.getOrCompile(boundKey, true, func() (*sql.Compiled, error) {
+	return s.plans.getOrCompile(boundKey(key, args), true, func() (*sql.Compiled, error) {
 		tc, _, err := s.plans.getOrCompile(key, false, compileTemplate(false))
 		if err != nil {
 			return nil, err
@@ -746,98 +778,67 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 		return resp, nil
 	}
 
+	var fp *relop.FastPlan
 	if sc.fast {
-		if fp := c.FastPlan(); fp != nil {
-			// The vectorized fast plan is cached on the Compiled, which
-			// the plan cache shares across sessions: repeated EXECUTEs of
-			// one template skip planning and engine construction and run
-			// the compiled kernels directly. Queries here are
-			// sub-millisecond, so they run on their own goroutines rather
-			// than rotating through the shared morsel pool; the admission
-			// ticket already bounds how many execute at once.
-			if err := t.ctx.Err(); err != nil {
-				return nil, err
-			}
-			if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.WorkerPanic, text) {
-				panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: text})
-			}
-			exec := root.Child("execute")
-			merged, used := fp.Execute(sc.threads)
-			exec.End()
-			s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
-			resp.Executed = true
-			resp.Fast = true
-			resp.Result = merged
-			resp.Threads = used
-			return resp, nil
-		}
-		// Fast mode for shapes the vectorized plan does not cover
-		// (joins): the same build, morsel partition, shared-pool scan
-		// and merge as the measured path below, but with a nil probe
-		// everywhere — no simulated cores attach, no events are
-		// accounted. The computation is real and identical, so Result is
-		// bit-identical to a measured run; Profile stays zero.
-		sp := root.Child("build")
-		as := probe.NewAddrSpace()
-		prep, err := c.Prepare(nil, as)
-		if err != nil {
-			sp.End()
+		fp = c.FastPlan()
+	}
+	if fp != nil {
+		// The vectorized fast plan is cached on the Compiled, which the
+		// plan cache shares across sessions: repeated EXECUTEs of one
+		// template skip planning and engine construction and run the
+		// compiled kernels directly. Queries here are sub-millisecond, so
+		// they run on their own goroutines rather than rotating through
+		// the shared morsel pool (measured: the pool costs fast_frame 6%
+		// qps and fast_scan 23%, see README "Serving concurrent
+		// queries"); the admission ticket already bounds how many execute
+		// at once.
+		if err := t.ctx.Err(); err != nil {
 			return nil, err
 		}
-		sp.End()
-		morsels := parallel.Morsels(prep.Rows(), 0, prep.MorselAlign(), sc.threads)
-		workers := parallel.NewFastWorkers(as, prep,
-			morsels, sc.threads, fmt.Sprintf("server.q%d.w", t.ID))
-		if err := s.runScan(t, text, root, workers, morsels); err != nil {
-			return nil, err
+		if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.WorkerPanic, text) {
+			panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: text})
 		}
-		sp = root.Child("finalize")
-		merged := relop.FinalizeProbed(nil, c.Pipeline, partialsOf(workers))
-		sp.End()
+		exec := root.Child("execute")
+		merged, used := fp.Execute(sc.threads)
+		exec.End()
+		s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
 		resp.Executed = true
 		resp.Fast = true
 		resp.Result = merged
-		resp.Threads = len(workers)
-		resp.Morsels = len(morsels)
+		resp.Threads = used
 		return resp, nil
 	}
 
-	// Build phase: hash-join builds run once, serially, on the query's
-	// own probe; workers then probe the shared fragment concurrently.
-	sp := root.Child("build")
-	as := probe.NewAddrSpace()
-	buildProbe := probe.New(s.cfg.Machine, mem.AllPrefetchers())
-	prep, err := c.Prepare(buildProbe, as)
+	// Engine scan: the morsel partition and worker shape of a dedicated
+	// run at this thread count — the invariant behind every
+	// "bit-identical under concurrency" guarantee — scanned on the shared
+	// pool. Fast mode for shapes the vectorized plan does not cover
+	// (joins) is the same run with no probes attached: the computation
+	// is real and identical, so Result is bit-identical to a measured
+	// run; nothing is simulated, so Profile stays zero.
+	r, err := parallel.Run(parallel.Scan{
+		Machine:  s.cfg.Machine,
+		Pipeline: c.Pipeline,
+		Prepare:  c.Prepare,
+		Threads:  sc.threads,
+		Measured: !sc.fast,
+		Name:     fmt.Sprintf("server.q%d.w", t.ID),
+		Trace:    root,
+	}, func(workers []relop.Worker, morsels []parallel.Morsel) error {
+		return s.runScan(t, text, root, workers, morsels)
+	})
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	sp.End()
-	// The same morsel partition and worker shape a dedicated
-	// parallel.Run at this thread count would build — the invariant
-	// behind every "bit-identical under concurrency" guarantee.
-	morsels := parallel.Morsels(prep.Rows(), 0, prep.MorselAlign(), sc.threads)
-	probes, workers := parallel.NewWorkers(s.cfg.Machine, mem.AllPrefetchers(), as, prep,
-		morsels, sc.threads, fmt.Sprintf("server.q%d.w", t.ID))
-	if err := s.runScan(t, text, root, workers, morsels); err != nil {
-		return nil, err
-	}
-
-	sp = root.Child("finalize")
-	merged := relop.FinalizeProbed(buildProbe, c.Pipeline, partialsOf(workers))
-	r := parallel.Assemble(s.cfg.Machine, buildProbe, probes, merged, len(morsels))
-	sp.End()
-
 	resp.Executed = true
+	resp.Fast = sc.fast
 	resp.Result = r.Result
-	resp.Parallel = r
 	resp.Threads = r.Threads
 	resp.Morsels = r.Morsels
-	prof := r.PerThread
-	prof.Seconds = r.Seconds
-	prof.BandwidthGBs = r.SocketBandwidthGBs
-	prof.Instructions = r.Single.Instructions
-	resp.Profile = prof
+	if !sc.fast {
+		resp.Parallel = r
+		resp.Profile = r.Profile()
+	}
 	return resp, nil
 }
 
@@ -884,14 +885,4 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop
 	exec.End()
 	s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
 	return t.ctx.Err()
-}
-
-// partialsOf collects every worker's thread-local partial for the
-// merge.
-func partialsOf(workers []relop.Worker) []*relop.Partial {
-	partials := make([]*relop.Partial, len(workers))
-	for i, w := range workers {
-		partials[i] = w.Partial()
-	}
-	return partials
 }

@@ -323,3 +323,44 @@ func TestServerConfigDefaults(t *testing.T) {
 		t.Errorf("threads %d exceeded the pool size %d", resp.Threads, cfg.Workers)
 	}
 }
+
+// The cache-hit frame's allocation budget, per fast submission of a
+// statement whose kernel does nothing (no order matches a negative
+// price). It pins the front end's shape: a literal text is lexed once,
+// an explicit template once, a prepared handle not at all — the parent
+// of this gate read 111 / 86 with three / two lexer passes, so each
+// ceiling sits at least 40 below that and a reintroduced pass (about
+// 25 allocations before the lexer stopped copying words, about 5 now
+// — which is why the handle's ceiling is tight) fails it.
+func TestSubmitAllocsGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are only meaningful without the race detector")
+	}
+	s := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	const template = "select count(*) from orders where o_totalprice < ?"
+	handle := sql.Identify(template, false)
+	for _, form := range []struct {
+		name    string
+		text    string
+		opts    []SubmitOption
+		ceiling float64
+	}{
+		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 48},
+		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 46},
+		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 42},
+	} {
+		submit := func() {
+			resp, err := s.Submit(ctx, form.text, form.opts...)
+			if err != nil || !resp.Fast || resp.Result.Sum != 0 {
+				t.Fatalf("%s: resp %+v err %v", form.name, resp, err)
+			}
+		}
+		submit() // prime the plan cache and the fast plan
+		if got := testing.AllocsPerRun(200, submit); got > form.ceiling {
+			t.Errorf("%s: %.0f allocations per cache-hit fast submission, ceiling %.0f", form.name, got, form.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations (ceiling %.0f)", form.name, got, form.ceiling)
+		}
+	}
+}

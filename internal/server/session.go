@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"olapmicro/internal/faults"
+	"olapmicro/internal/sql"
 )
 
 // Session runs the line-oriented text protocol cmd/olapserve speaks,
@@ -22,7 +23,8 @@ import (
 //	query <sql>     synchronous submit: block and print the result
 //	prepare <name> <sql>
 //	                register a parameterized statement (`?`
-//	                placeholders) under name for this session
+//	                placeholders) under name for this session (at most
+//	                maxPrepared names; re-preparing a name replaces it)
 //	execute <name> [args...]
 //	                submit the prepared statement with its placeholders
 //	                bound to the integer arguments (dates as TPC-H epoch-day
@@ -62,11 +64,22 @@ type Session struct {
 	// prepped, fast and the timeout pair are session-local command
 	// state, touched only by the command loop (never by reporter
 	// goroutines), so they need no lock.
-	prepped    map[string]string
+	prepped    map[string]*prepared
 	fast       bool
 	timeout    time.Duration
 	hasTimeout bool
 }
+
+// prepared is a named statement as the client wrote it, with the
+// identity prepare resolved for it: execute lexes nothing.
+type prepared struct {
+	text string
+	id   sql.Identity
+}
+
+// maxPrepared bounds a session's prepared-statement names: a client
+// cannot grow server memory without bound by preparing in a loop.
+const maxPrepared = 256
 
 // ServeSession speaks the protocol on r/w until quit or EOF; it
 // returns the reader's error, if any. Submissions it accepted are
@@ -159,7 +172,7 @@ func (ses *Session) submit(text string, blocking bool, opts ...SubmitOption) {
 }
 
 // prepareCmd registers a named parameterized statement for later
-// execute commands. The text is stored verbatim; its placeholders
+// execute commands, resolving its identity now; its placeholders
 // compile (and cache) on first execution.
 func (ses *Session) prepareCmd(rest string) {
 	name, text, _ := strings.Cut(rest, " ")
@@ -168,10 +181,14 @@ func (ses *Session) prepareCmd(rest string) {
 		ses.printf("error prepare wants a name and a statement")
 		return
 	}
-	if ses.prepped == nil {
-		ses.prepped = make(map[string]string)
+	if _, ok := ses.prepped[name]; !ok && len(ses.prepped) >= maxPrepared {
+		ses.printf("error too many prepared statements (limit %d per session); re-prepare an existing name", maxPrepared)
+		return
 	}
-	ses.prepped[name] = text
+	if ses.prepped == nil {
+		ses.prepped = make(map[string]*prepared)
+	}
+	ses.prepped[name] = &prepared{text: text, id: sql.Identify(text, false)}
 	ses.printf("ok prepared name=%s", name)
 }
 
@@ -183,7 +200,7 @@ func (ses *Session) executeCmd(rest string) {
 		ses.printf("error execute wants a prepared-statement name")
 		return
 	}
-	text, ok := ses.prepped[fields[0]]
+	p, ok := ses.prepped[fields[0]]
 	if !ok {
 		ses.printf("error no prepared statement named %q", fields[0])
 		return
@@ -197,7 +214,7 @@ func (ses *Session) executeCmd(rest string) {
 		}
 		args = append(args, v)
 	}
-	ses.submit(text, false, WithArgs(args))
+	ses.submit(p.text, false, withPrepared(&p.id, args))
 }
 
 // fastCmd toggles profile-free fast mode for the session's later

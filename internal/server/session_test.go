@@ -27,8 +27,8 @@ func TestSessionSubmitAndStats(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	out := serve(t, s, strings.Join([]string{
 		"submit select count(*) from nation",
+		"wait", // or the query may join the submit's in-flight compile: a dedup, not a hit
 		"query select count(*) from nation",
-		"wait",
 		"stats",
 		"quit",
 	}, "\n"))
@@ -60,20 +60,34 @@ func TestSessionExplain(t *testing.T) {
 
 func TestSessionErrors(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	out := serve(t, s, strings.Join([]string{
+	script := []string{
 		"bogus",
 		"submit",
 		"cancel notanumber",
 		"cancel 99",
 		"query select broken from nowhere",
-		"quit",
-	}, "\n"))
+	}
+	// Session state is bounded: past maxPrepared names a prepare is
+	// refused, re-preparing an existing name still replaces it, and the
+	// session stays usable.
+	for i := 0; i <= maxPrepared; i++ {
+		script = append(script, fmt.Sprintf("prepare p%d select count(*) from nation where n_nationkey < ?", i))
+	}
+	script = append(script,
+		"prepare p0 select count(*) from region where r_regionkey < ?",
+		"fast on",
+		"execute p0 10",
+		"quit")
+	out := serve(t, s, strings.Join(script, "\n"))
 	for _, want := range []string{
 		`error unknown command "bogus"`,
 		"error submit wants a statement",
 		`error cancel wants a numeric id`,
 		"error server: no pending query with id 99",
 		"result id=1 error",
+		fmt.Sprintf("ok prepared name=p%d\n", maxPrepared-1),
+		fmt.Sprintf("error too many prepared statements (limit %d per session)", maxPrepared),
+		"result id=2 ok engine=Typer sum=5 rows=1 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

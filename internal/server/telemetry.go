@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"io"
+	"sync"
 
 	"olapmicro/internal/obs"
 )
@@ -13,6 +15,12 @@ import (
 // obs.Registry in the Prometheus text exposition format.
 type Telemetry struct {
 	reg *obs.Registry
+
+	// scrape is the one Stats snapshot every counter and gauge line of
+	// an exposition reads, so the Stats invariants hold within a scrape;
+	// scrapeMu serializes expositions around it.
+	scrapeMu sync.Mutex
+	scrape   Stats
 
 	// QueueMs is admission wait, CompileMs plan compilation on a cache
 	// miss, ExecMs the shared-pool scan phase, WallMs submit-to-finish
@@ -35,7 +43,10 @@ func newTelemetry(s *Server) *Telemetry {
 	r := obs.NewRegistry()
 	t := &Telemetry{reg: r}
 	stat := func(f func(Stats) uint64) func() uint64 {
-		return func() uint64 { return f(s.Stats()) }
+		return func() uint64 { return f(t.scrape) }
+	}
+	gauge := func(f func(Stats) int) func() float64 {
+		return func() float64 { return float64(f(t.scrape)) }
 	}
 	r.CounterFunc("olap_queries_submitted_total", stat(func(st Stats) uint64 { return st.Submitted }))
 	r.CounterFunc("olap_queries_completed_total", stat(func(st Stats) uint64 { return st.Completed }))
@@ -47,13 +58,13 @@ func newTelemetry(s *Server) *Telemetry {
 	r.CounterFunc("olap_plan_cache_evictions_total", stat(func(st Stats) uint64 { return st.PlanEvictions }))
 	r.CounterFunc("olap_plan_compile_dedup_total", stat(func(st Stats) uint64 { return st.PlanDedups }))
 	r.CounterFunc("olap_queries_fast_total", stat(func(st Stats) uint64 { return st.FastCompleted }))
-	r.GaugeFunc("olap_in_flight", func() float64 { return float64(s.Stats().InFlight) })
-	r.GaugeFunc("olap_queue_depth", func() float64 { return float64(s.Stats().Queued) })
-	r.GaugeFunc("olap_plan_cache_entries", func() float64 { return float64(s.plans.len()) })
-	r.GaugeFunc("olap_pool_slots", func() float64 { return float64(s.cfg.Workers) })
-	r.GaugeFunc("olap_pool_busy_slots", func() float64 { return float64(s.pool.busySlots()) })
+	r.GaugeFunc("olap_in_flight", gauge(func(st Stats) int { return st.InFlight }))
+	r.GaugeFunc("olap_queue_depth", gauge(func(st Stats) int { return st.Queued }))
+	r.GaugeFunc("olap_plan_cache_entries", gauge(func(st Stats) int { return st.PlanEntries }))
+	r.GaugeFunc("olap_pool_slots", gauge(func(st Stats) int { return st.Workers }))
+	r.GaugeFunc("olap_pool_busy_slots", gauge(func(st Stats) int { return st.PoolBusy }))
 	r.GaugeFunc("olap_pool_utilization", func() float64 {
-		return float64(s.pool.busySlots()) / float64(s.cfg.Workers)
+		return float64(t.scrape.PoolBusy) / float64(t.scrape.Workers)
 	})
 	t.Panics = r.Counter("olap_panic_recovered_total")
 	t.Deadlines = r.Counter("olap_deadline_exceeded_total")
@@ -73,7 +84,19 @@ func (s *Server) Telemetry() *Telemetry { return s.tel }
 
 // WriteMetrics renders every metric in the Prometheus text exposition
 // format — the body of olapserve's /metrics endpoint and of the
-// line-protocol metrics verb.
+// line-protocol metrics verb. The outcome, occupancy, plan-cache and
+// pool lines all come from one Stats snapshot taken here. The text is
+// rendered under the scrape lock and written after it, so a stalled
+// reader never blocks another scrape.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	return s.tel.reg.WritePrometheus(w)
+	var buf bytes.Buffer
+	s.tel.scrapeMu.Lock()
+	s.tel.scrape = s.Stats()
+	err := s.tel.reg.WritePrometheus(&buf)
+	s.tel.scrapeMu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf.Bytes())
+	return err
 }

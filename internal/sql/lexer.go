@@ -10,7 +10,10 @@
 // events exactly like the hardcoded paper workloads.
 package sql
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Pos is a 1-based source position.
 type Pos struct {
@@ -91,13 +94,6 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func lower(c byte) byte {
-	if c >= 'A' && c <= 'Z' {
-		return c + 'a' - 'A'
-	}
-	return c
-}
-
 // next returns the next token or a lexical error.
 func (l *lexer) next() (token, error) {
 	for l.off < len(l.src) {
@@ -124,15 +120,13 @@ scan:
 		for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
 			l.advance()
 		}
-		word := l.src[start:l.off]
-		low := make([]byte, len(word))
-		for i := 0; i < len(word); i++ {
-			low[i] = lower(word[i])
+		// Words are ASCII; an already-lowercase one is returned as a
+		// substring of src, with no copy.
+		low := strings.ToLower(l.src[start:l.off])
+		if keywords[low] {
+			return token{kind: tokKeyword, text: low, pos: p}, nil
 		}
-		if keywords[string(low)] {
-			return token{kind: tokKeyword, text: string(low), pos: p}, nil
-		}
-		return token{kind: tokIdent, text: string(low), pos: p}, nil
+		return token{kind: tokIdent, text: low, pos: p}, nil
 	case isDigit(c):
 		start := l.off
 		for l.off < len(l.src) && isDigit(l.peek()) {
@@ -193,7 +187,7 @@ scan:
 // lexAll scans the whole input.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	toks := make([]token, 0, len(src)/4+2)
 	for {
 		t, err := l.next()
 		if err != nil {

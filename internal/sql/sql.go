@@ -356,9 +356,9 @@ func (c *Compiled) prediction(system string) tmam.Profile {
 }
 
 // pipelineEngine is what both executing engines provide: the serial
-// entry point and the parallel prepare hook.
+// entry point and the build-phase hook of a morsel-driven run.
 type pipelineEngine interface {
-	parallel.Executor
+	PreparePipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (relop.Prepared, error)
 	ExecPipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (engine.Result, error)
 }
 
@@ -376,9 +376,8 @@ func (c *Compiled) executor(as *probe.AddrSpace) (pipelineEngine, error) {
 
 // Prepare instantiates the chosen engine against as and runs the
 // pipeline's build phase on p, returning the read-only plan fragment
-// any number of workers may probe concurrently. ExecuteThreads owns
-// its workers end to end; internal/server drives its shared worker
-// pool through this hook instead, scheduling the morsels itself.
+// any number of workers may probe concurrently — the build step of
+// every parallel.Run, whoever scans.
 func (c *Compiled) Prepare(p *probe.Probe, as *probe.AddrSpace) (relop.Prepared, error) {
 	if err := c.errUnbound(); err != nil {
 		return nil, err
@@ -430,41 +429,25 @@ func (c *Compiled) ExecuteFast(threads int) (engine.Result, error) {
 		r, _ := fp.Execute(threads)
 		return r, nil
 	}
-	return c.executeFastEngine(threads)
+	r, err := c.runMorsels(threads, false)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	return r.Result, nil
 }
 
-// executeFastEngine is fast mode for pipeline shapes the vectorized
-// executor does not cover: the same engines, morsel partition and
-// finalize as a measured run, but with nil probes throughout.
-func (c *Compiled) executeFastEngine(threads int) (engine.Result, error) {
-	as := probe.NewAddrSpace()
-	ex, err := c.executor(as)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	prep, err := ex.PreparePipeline(nil, as, c.Pipeline)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	morsels := parallel.Morsels(prep.Rows(), 0, prep.MorselAlign(), threads)
-	workers := parallel.NewFastWorkers(as, prep, morsels, threads, "fast.worker")
-	threads = len(workers)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int, w relop.Worker) {
-			defer wg.Done()
-			for i := t; i < len(morsels); i += threads {
-				w.RunMorsel(morsels[i].Start, morsels[i].End)
-			}
-		}(t, workers[t])
-	}
-	wg.Wait()
-	partials := make([]*relop.Partial, threads)
-	for t, w := range workers {
-		partials[t] = w.Partial()
-	}
-	return relop.FinalizeProbed(nil, c.Pipeline, partials), nil
+// runMorsels is the statement's morsel-driven run on its own goroutine
+// fleet: measured (a probe per worker, the profile accounted) or
+// profile-free with nil probes throughout.
+func (c *Compiled) runMorsels(threads int, measured bool) (*parallel.Result, error) {
+	return parallel.Run(parallel.Scan{
+		Machine:  c.machine,
+		Pipeline: c.Pipeline,
+		Prepare:  c.Prepare,
+		Threads:  threads,
+		Measured: measured,
+		Name:     "parallel.worker",
+	}, parallel.Dedicated)
 }
 
 // Execute runs the pipeline on the chosen engine at the compilation's
@@ -507,23 +490,14 @@ func (c *Compiled) ExecuteThreads(threads int) (*Answer, error) {
 // executeParallel runs the morsel-driven executor and reports the
 // slowest worker's shared-ceiling profile as the statement's profile.
 func (c *Compiled) executeParallel(threads int) (*Answer, error) {
-	as := probe.NewAddrSpace()
-	ex, err := c.executor(as)
+	r, err := c.runMorsels(threads, true)
 	if err != nil {
 		return nil, err
 	}
-	r, err := parallel.Run(c.machine, as, ex, c.Pipeline, parallel.Options{Threads: threads})
-	if err != nil {
-		return nil, err
-	}
-	prof := r.PerThread
-	prof.Seconds = r.Seconds
-	prof.BandwidthGBs = r.SocketBandwidthGBs
-	prof.Instructions = r.Single.Instructions
 	return &Answer{
 		Engine:    c.Engine,
 		Result:    r.Result,
-		Profile:   prof,
+		Profile:   r.Profile(),
 		Predicted: c.prediction(c.Engine),
 		Inputs:    r.Inputs,
 		Threads:   r.Threads,

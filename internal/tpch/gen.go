@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -268,7 +269,7 @@ func Quantile(col []int64, q float64) int64 {
 	}
 	cp := make([]int64, len(col))
 	copy(cp, col)
-	quickselectSortAll(cp)
+	slices.Sort(cp)
 	idx := int(q * float64(len(cp)))
 	if idx >= len(cp) {
 		idx = len(cp) - 1
@@ -277,35 +278,4 @@ func Quantile(col []int64, q float64) int64 {
 		idx = 0
 	}
 	return cp[idx]
-}
-
-// quickselectSortAll sorts in place (simple bottom-up merge via the
-// stdlib would pull in sort; keep a local pdq-free introsort-lite).
-func quickselectSortAll(a []int64) {
-	// Heapsort: O(n log n), no recursion, no allocation.
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(a, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDown(a, 0, end)
-	}
-}
-
-func siftDown(a []int64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && a[child+1] > a[child] {
-			child++
-		}
-		if a[root] >= a[child] {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
-	}
 }

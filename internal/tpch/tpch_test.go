@@ -239,26 +239,3 @@ func TestGenerateInvalidSFPanics(t *testing.T) {
 	}()
 	Generate(0)
 }
-
-func TestHeapsortProperty(t *testing.T) {
-	f := func(v []int64) bool {
-		cp := append([]int64(nil), v...)
-		quickselectSortAll(cp)
-		for i := 1; i < len(cp); i++ {
-			if cp[i-1] > cp[i] {
-				return false
-			}
-		}
-		// Same multiset.
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		for i := range v {
-			if v[i] != cp[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
