@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt bench
+.PHONY: all build test lint staticcheck govulncheck race fmt bench loc
 
 all: build test lint
 
@@ -44,5 +44,15 @@ fmt:
 # stdout, build outputs under the git-ignored benchmark/out/.
 bench:
 	bash benchmark/run.sh -workload all -seed 1
+
+# loc prints the figure ROADMAP aim 2 tracks: `wc -l` of production Go
+# (no tests, no analyzer fixtures, not the nested benchmark/ module),
+# per package directory and in total. Informational; nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -k2
 
 FORCE:

@@ -16,6 +16,7 @@ package olapmicro
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -157,6 +158,15 @@ func runServerWorkload(tb testing.TB, streams, reps int, fast bool) streamPoint 
 // run, so the ratio is robust to machine speed.
 const fastSpeedupFloor = 50.0
 
+// speedupPairs is how many back-to-back (measured, fast) single-stream
+// pairs the floor is judged on. The gate reads their median ratio: one
+// ~0.1 s sample against one ~0.03 s sample, taken while two dozen
+// sibling test binaries share the host, moves by a factor of two, and
+// a suite that fails one run in five rejects correct changes. A median
+// is not a best-of: three of the five pairs must clear the floor, so
+// one lucky sample cannot pass a real regression.
+const speedupPairs = 5
+
 // TestServerBenchBaseline sweeps both series and pins their
 // invariants: every sweep point serves the whole workload and hits the
 // primed plan cache, the measured series carries simulated profiles
@@ -167,8 +177,7 @@ func TestServerBenchBaseline(t *testing.T) {
 	if testing.Short() {
 		reps, fastReps = 2, 40
 	}
-	var measuredQPS, fastQPS float64
-	for _, streams := range []int{1, 4, 8} {
+	measured := func(streams int) streamPoint {
 		p := runServerWorkload(t, streams, reps, false)
 		if p.Queries != streams*reps {
 			t.Errorf("streams %d: served %d, want %d", streams, p.Queries, streams*reps)
@@ -180,11 +189,9 @@ func TestServerBenchBaseline(t *testing.T) {
 			t.Errorf("streams %d: wall p50 missing (latency histograms not fed)", streams)
 		}
 		checkSweepPoint(t, "measured", p)
-		if streams == 1 {
-			measuredQPS = p.WallQPS
-		}
+		return p
 	}
-	for _, streams := range []int{1, 4, 8} {
+	fast := func(streams int) streamPoint {
 		p := runServerWorkload(t, streams, fastReps, true)
 		if p.Queries != streams*fastReps {
 			t.Errorf("fast streams %d: served %d, want %d", streams, p.Queries, streams*fastReps)
@@ -193,13 +200,24 @@ func TestServerBenchBaseline(t *testing.T) {
 			t.Errorf("fast streams %d: simulated cost %.4f ms leaked into profile-free mode", streams, p.SimMsMean)
 		}
 		checkSweepPoint(t, "fast", p)
-		if streams == 1 {
-			fastQPS = p.WallQPS
-		}
+		return p
 	}
-	if measuredQPS <= 0 || fastQPS < fastSpeedupFloor*measuredQPS {
-		t.Errorf("fast mode speedup %.1fx below the %.0fx floor (measured %.1f qps, fast %.1f qps)",
-			fastQPS/measuredQPS, fastSpeedupFloor, measuredQPS, fastQPS)
+	for _, streams := range []int{4, 8} {
+		measured(streams)
+		fast(streams)
+	}
+	ratios := make([]float64, speedupPairs)
+	for i := range ratios {
+		m, f := measured(1), fast(1)
+		if m.WallQPS <= 0 {
+			t.Fatalf("pair %d: measured single-stream throughput missing", i)
+		}
+		ratios[i] = f.WallQPS / m.WallQPS
+	}
+	sort.Float64s(ratios)
+	if median := ratios[speedupPairs/2]; median < fastSpeedupFloor {
+		t.Errorf("fast mode median speedup %.1fx below the %.0fx floor (sorted pair ratios %.1f)",
+			median, fastSpeedupFloor, ratios)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command olapserve is the concurrent query server: many in-flight
-// SQL statements share one morsel-driven worker pool, identical
+// SQL statements share one budget of scan slots, identical
 // statements share one LRU-cached plan, and admission control bounds
 // the executing and waiting query counts. It speaks a line-oriented
 // protocol over stdin (the default) or TCP (-listen), one session per
@@ -23,7 +23,7 @@
 //	                the server default)
 //	cancel <id>     cancel a pending submission
 //	stats           print the service counters (plan-cache hit rate,
-//	                in-flight/queued/rejected, pool shape)
+//	                in-flight/queued/rejected, scan-slot shape)
 //	metrics         print the Prometheus text exposition
 //	wait            block until this session's submissions finish
 //	quit            wait, then exit (EOF does the same)
@@ -69,8 +69,8 @@ import (
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "use the miniaturized test configuration (1/8 caches, SF 0.25)")
-		workers  = flag.Int("workers", 4, "shared morsel worker pool size")
-		qthreads = flag.Int("query-threads", 0, "per-query parallelism on the pool (default: the pool size)")
+		workers  = flag.Int("workers", 4, "scan slots: engine morsels executing at once, over all queries")
+		qthreads = flag.Int("query-threads", 0, "worker goroutines per query (default and maximum: -workers)")
 		inflight = flag.Int("inflight", 0, "max queries executing at once (default: 2 x workers)")
 		queue    = flag.Int("queue", 0, "max queries waiting for admission (default: 4 x inflight)")
 		cache    = flag.Int("cache", 64, "plan-cache capacity in entries")
@@ -110,7 +110,7 @@ func main() {
 	}
 	defer srv.Close()
 	sc := srv.Config()
-	fmt.Fprintf(os.Stderr, "serving: %d pool workers, %d threads/query, %d in-flight + %d queued, plan cache %d\n",
+	fmt.Fprintf(os.Stderr, "serving: %d scan slots, %d threads/query, %d in-flight + %d queued, plan cache %d\n",
 		sc.Workers, sc.QueryThreads, sc.MaxInFlight, sc.MaxQueue, sc.PlanCache)
 
 	if *metrics != "" {

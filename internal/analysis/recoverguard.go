@@ -12,8 +12,8 @@ import (
 // turns any query-scoped fault into process death, silently undoing
 // the serving path's panic-isolation contract. A frame is guarded
 // when it contains a deferred recover() itself, or when it calls a
-// same-package function that does (the delegation pattern: a thin
-// `go p.worker(s)` loop whose body re-enters a recovering runSlot).
+// same-package function that does (the delegation pattern: the
+// session's reporter goroutine, whose body is a call to safeReport).
 // Goroutines that are intentionally unguarded carry a //olap:allow
 // recoverguard annotation with a reason.
 var Recoverguard = &lintkit.Analyzer{

@@ -161,14 +161,15 @@ func ClampThreads(m *hw.Machine, threads int) int {
 // build phase once, serially, on the run's own probe; the driver table
 // cut into Morsels; one worker per thread, each with a private probe
 // and a WorkerWindow-sized address-space fork; the scan step, which is
-// the caller's — Dedicated for a run that owns its goroutines, the
-// shared pool for internal/server; then the thread-local partials
-// merged and the post-aggregation operators (HAVING, sort, top-k) run
-// on the coordinator, charged to the build probe so they count toward
-// the serial span, not any worker's. Because the partition and the
-// worker shape never depend on who scans, a query's result and profile
-// are identical however its morsels were interleaved with other
-// queries'.
+// the caller's — Dedicated for a run that owns its goroutines,
+// internal/server's slot-capped step for one that shares the machine
+// with other queries (both on the Strided fleet); then the
+// thread-local partials merged and the post-aggregation operators
+// (HAVING, sort, top-k) run on the coordinator, charged to the build
+// probe so they count toward the serial span, not any worker's.
+// Because the partition and the worker shape never depend on who
+// scans, a query's result and profile are identical however its
+// morsels were interleaved with other queries'.
 //
 // scan must run workers[t] over morsels t, t+T, t+2T, ... for
 // T = len(workers) and return once every worker is quiescent. The
@@ -236,13 +237,29 @@ func (s Scan) phase(name string) func() {
 	return s.Trace.Child(name).End
 }
 
-// Dedicated is the scan step of a run that owns its workers end to
-// end: one goroutine per worker until the scan drains.
-func Dedicated(workers []relop.Worker, morsels []Morsel) error {
-	relop.Fleet(len(workers), func(t int) {
-		for i := t; i < len(morsels); i += len(workers) {
-			workers[t].RunMorsel(morsels[i].Start, morsels[i].End)
+// Strided is the scan fleet every caller of Run shares: one goroutine
+// per worker (a relop.Fleet, so a panic resurfaces on the caller), and
+// worker t of T visits morsels t, t+T, t+2T, ... in order, handing each
+// to step. A false return from step stops that worker — the hook the
+// server uses for cancellation and per-query abort; the other workers
+// run on until their own step says otherwise.
+func Strided(threads int, morsels []Morsel, step func(t int, m Morsel) bool) {
+	relop.Fleet(threads, func(t int) {
+		for i := t; i < len(morsels); i += threads {
+			if !step(t, morsels[i]) {
+				return
+			}
 		}
+	})
+}
+
+// Dedicated is the scan step of a run that owns its workers end to
+// end: every worker runs its morsels back to back until the scan
+// drains.
+func Dedicated(workers []relop.Worker, morsels []Morsel) error {
+	Strided(len(workers), morsels, func(t int, m Morsel) bool {
+		workers[t].RunMorsel(m.Start, m.End)
+		return true
 	})
 	return nil
 }

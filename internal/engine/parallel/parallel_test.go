@@ -224,3 +224,51 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 		}()
 	}
 }
+
+// Strided is the one partition every scan shares: each morsel is
+// visited exactly once, by worker i mod T, in ascending order per
+// worker — for morsel counts below, equal to and above the worker
+// count — and a false return from the step stops that worker alone.
+func TestStridedVisitsEachMorselOnceOnItsWorker(t *testing.T) {
+	for _, threads := range []int{1, 2, 3} {
+		for _, count := range []int{0, threads - 1, threads, threads + 1, 3*threads + 2} {
+			if count < 0 {
+				continue
+			}
+			morsels := make([]parallel.Morsel, count)
+			for i := range morsels {
+				morsels[i] = parallel.Morsel{Start: i * 10, End: i*10 + 10}
+			}
+			// seen[w] is written by worker w's goroutine only.
+			seen := make([][]int, threads)
+			parallel.Strided(threads, morsels, func(w int, m parallel.Morsel) bool {
+				seen[w] = append(seen[w], m.Start/10)
+				return true
+			})
+			visits := make([]int, count)
+			for w, idx := range seen {
+				for k, i := range idx {
+					visits[i]++
+					if i != w+k*threads {
+						t.Errorf("T=%d n=%d: worker %d's visit %d was morsel %d, want %d", threads, count, w, k, i, w+k*threads)
+					}
+				}
+			}
+			for i, n := range visits {
+				if n != 1 {
+					t.Errorf("T=%d n=%d: morsel %d visited %d times", threads, count, i, n)
+				}
+			}
+		}
+	}
+
+	morsels := make([]parallel.Morsel, 9)
+	ran := make([]int, 3)
+	parallel.Strided(3, morsels, func(w int, _ parallel.Morsel) bool {
+		ran[w]++
+		return w != 1 // worker 1 gives up after its first morsel
+	})
+	if ran[0] != 3 || ran[1] != 1 || ran[2] != 3 {
+		t.Errorf("morsels run per worker = %v, want [3 1 3]", ran)
+	}
+}

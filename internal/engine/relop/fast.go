@@ -23,8 +23,10 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"olapmicro/internal/engine"
+	"olapmicro/internal/tpch"
 )
 
 // fastChunk is the scan granularity: per-chunk buffers stay resident in
@@ -65,6 +67,12 @@ type FastPlan struct {
 	aggs     []fastAgg
 	nbufs    int
 	pool     sync.Pool
+	// ran is set by the plan's first execution; workers are pooled only
+	// from the second on. A plan bound for one literal tuple usually
+	// runs once, and a sync.Pool keeps what it is given reachable for
+	// two more GC cycles: at ad-hoc rates that is thousands of dead
+	// plans' buffers counted as live heap, which doubles the GC's target.
+	ran atomic.Bool
 	// dense direct-indexes groups when every group key is a bare
 	// byte-width column (flag/status/key columns — the common analytic
 	// grouping): the packed key bytes address a flat table, no hashing.
@@ -124,7 +132,7 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 	if len(pl.Joins) > 0 || pl.Tables[0].Rows > math.MaxInt32 {
 		return nil
 	}
-	fc := &fastCompiler{b: b, ok: true}
+	fc := &fastCompiler{pl: pl, b: b, ok: true}
 	p := &FastPlan{
 		pl:      pl,
 		rows:    pl.Tables[0].Rows,
@@ -244,11 +252,14 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 	if threads < 1 {
 		threads = 1
 	}
+	pooled := p.ran.Swap(true)
 	if threads == 1 {
-		w := p.worker()
+		w := p.worker(pooled)
 		w.run(0, p.rows)
 		res := FinalizeProbed(nil, p.pl, []*Partial{w.partial()})
-		p.pool.Put(w)
+		if pooled {
+			p.pool.Put(w)
+		}
 		return res, 1
 	}
 	workers := make([]*fastWorker, threads)
@@ -261,14 +272,14 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 		if lo >= hi {
 			return
 		}
-		w := p.worker()
+		w := p.worker(pooled)
 		w.run(lo, hi)
 		workers[t] = w
 		parts[t] = w.partial()
 	})
 	res := FinalizeProbed(nil, p.pl, parts)
 	for _, w := range workers {
-		if w != nil {
+		if w != nil && pooled {
 			p.pool.Put(w)
 		}
 	}
@@ -276,10 +287,12 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 }
 
 // worker takes a pooled worker (reset) or builds a fresh one.
-func (p *FastPlan) worker() *fastWorker {
-	if w, ok := p.pool.Get().(*fastWorker); ok {
-		w.reset()
-		return w
+func (p *FastPlan) worker(pooled bool) *fastWorker {
+	if pooled {
+		if w, ok := p.pool.Get().(*fastWorker); ok {
+			w.reset()
+			return w
+		}
 	}
 	w := &fastWorker{
 		p:      p,
@@ -859,12 +872,10 @@ func (g *fastGroups) grow() {
 // fastCompiler lowers expressions and predicates to kernels, assigning
 // scratch buffer slots as general shapes need them.
 type fastCompiler struct {
+	pl    *Pipeline
 	b     *Bound
 	nbufs int
 	ok    bool
-	// stats caches each filtered column's observed min/max, keyed by
-	// the column's backing array (stable for a bound catalog).
-	stats map[*int64][2]int64
 }
 
 func (fc *fastCompiler) buf() int {
@@ -883,6 +894,7 @@ type fexpr struct {
 	conV int64
 	i64  []int64
 	i8   []byte
+	col  int // a bare column's index in the driver table
 }
 
 // kernel materializes an fexpr into a plain evaluation kernel.
@@ -924,9 +936,9 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 		}
 		c := fc.b.Tables[0][e.Col]
 		if c.Kind == I8 {
-			return fexpr{i8: c.I8.V}
+			return fexpr{i8: c.I8.V, col: e.Col}
 		}
-		return fexpr{i64: c.I64.V}
+		return fexpr{i64: c.I64.V, col: e.Col}
 	}
 	l, r := fc.expr(e.L), fc.expr(e.R)
 	if l.con && r.con {
@@ -1241,30 +1253,18 @@ const (
 	condAlways                   // every present value satisfies it: drop it
 )
 
-// colRange reports the extreme values present in v, cached per column:
-// the one-time scan prices a plan compile, not an execution, and the
-// rebased range tests are only valid against a column's true extremes.
-func (fc *fastCompiler) colRange(v []int64) (int64, int64, bool) {
-	if len(v) == 0 {
-		return 0, 0, false
-	}
-	if s, ok := fc.stats[&v[0]]; ok {
-		return s[0], s[1], true
-	}
-	mn, mx := v[0], v[0]
-	for _, x := range v[1:] {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
+// colRange reports the extreme values present in the bare int64 column
+// x: the rebased range tests are only valid against a column's true
+// extremes. They are a fact of the immutable database, which remembers
+// them (tpch.Data.Extremes); only a column it does not know — a Bound
+// assembled by hand — is scanned here.
+func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
+	if d := fc.b.Data; d != nil {
+		if mn, mx, ok := d.Extremes(fc.pl.Tables[0].Cols[x.col].Name); ok {
+			return mn, mx, true
 		}
 	}
-	if fc.stats == nil {
-		fc.stats = map[*int64][2]int64{}
-	}
-	fc.stats[&v[0]] = [2]int64{mn, mx}
-	return mn, mx, true
+	return tpch.MinMax(x.i64)
 }
 
 // spanCond normalizes a conjunct into a spanCond when it compares one
@@ -1309,7 +1309,7 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 	cmin, cmax := int64(0), int64(255)
 	if x.i64 != nil {
 		var ok bool
-		cmin, cmax, ok = fc.colRange(x.i64)
+		cmin, cmax, ok = fc.colRange(x)
 		if !ok {
 			return spanCond{}, condNever // empty column: no row to match
 		}

@@ -57,6 +57,30 @@ func tupleEq(a, b []int64) bool {
 	return true
 }
 
+// BindData resolves a planner-built pipeline's own columns against the
+// raw generated data: values only, no simulated addresses. It is the
+// binding of everything that evaluates without a probe — the planner's
+// sampler and the vectorized fast plan. The planner only emits tables
+// and columns of the catalog, so every ColSpec resolves.
+func BindData(pl *Pipeline, d *tpch.Data) *Bound {
+	b := &Bound{Tables: make([][]Col, len(pl.Tables)), Data: d}
+	for ti, t := range pl.Tables {
+		meta, _ := tpch.SchemaTable(t.Name)
+		cols := make([]Col, len(t.Cols))
+		for ci, cs := range t.Cols {
+			cm, _ := meta.Column(cs.Name)
+			switch cs.Kind {
+			case I64:
+				cols[ci] = Col{Kind: I64, I64: storage.ColI64{V: cm.I64(d)}}
+			case I8:
+				cols[ci] = Col{Kind: I8, I8: storage.ColI8{V: cm.I8(d)}}
+			}
+		}
+		b.Tables[ti] = cols
+	}
+	return b
+}
+
 // BindCatalog carves a simulated region for every catalog column under
 // an engine's address-space prefix and returns the name-keyed
 // bindings. Both high-performance engines build their column maps —

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"olapmicro/internal/storage"
+	"olapmicro/internal/tpch"
 )
 
 // Kind is a column's physical representation.
@@ -84,6 +85,10 @@ func (c Col) ElemBytes() uint64 {
 // ColSpec c of pipeline table t.
 type Bound struct {
 	Tables [][]Col
+	// Data is the database the columns belong to when BindData resolved
+	// them (nil otherwise): the owner of per-column facts a compile
+	// would otherwise re-derive by scanning.
+	Data *tpch.Data
 }
 
 // ExprOp is an expression node operator.

@@ -58,8 +58,10 @@ func (pc *planCache) evictLocked(keep int) {
 // while later misses on the same key block and adopt its outcome
 // (counted in dedups — they are still misses, not hits, since no
 // cached entry served them). Errors propagate to every waiter and are
-// never cached, so the next request retries. cached reports whether a
-// cache entry (not a fresh or deduped compilation) served the call.
+// never cached, so the next request retries; a compile that panics
+// retires its flight the same way — the waiters get a PanicError, the
+// owner's frame sees the panic itself. cached reports whether a cache
+// entry (not a fresh or deduped compilation) served the call.
 //
 // count selects whether the lookup lands in the hit/miss counters; the
 // server's nested template lookup passes false so one submission still
@@ -88,18 +90,29 @@ func (pc *planCache) getOrCompile(key string, count bool, compile func() (*sql.C
 	pc.flights[key] = f
 	pc.mu.Unlock()
 
+	// Deferred, so a panicking compile cannot strand the key: without
+	// it the flight would stay registered with done never closed, and
+	// every later submission of the statement would block forever.
+	defer func() {
+		r := recover()
+		if r != nil {
+			f.c, f.err = nil, newPanicError("plan-compile", r)
+		}
+		pc.mu.Lock()
+		delete(pc.flights, key)
+		if f.err == nil {
+			// The flight made this goroutine key's only writer, so the
+			// key cannot already be present.
+			pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, c: f.c})
+			pc.evictLocked(pc.cap)
+		}
+		pc.mu.Unlock()
+		close(f.done)
+		if r != nil {
+			panic(r) // the owner's recover barrier converts and counts it
+		}
+	}()
 	f.c, f.err = compile()
-
-	pc.mu.Lock()
-	delete(pc.flights, key)
-	if f.err == nil {
-		// The flight made this goroutine key's only writer, so the key
-		// cannot already be present.
-		pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, c: f.c})
-		pc.evictLocked(pc.cap)
-	}
-	pc.mu.Unlock()
-	close(f.done)
 	return f.c, false, f.err
 }
 

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"olapmicro/internal/sql"
 )
@@ -202,6 +204,78 @@ func TestPlanCacheSingleFlightError(t *testing.T) {
 	}
 	if _, cached, _ := pc.getOrCompile("bad", true, nil); !cached {
 		t.Error("retry's plan must now be cached")
+	}
+}
+
+// A compile that panics must retire its flight: the owner's frame sees
+// the panic, a concurrent waiter gets it as an error, and the key is
+// free for the next request. On the parent the flight stayed
+// registered with done never closed, so the waiter and every later
+// lookup of the key hung.
+func TestPlanCacheCompilePanic(t *testing.T) {
+	pc := newPlanCache(8)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		_, _, _ = pc.getOrCompile("q", true, func() (*sql.Compiled, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := pc.getOrCompile("q", true, func() (*sql.Compiled, error) {
+			return nil, fmt.Errorf("the waiter must join the flight, not compile")
+		})
+		waiterErr <- err
+	}()
+	for {
+		_, _, _, dedups := pc.counters()
+		if dedups == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+
+	timeout := time.After(30 * time.Second)
+	select {
+	case r := <-ownerPanic:
+		if r != "boom" {
+			t.Errorf("owner recovered %v, want the compile's own panic value", r)
+		}
+	case <-timeout:
+		t.Fatal("owner never returned")
+	}
+	select {
+	case err := <-waiterErr:
+		var perr *PanicError
+		if !errors.As(err, &perr) || perr.Op != "plan-compile" || perr.Value != "boom" || len(perr.Stack) == 0 {
+			t.Errorf("waiter got %v, want the compile panic as a *PanicError with its stack", err)
+		}
+	case <-timeout:
+		t.Fatal("waiter still blocked on the panicked flight")
+	}
+
+	retried := make(chan error, 1)
+	go func() {
+		c, cached, err := pc.getOrCompile("q", true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
+		if err == nil && (cached || c == nil) {
+			err = fmt.Errorf("retry got c=%v cached=%v, want a fresh compile", c, cached)
+		}
+		retried <- err
+	}()
+	select {
+	case err := <-retried:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-timeout:
+		t.Fatal("the key stayed stranded after its compile panicked")
 	}
 }
 

@@ -21,13 +21,13 @@ import (
 var ErrBreakerOpen = errors.New("server: circuit breaker open: this statement template keeps failing to compile")
 
 // PanicError is a panic recovered inside one query's lifecycle — a
-// pool slot running the query's morsel, the compile path, the
+// scan worker running the query's morsel, the compile path, the
 // fast-path executor, or the session writer. The panic is converted
-// into this per-query error; the process, the pool and every other
-// in-flight query are unaffected.
+// into this per-query error; the process and every other in-flight
+// query are unaffected.
 type PanicError struct {
-	// Op names the frame that recovered: "pool-worker", "execute",
-	// "session-report".
+	// Op names the frame that recovered: "scan-worker", "plan-compile",
+	// "execute", "query-lifecycle", "session-report".
 	Op string
 	// Value is the recovered panic value.
 	Value any

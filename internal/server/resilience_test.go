@@ -13,9 +13,9 @@ import (
 	"olapmicro/internal/sql"
 )
 
-// A panic injected into the query's pool-scan phase becomes that
-// query's error — stack captured, counter bumped — while the pool,
-// the stats invariant and every later query are untouched.
+// A panic injected into the query's scan phase becomes that query's
+// error — stack captured, counter bumped — while the scan slots, the
+// stats invariant and every later query are untouched.
 func TestPanicIsolationPoolWorker(t *testing.T) {
 	inj := faults.New(1)
 	inj.Enable(faults.WorkerPanic, 1, 0) // every key, once each
@@ -27,8 +27,8 @@ func TestPanicIsolationPoolWorker(t *testing.T) {
 	if !errors.As(err, &perr) {
 		t.Fatalf("faulted query: want *PanicError, got %v", err)
 	}
-	if perr.Op != "pool-worker" {
-		t.Errorf("panic op = %q, want pool-worker", perr.Op)
+	if perr.Op != "scan-worker" {
+		t.Errorf("panic op = %q, want scan-worker", perr.Op)
 	}
 	if len(perr.Stack) == 0 {
 		t.Error("PanicError carries no stack")
@@ -42,7 +42,7 @@ func TestPanicIsolationPoolWorker(t *testing.T) {
 	}
 
 	// The fault fired once; the same statement now runs to completion
-	// with the bit-identical serial answer on the same pool.
+	// with the bit-identical serial answer on the same server.
 	d, m := testDB()
 	_, serial, err := sql.Run(d, m, q, sql.Options{Engine: "typer"})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestPanicIsolationPoolWorker(t *testing.T) {
 	}
 	resp, err := s.Submit(context.Background(), q)
 	if err != nil {
-		t.Fatalf("pool must survive a worker panic: %v", err)
+		t.Fatalf("server must survive a worker panic: %v", err)
 	}
 	if !resp.Result.Equal(serial.Result) {
 		t.Errorf("post-panic result differs from serial: %+v vs %+v", resp.Result, serial.Result)
@@ -220,7 +220,7 @@ func TestBreakerResetsOnSuccess(t *testing.T) {
 }
 
 // Shutdown with an expired context cancels the stragglers but still
-// drains them before stopping the pool; the server is cleanly closed
+// drains them before returning; the server is cleanly closed
 // afterwards.
 func TestShutdownBoundedDrain(t *testing.T) {
 	d, m := testDB()
@@ -288,9 +288,8 @@ func TestShutdownCleanDrainIdempotent(t *testing.T) {
 }
 
 // Regression: Close racing an in-flight EXPLAIN ANALYZE (whose
-// analysis phase runs serially off-pool on the submission goroutine)
-// must wait for it, never hang, and never enqueue scan work on a
-// closed pool.
+// analysis phase runs serially on the submission goroutine, outside
+// the scan slots) must wait for it and never hang.
 func TestCloseDuringExplainAnalyze(t *testing.T) {
 	d, m := testDB()
 	for round := 0; round < 3; round++ {
@@ -322,26 +321,8 @@ func TestCloseDuringExplainAnalyze(t *testing.T) {
 	}
 }
 
-// Enqueueing on a closed pool completes the task immediately instead
-// of leaving its waiter blocked forever (the belt-and-braces guard
-// behind the Close race above).
-func TestPoolEnqueueAfterClose(t *testing.T) {
-	p := newPool(1)
-	p.close()
-	task := &poolTask{ctx: context.Background(), done: make(chan struct{})}
-	p.enqueue(task)
-	select {
-	case <-task.done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("enqueue on a closed pool never completed the task")
-	}
-	if task.panicked() != nil {
-		t.Errorf("drained-without-running task reports a panic: %v", task.panicked())
-	}
-}
-
-// A slot survives a morsel panic and keeps serving other queries'
-// shares: one faulted query among concurrent healthy ones fails alone.
+// A morsel panic returns its scan slot and stops only its own query:
+// one faulted query among concurrent healthy ones fails alone.
 func TestPoolSlotSurvivesConcurrentPanic(t *testing.T) {
 	inj := faults.New(3)
 	// Fault roughly a quarter of the statements; the healthy ones must

@@ -1,13 +1,15 @@
 // Package server is the concurrent query service above internal/sql:
 // many in-flight SQL statements compile through the planner (an LRU
-// plan cache deduplicates identical plans), then share one
-// morsel-driven worker pool derived from internal/engine/parallel.
-// Admission control bounds both the executing and the waiting query
-// count, every query is cancelable through its context, and because
-// each query's morsels are partitioned exactly as a dedicated
-// parallel run would partition them, every result — and every
-// per-query micro-architectural profile — is bit-identical to the
-// serial engines no matter how many queries share the machine.
+// plan cache deduplicates identical plans), then each runs its workers
+// as goroutines — internal/engine/parallel's strided fleet — under two
+// budgets: admission control bounds both the executing and the waiting
+// query count, and a Workers-sized slot semaphore bounds how many
+// morsels execute at once; the Go scheduler does the interleaving.
+// Every query is cancelable through its context, and because each
+// query's morsels are partitioned exactly as a dedicated parallel run
+// would partition them, every result — and every per-query
+// micro-architectural profile — is bit-identical to the serial engines
+// no matter how many queries share the machine.
 // cmd/olapserve exposes the service over a line protocol; the
 // olapmicro facade exposes it as Server/QueryAsync.
 package server
@@ -49,13 +51,14 @@ type Config struct {
 	// query runs against; both are required.
 	Data    *tpch.Data
 	Machine *hw.Machine
-	// Workers is the shared morsel worker pool size (default 4),
-	// clamped to the machine's hyper-threaded single-socket capacity
-	// like any parallel run.
+	// Workers is the number of scan slots: at most this many engine
+	// morsels execute at once, over all queries (default 4), clamped to
+	// the machine's hyper-threaded single-socket capacity like any
+	// parallel run.
 	Workers int
 	// QueryThreads is one query's parallelism: its morsels are strided
-	// over this many pool slots (default Workers, clamped to Workers).
-	// A submission may override it per query.
+	// over this many worker goroutines (default Workers, clamped to
+	// Workers). A submission may override it per query.
 	QueryThreads int
 	// MaxInFlight bounds the queries admitted to execution at once
 	// (default 2 x Workers).
@@ -145,7 +148,7 @@ type Response struct {
 	Queued, Wall time.Duration
 	// Trace is the query's host-clock span tree: queue-wait, plan
 	// (with the compile spans on a cache miss), build, execute (one
-	// aggregated child per pool worker) and finalize under one root.
+	// aggregated child per scan worker) and finalize under one root.
 	Trace *obs.Span
 }
 
@@ -263,8 +266,8 @@ type Stats struct {
 	// key themselves (a subset of PlanMisses).
 	PlanHits, PlanMisses, PlanEvictions, PlanDedups uint64
 	PlanEntries, PlanCapacity                       int
-	// Pool shape. PoolBusy is the instantaneous count of slots
-	// executing a morsel — zero on a drained server.
+	// Scan-slot shape. PoolBusy is the instantaneous count of slots
+	// held by a worker executing a morsel — zero on a drained server.
 	Workers, QueryThreads, PoolBusy int
 	// Resilience counters: panics converted to per-query errors,
 	// queries stopped by their deadline (a subset of Canceled), and
@@ -284,12 +287,15 @@ func (s Stats) PlanHitRate() float64 {
 // Server is the concurrent query service.
 type Server struct {
 	cfg   Config
-	pool  *pool
 	plans *planCache
 	brk   *breaker
 
 	sem   chan struct{} // in-flight budget
 	queue chan struct{} // waiting budget
+	// slots is the scan budget: a worker holds one token per morsel it
+	// executes, so at most Workers morsels run at once whatever the
+	// number of admitted queries and their thread counts.
+	slots chan struct{}
 
 	mu      sync.Mutex
 	closed  bool
@@ -309,8 +315,8 @@ type Server struct {
 	tel    *Telemetry
 }
 
-// New starts a server: the worker pool spins up immediately and runs
-// until Close.
+// New returns a server ready to admit queries. It starts nothing
+// long-lived: every goroutine belongs to one submission.
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -318,14 +324,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    newPool(cfg.Workers),
 		plans:   newPlanCache(cfg.PlanCache),
 		brk:     newBreaker(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		queue:   make(chan struct{}, cfg.MaxQueue),
+		slots:   make(chan struct{}, cfg.Workers),
 		pending: make(map[uint64]*Ticket),
 	}
-	s.pool.faults = cfg.Faults
 	s.tel = newTelemetry(s)
 	return s, nil
 }
@@ -449,24 +454,23 @@ func (s *Server) Stats() Stats {
 		PlanCapacity:     s.cfg.PlanCache,
 		Workers:          s.cfg.Workers,
 		QueryThreads:     s.cfg.QueryThreads,
-		PoolBusy:         int(s.pool.busySlots()),
+		PoolBusy:         len(s.slots),
 		PanicsRecovered:  s.tel.Panics.Value(),
 		DeadlineExceeded: s.tel.Deadlines.Value(),
 		BreakerOpens:     s.brk.openCount(),
 	}
 }
 
-// Close stops admissions, waits for every pending query — EXPLAIN
-// ANALYZE's off-pool serial run included — and shuts the pool down.
-// It is idempotent and safe to call concurrently: every call returns
-// only after the last pending query has retired and the pool stopped.
+// Close stops admissions and waits for every pending query — EXPLAIN
+// ANALYZE's serial run included. It is idempotent and safe to call
+// concurrently: every call returns only after the last pending query
+// has retired, and no goroutine of the server outlives it.
 func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
 
 // Shutdown is the bounded-drain Close: it stops admitting
 // immediately, gives in-flight and queued queries until ctx expires
 // to finish, then cancels the stragglers (each stops at its next
-// morsel boundary) and still waits for them to retire before
-// stopping the pool — the pool never dies under a live query.
+// morsel boundary) and still waits for them to retire.
 // It returns ctx.Err() if the drain had to cancel anything, nil if
 // everything finished on its own. Like Close it is idempotent and
 // concurrency-safe.
@@ -493,7 +497,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-drained
 	}
-	s.pool.close()
 	return err
 }
 
@@ -541,7 +544,7 @@ func (s *Server) finish(t *Ticket, resp *Response, err error, inflight bool) {
 // failure that still releases the submission's budget slot — the
 // process and the other in-flight queries survive any query-scoped
 // fault. (Panics inside the query's own work are converted closer to
-// home, by safeExecute and the pool's per-morsel recovery.)
+// home, by safeExecute and runMorsel's per-morsel recovery.)
 func (s *Server) run(t *Ticket, text string, sc submitConfig, admitted bool, submitted time.Time) {
 	holding := admitted // whether we hold an in-flight slot right now
 	defer func() {
@@ -612,9 +615,9 @@ func (s *Server) run(t *Ticket, text string, sc submitConfig, admitted bool, sub
 // a panic in the planner, the fast-path executor's kernels (their
 // worker goroutines repropagate onto this frame), the build phase or
 // the finalize merge becomes that query's error, with the stack
-// captured in the PanicError. The pool's own per-morsel recovery
-// covers the scan phase, whose panics surface as runScan errors, not
-// panics, and so arrive here as plain errors.
+// captured in the PanicError. runMorsel's own recovery covers the scan
+// phase, whose panics surface as runScan errors, not panics, and so
+// arrive here as plain errors.
 func (s *Server) safeExecute(t *Ticket, text string, sc submitConfig, root *obs.Span) (resp *Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -743,8 +746,8 @@ func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Comp
 	})
 }
 
-// execute compiles (through the plan cache) and runs one statement on
-// the shared pool, hanging its phase spans under root.
+// execute compiles (through the plan cache) and runs one statement,
+// hanging its phase spans under root.
 func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span) (*Response, error) {
 	plan := root.Child("plan")
 	c, hit, err := s.plan(text, sc, plan)
@@ -757,7 +760,7 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 	resp := &Response{ID: t.ID, Engine: c.Engine, CacheHit: hit}
 	if c.Stmt.Analyze {
 		// EXPLAIN ANALYZE runs the dedicated serial instrumented pass
-		// off the shared pool: its observed profile is the single-core
+		// outside the scan slots: its observed profile is the single-core
 		// reference, bit-identical whatever thread count or concurrency
 		// the server is configured with.
 		sp := root.Child("analyze")
@@ -786,12 +789,11 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 		// The vectorized fast plan is cached on the Compiled, which the
 		// plan cache shares across sessions: repeated EXECUTEs of one
 		// template skip planning and engine construction and run the
-		// compiled kernels directly. Queries here are sub-millisecond, so
-		// they run on their own goroutines rather than rotating through
-		// the shared morsel pool (measured: the pool costs fast_frame 6%
-		// qps and fast_scan 23%, see README "Serving concurrent
-		// queries"); the admission ticket already bounds how many execute
-		// at once.
+		// compiled kernels directly. Queries here are sub-millisecond and
+		// take no scan slot (measured: rotating them through a shared
+		// scheduler cost fast_frame 6% qps and fast_scan 23%, see README
+		// "Serving concurrent queries"); the admission ticket already
+		// bounds how many execute at once.
 		if err := t.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -811,11 +813,11 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 
 	// Engine scan: the morsel partition and worker shape of a dedicated
 	// run at this thread count — the invariant behind every
-	// "bit-identical under concurrency" guarantee — scanned on the shared
-	// pool. Fast mode for shapes the vectorized plan does not cover
-	// (joins) is the same run with no probes attached: the computation
-	// is real and identical, so Result is bit-identical to a measured
-	// run; nothing is simulated, so Profile stays zero.
+	// "bit-identical under concurrency" guarantee — scanned under the
+	// shared slot budget. Fast mode for shapes the vectorized plan does
+	// not cover (joins) is the same run with no probes attached: the
+	// computation is real and identical, so Result is bit-identical to a
+	// measured run; nothing is simulated, so Profile stays zero.
 	r, err := parallel.Run(parallel.Scan{
 		Machine:  s.cfg.Machine,
 		Pipeline: c.Pipeline,
@@ -842,41 +844,53 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 	return resp, nil
 }
 
-// runScan drives one query's scan phase through the shared pool: one
-// share per worker, strided morsel assignment, an aggregated span per
-// worker under root's "execute" child. Measured and fast executions
-// schedule identically — the pool neither knows nor cares whether a
+// runScan is the scan step the server hands parallel.Run: the query's
+// workers are goroutines of the one strided fleet, and a worker holds a
+// scan slot for exactly one morsel at a time — all queries together
+// execute at most Workers morsels at once, and a long scan cannot keep
+// the budget from its neighbours. Every morsel boundary checks the
+// query's context and abort flag: cancellation, a deadline or a sibling
+// worker's panic stops the scan there. Measured and fast executions
+// schedule identically — the step neither knows nor cares whether a
 // worker carries a probe. A panic recovered on one of the query's
-// morsels (the pool's per-slot recovery) surfaces here as the query's
-// error; the pool, the other queries and their spans are untouched.
+// morsels surfaces as the query's error; other queries and their spans
+// are untouched.
 func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop.Worker, morsels []parallel.Morsel) error {
 	threads := len(workers)
 	exec := root.Child("execute")
 	if len(morsels) > 0 {
-		task := &poolTask{
-			ctx:      t.ctx,
-			faultKey: text,
-			morsels:  morsels,
-			threads:  threads,
-			workers:  workers,
-			busyNs:   make([]int64, threads),
-			ran:      make([]int, threads),
-			done:     make(chan struct{}),
-		}
-		s.pool.enqueue(task)
-		// The pool drains canceled and panicked tasks on its own
-		// (skipping their remaining morsels), so done always closes;
-		// waiting on it alone keeps every worker's state quiescent
-		// before we read partials.
-		<-task.done
+		// Each worker's entries have a single writer; the fleet's join
+		// orders them before the reads below.
+		busyNs := make([]int64, threads)
+		ran := make([]int, threads)
+		var panicked atomic.Pointer[PanicError] // first panic wins; non-nil aborts the siblings
+		parallel.Strided(threads, morsels, func(w int, m parallel.Morsel) bool {
+			select {
+			case s.slots <- struct{}{}:
+			case <-t.ctx.Done():
+				return false
+			}
+			defer func() { <-s.slots }()
+			if t.ctx.Err() != nil || panicked.Load() != nil {
+				return false
+			}
+			t0 := time.Now() //olap:allow wallclock real busy-time telemetry, not simulated cost
+			perr := s.runMorsel(workers[w], m, text)
+			busyNs[w] += int64(time.Since(t0)) //olap:allow wallclock real busy-time telemetry, not simulated cost
+			ran[w]++
+			if perr != nil {
+				panicked.CompareAndSwap(nil, perr)
+			}
+			return perr == nil
+		})
 		// One aggregated span per worker: the sum of its morsel
-		// runtimes on the shared pool (not a contiguous interval).
+		// runtimes (not a contiguous interval).
 		for wi := 0; wi < threads; wi++ {
 			ws := exec.Child(fmt.Sprintf("worker[%d]", wi))
-			ws.SetDuration(time.Duration(task.busyNs[wi]))
-			ws.Annotate("morsels=%d", task.ran[wi])
+			ws.SetDuration(time.Duration(busyNs[wi]))
+			ws.Annotate("morsels=%d", ran[wi])
 		}
-		if perr := task.panicked(); perr != nil {
+		if perr := panicked.Load(); perr != nil {
 			exec.End()
 			s.tel.Panics.Inc()
 			return perr
@@ -885,4 +899,33 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop
 	exec.End()
 	s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
 	return t.ctx.Err()
+}
+
+// injectedSlowMorselDelay is the stall the slow-morsel fault injects —
+// long enough to reorder the scan's interleaving around it, short
+// enough that a chaos sweep stays fast.
+const injectedSlowMorselDelay = 2 * time.Millisecond
+
+// runMorsel executes one morsel with panic isolation: a panic in the
+// engine kernel (or injected by the worker-panic fault) is recovered
+// on the worker's own stack and returned as the query's PanicError.
+// The fault hooks sit here, between slot and execution: both fire at
+// most once per query, and with a nil injector the hot path pays one
+// pointer comparison.
+func (s *Server) runMorsel(w relop.Worker, m parallel.Morsel, faultKey string) (perr *PanicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			perr = newPanicError("scan-worker", r)
+		}
+	}()
+	if f := s.cfg.Faults; f != nil {
+		if f.Fire(faults.SlowMorsel, faultKey) {
+			time.Sleep(injectedSlowMorselDelay)
+		}
+		if f.Fire(faults.WorkerPanic, faultKey) {
+			panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: faultKey})
+		}
+	}
+	w.RunMorsel(m.Start, m.End)
+	return nil
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"olapmicro/internal/faults"
 	"olapmicro/internal/hw"
 	"olapmicro/internal/sql"
 	"olapmicro/internal/tpch"
@@ -301,6 +304,83 @@ func TestServerClose(t *testing.T) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 	s.Close() // idempotent
+}
+
+// Workers is a cap on executing morsels, not on goroutines: sixteen
+// workers of eight concurrent queries never hold more than two scan
+// slots, and every slot is back once the server drains. The
+// slow-morsel fault stalls each query inside a slot, so the slots are
+// contended for long enough to be sampled.
+func TestScanSlotsCapExecutingMorsels(t *testing.T) {
+	inj := faults.New(1)
+	inj.Enable(faults.SlowMorsel, 1, 0) // every statement, once each
+	s := newTestServer(t, Config{Workers: 2, QueryThreads: 2, MaxInFlight: 8, Faults: inj})
+
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+			}
+			if busy := s.Stats().PoolBusy; busy > peak {
+				peak = busy
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := fmt.Sprintf("select sum(l_quantity), count(*) from lineitem where l_discount < %d", i+1)
+			if _, err := s.Submit(context.Background(), q); err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	if peak := <-sampled; peak != 2 {
+		t.Errorf("peak PoolBusy = %d, want the 2 slots saturated and never exceeded", peak)
+	}
+	if busy := s.Stats().PoolBusy; busy != 0 {
+		t.Errorf("drained PoolBusy = %d, want 0", busy)
+	}
+}
+
+// A server owns no long-lived goroutine: every one it starts belongs
+// to a submission, so after Close the process is back to the goroutine
+// count it had before New.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	d, m := testDB()
+	before := runtime.NumGoroutine()
+	s, err := New(Config{Data: d, Machine: m, Workers: 4, QueryThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range testQueries {
+		for _, opts := range [][]SubmitOption{nil, {WithFast()}} {
+			if _, err := s.Submit(context.Background(), q, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Close()
+	// Close returns when the last submission has retired; its goroutine
+	// may still be a few instructions from exiting.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before New, %d after Close", before, after)
+	}
 }
 
 // Defaults resolve and invalid configs are rejected.

@@ -54,7 +54,7 @@ type Session struct {
 
 	// ctx spans the session; a failed write (the peer hung up) cancels
 	// it, which cancels every query this session still has in flight —
-	// a dead client must not keep occupying the shared pool.
+	// a dead client must not keep occupying scan slots.
 	ctx    context.Context
 	cancel context.CancelFunc
 

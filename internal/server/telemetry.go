@@ -10,7 +10,7 @@ import (
 
 // Telemetry is the server's metric surface: outcome counters and
 // plan-cache counters (read from the consistent Stats snapshot at
-// scrape time), occupancy and pool gauges, and the four latency
+// scrape time), occupancy and scan-slot gauges, and the four latency
 // histograms the query path feeds. Everything renders through one
 // obs.Registry in the Prometheus text exposition format.
 type Telemetry struct {
@@ -23,14 +23,14 @@ type Telemetry struct {
 	scrape   Stats
 
 	// QueueMs is admission wait, CompileMs plan compilation on a cache
-	// miss, ExecMs the shared-pool scan phase, WallMs submit-to-finish
+	// miss, ExecMs the scan phase, WallMs submit-to-finish
 	// of completed queries — all host-clock milliseconds. FastWallMs is
 	// the submit-to-finish latency of the profile-free fast-mode subset
 	// (also present in WallMs).
 	QueueMs, CompileMs, ExecMs, WallMs, FastWallMs *obs.Histogram
 
 	// Panics counts panics recovered anywhere in a query's lifecycle
-	// (pool slot, compile path, fast-path executor, session writer) —
+	// (scan worker, compile path, fast-path executor, session writer) —
 	// each one a query that failed instead of a process that died.
 	// Deadlines counts queries that exceeded their server-side deadline;
 	// RetryHints counts overload rejections that carried a retry-after

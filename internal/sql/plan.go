@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"olapmicro/internal/engine/relop"
-	"olapmicro/internal/storage"
 	"olapmicro/internal/tpch"
 )
 
@@ -439,7 +438,7 @@ func BuildPipeline(d *tpch.Data, stmt *Select) (*relop.Pipeline, error) {
 		return nil, err
 	}
 
-	estimate(pl, b, d)
+	estimate(pl, d)
 	return pl, nil
 }
 
@@ -580,34 +579,14 @@ func andPred(l, r *relop.Pred) *relop.Pred {
 	return &relop.Pred{Op: relop.PredAnd, L: l, R: r}
 }
 
-// plannerBound resolves a pipeline against the raw generated data so
-// the planner can evaluate expressions without engine bindings.
-func plannerBound(pl *relop.Pipeline, b *binder) *relop.Bound {
-	bound := &relop.Bound{Tables: make([][]relop.Col, len(pl.Tables))}
-	for ti, t := range pl.Tables {
-		cols := make([]relop.Col, len(t.Cols))
-		for ci, cs := range t.Cols {
-			cm, _ := b.metas[ti].Column(cs.Name)
-			switch cs.Kind {
-			case relop.I64:
-				cols[ci] = relop.Col{Kind: relop.I64, I64: storage.ColI64{V: cm.I64(b.d)}}
-			case relop.I8:
-				cols[ci] = relop.Col{Kind: relop.I8, I8: storage.ColI8{V: cm.I8(b.d)}}
-			}
-		}
-		bound.Tables[ti] = cols
-	}
-	return bound
-}
-
 // estimateSamples bounds the planner's sampling work.
 const estimateSamples = 4096
 
 // estimate fills EstSel and EstGroups by sampling the generated data —
 // the planner's stand-in for a real optimizer's statistics.
-func estimate(pl *relop.Pipeline, b *binder, d *tpch.Data) {
+func estimate(pl *relop.Pipeline, d *tpch.Data) {
 	pl.EstSel = 1
-	pb := plannerBound(pl, b)
+	pb := relop.BindData(pl, d)
 	n := pl.Tables[0].Rows
 	if n == 0 {
 		return

@@ -402,13 +402,7 @@ func (c *Compiled) FastPlan() *relop.FastPlan {
 		return nil
 	}
 	c.fastOnce.Do(func() {
-		as := probe.NewAddrSpace()
-		i64, i8, _ := relop.BindCatalog(as, "fast.", c.data)
-		b, err := relop.Resolve(c.Pipeline, i64, i8)
-		if err != nil {
-			return
-		}
-		c.fastPlan = relop.CompileFast(c.Pipeline, b)
+		c.fastPlan = relop.CompileFast(c.Pipeline, relop.BindData(c.Pipeline, c.data))
 	})
 	return c.fastPlan
 }

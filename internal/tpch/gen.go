@@ -47,7 +47,7 @@ func Generate(sf float64) *Data {
 	if sf <= 0 {
 		panic(fmt.Sprintf("tpch: invalid scale factor %v", sf))
 	}
-	d := &Data{SF: sf}
+	d := &Data{SF: sf, extremes: make(map[string][2]int64)}
 	d.genNationRegion()
 	d.genSupplier()
 	d.genCustomer()
@@ -55,6 +55,42 @@ func Generate(sf float64) *Data {
 	d.genPartSupp()
 	d.genOrdersLineitem()
 	return d
+}
+
+// Extremes reports the smallest and largest value present in the named
+// int64 column (ok is false for an empty column or any other name). The
+// database is immutable, so a column is scanned for the first plan that
+// asks and never again — not at Generate, where a pass over every
+// column would cost each process start a sixth of its generation time.
+func (d *Data) Extremes(name string) (mn, mx int64, ok bool) {
+	d.extremesMu.Lock()
+	defer d.extremesMu.Unlock()
+	if e, hit := d.extremes[name]; hit {
+		return e[0], e[1], true
+	}
+	if _, c, found := SchemaColumn(name); found && c.Kind == KindI64 {
+		if mn, mx, ok = MinMax(c.I64(d)); ok {
+			d.extremes[name] = [2]int64{mn, mx}
+		}
+	}
+	return mn, mx, ok
+}
+
+// MinMax scans v for its extremes; ok is false when v is empty.
+func MinMax(v []int64) (mn, mx int64, ok bool) {
+	if len(v) == 0 {
+		return 0, 0, false
+	}
+	mn, mx = v[0], v[0]
+	for _, x := range v[1:] {
+		if x < mn {
+			mn = x
+		}
+		if x > mx {
+			mx = x
+		}
+	}
+	return mn, mx, true
 }
 
 func scale(sf float64, base int) int {

@@ -1,5 +1,7 @@
 package tpch
 
+import "sync"
+
 // Date representation: days since 1992-01-01 (the TPC-H epoch).
 // The generator covers orders from 1992-01-01 through 1998-08-02.
 const (
@@ -149,7 +151,8 @@ type Lineitem struct {
 // Rows returns the lineitem cardinality.
 func (l *Lineitem) Rows() int { return len(l.OrderKey) }
 
-// Data is a fully generated TPC-H database.
+// Data is a fully generated TPC-H database; its tables are immutable
+// once Generate returns.
 type Data struct {
 	SF       float64
 	Nation   Nation
@@ -160,4 +163,7 @@ type Data struct {
 	PartSupp PartSupp
 	Orders   Orders
 	Lineitem Lineitem
+
+	extremesMu sync.Mutex
+	extremes   map[string][2]int64 // memo of Extremes, guarded by extremesMu
 }

@@ -239,3 +239,31 @@ func TestGenerateInvalidSFPanics(t *testing.T) {
 	}()
 	Generate(0)
 }
+
+// Extremes is what plan compiles read instead of scanning: it must
+// agree with a scan for every int64 column of the catalog and know
+// nothing else.
+func TestExtremesMatchScan(t *testing.T) {
+	d := Generate(0.01)
+	for _, tb := range Schema() {
+		for _, c := range tb.Cols {
+			mn, mx, ok := d.Extremes(c.Name)
+			if c.Kind != KindI64 {
+				if ok {
+					t.Errorf("%s: extremes reported for a %s column", c.Name, c.Kind)
+				}
+				continue
+			}
+			wmn, wmx, wok := MinMax(c.I64(d))
+			if mn != wmn || mx != wmx || ok != wok {
+				t.Errorf("%s: Extremes = %d..%d %v, scan says %d..%d %v", c.Name, mn, mx, ok, wmn, wmx, wok)
+			}
+		}
+	}
+	if _, _, ok := d.Extremes("no_such_column"); ok {
+		t.Error("unknown column reported extremes")
+	}
+	if _, _, ok := MinMax(nil); ok {
+		t.Error("empty column reported extremes")
+	}
+}

@@ -33,12 +33,12 @@
 //     cost-based engine selection with predicted top-down breakdowns,
 //     and the executor dispatch (cmd/olapsql is the interactive
 //     shell);
-//   - internal/server: the concurrent query service — many in-flight
-//     statements share one morsel worker pool with per-query fair
-//     round-robin dispatch, an LRU plan cache deduplicates identical
-//     plans, admission control bounds the load, and every answer
-//     stays bit-identical to a dedicated serial run (cmd/olapserve
-//     is the line-protocol server; Server/QueryAsync the facade);
+//   - internal/server: the concurrent query service — every query's
+//     workers are goroutines under one budget of scan slots, an LRU
+//     plan cache deduplicates identical plans, admission control
+//     bounds the load, and every answer stays bit-identical to a
+//     dedicated serial run (cmd/olapserve is the line-protocol
+//     server; Server/QueryAsync the facade);
 //   - internal/harness: one runnable experiment per paper figure,
 //     table and in-text claim, plus ext-* extensions — including
 //     ext-sql-q1/ext-sql-q6, which profile SQL-planned queries against
@@ -242,10 +242,12 @@ type serverConfig struct {
 // Run's quick mode uses).
 func ServerQuick() ServerOption { return func(c *serverConfig) { c.quick = true } }
 
-// ServerWorkers sets the shared morsel worker pool size.
+// ServerWorkers sets the number of scan slots: how many engine morsels
+// execute at once, over all queries.
 func ServerWorkers(n int) ServerOption { return func(c *serverConfig) { c.cfg.Workers = n } }
 
-// ServerQueryThreads sets one query's parallelism on the shared pool.
+// ServerQueryThreads sets one query's parallelism (at most
+// ServerWorkers).
 func ServerQueryThreads(n int) ServerOption {
 	return func(c *serverConfig) { c.cfg.QueryThreads = n }
 }
@@ -296,7 +298,7 @@ func (s ServerStats) PlanHitRate() float64 {
 }
 
 // Server is the concurrent query service: many in-flight SQL
-// statements share one morsel-driven worker pool, identical
+// statements share one budget of scan slots, identical
 // statements share one cached plan, and every answer stays
 // bit-identical to a dedicated serial run. Close it when done.
 type Server struct {
@@ -366,8 +368,7 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats(s.inner.Stats())
 }
 
-// Close stops admissions, drains pending queries, and shuts the
-// worker pool down.
+// Close stops admissions and drains pending queries.
 func (s *Server) Close() { s.inner.Close() }
 
 // outputFromResponse maps a service response onto the facade output.
