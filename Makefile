@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt bench loc
+.PHONY: all build test lint staticcheck govulncheck race fmt bench ab loc
 
 all: build test lint
 
@@ -44,6 +44,14 @@ fmt:
 # stdout, build outputs under the git-ignored benchmark/out/.
 bench:
 	bash benchmark/run.sh -workload all -seed 1
+
+# ab is the paired protocol behind every performance note in CHANGES.md:
+# `make ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10]` exports PARENT into a
+# temporary tree, runs the benchmark on it and on this working tree in
+# alternating order, and prints per end-to-end metric both medians, the
+# parent's inter-quartile range and wins/pairs (scripts/ab.sh).
+ab:
+	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # loc prints the figure ROADMAP aim 2 tracks: `wc -l` of production Go
 # (no tests, no analyzer fixtures, not the nested benchmark/ module),

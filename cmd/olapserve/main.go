@@ -28,9 +28,11 @@
 //	wait            block until this session's submissions finish
 //	quit            wait, then exit (EOF does the same)
 //
-// Literal statements are auto-parameterized into templates before the
-// plan cache is consulted, so a workload that varies only its literals
-// compiles once and then executes from the cache.
+// Literal statements are auto-parameterized before the plan cache is
+// consulted: the template plus its literals is the cache key, so the
+// query, submit and execute forms of one statement share one plan, and
+// every distinct literal tuple compiles — from the text as sent, whose
+// positions its error lines cite — once.
 //
 // With -metrics an HTTP listener additionally serves GET /metrics
 // (the same Prometheus exposition) and the standard /debug/pprof
@@ -51,6 +53,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -58,7 +61,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -178,29 +180,42 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "listening on %s\n", ln.Addr())
-	var closing atomic.Bool
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "received %v\n", s)
-		closing.Store(true)
-		ln.Close() // unblocks Accept; the loop runs the drain
+		ln.Close() // unblocks Accept; acceptLoop returns and main runs the drain
 	}()
+	acceptLoop(ln, func(conn net.Conn) {
+		defer conn.Close()
+		fmt.Fprintf(os.Stderr, "session from %s\n", conn.RemoteAddr())
+		if err := srv.ServeSession(conn, conn); err != nil {
+			fmt.Fprintf(os.Stderr, "session %s: %v\n", conn.RemoteAddr(), err)
+		}
+	})
+	shutdown()
+}
+
+// acceptLoop serves every connection ln yields on its own goroutine
+// until the listener is closed. Any other Accept error (EMFILE,
+// ECONNABORTED, ...) is transient — exiting on it would kill every live
+// session for one exhausted descriptor table — so it is logged and
+// retried after a backoff: 5 ms doubling to 1 s, reset by the next
+// accepted connection.
+func acceptLoop(ln net.Listener, serve func(net.Conn)) {
+	const minBackoff, maxBackoff = 5 * time.Millisecond, time.Second
+	backoff := minBackoff
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			if closing.Load() {
-				shutdown()
-				return
-			}
-			fmt.Fprintf(os.Stderr, "error: accept: %v\n", err)
-			os.Exit(1)
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
-		go func(conn net.Conn) {
-			defer conn.Close()
-			fmt.Fprintf(os.Stderr, "session from %s\n", conn.RemoteAddr())
-			if err := srv.ServeSession(conn, conn); err != nil {
-				fmt.Fprintf(os.Stderr, "session %s: %v\n", conn.RemoteAddr(), err)
-			}
-		}(conn)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "error: accept: %v; retrying in %v\n", err, backoff)
+			time.Sleep(backoff)
+			backoff = min(2*backoff, maxBackoff)
+			continue
+		}
+		backoff = minBackoff
+		go serve(conn)
 	}
 }

@@ -1,7 +1,6 @@
 package tectorwise
 
 import (
-	"sort"
 	"strings"
 
 	"olapmicro/internal/engine"
@@ -9,67 +8,6 @@ import (
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tpch"
 )
-
-// topRow is one ordered-output candidate of Q3/Q18Top: the group-key
-// tuple plus the aggregate value.
-type topRow struct {
-	tuple []int64
-	agg   int64
-}
-
-// sortTopRows orders rows by less with the repository's deterministic
-// tie-break (full tuple ascending, then the aggregate), truncates to
-// limit, and folds them with the ordered-output convention: rank plus
-// aggregate per checksum row, Sum over the emitted rows. The sort's
-// comparison tree (half mispredicted, as comparison sorting over
-// unsorted data behaves) is charged to p.
-func sortTopRows(p *probe.Probe, rows []topRow, limit int, keys int, less func(a, b *topRow) bool) engine.Result {
-	tieLess := func(a, b *topRow) bool {
-		for i := range a.tuple {
-			if a.tuple[i] != b.tuple[i] {
-				return a.tuple[i] < b.tuple[i]
-			}
-		}
-		return a.agg < b.agg
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if less(&rows[i], &rows[j]) {
-			return true
-		}
-		if less(&rows[j], &rows[i]) {
-			return false
-		}
-		return tieLess(&rows[i], &rows[j])
-	})
-	n := uint64(len(rows))
-	if n > 1 {
-		cmps := n * uint64(log2ceil(n)+1)
-		p.ALU(cmps * uint64(keys+1))
-		p.BranchStatic(cmps, cmps/2)
-		p.Dep(cmps / 2)
-	}
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
-	var res engine.Result
-	out := make([]int64, 2)
-	for rank := range rows {
-		res.Sum += rows[rank].agg
-		out[0] = int64(rank)
-		out[1] = rows[rank].agg
-		res.AddRow(out...)
-	}
-	return res
-}
-
-// log2ceil is ceil(log2(n)) for n >= 1.
-func log2ceil(n uint64) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
 
 // Q1 is TPC-H Q1 vectorized: a selection primitive on shipdate, then
 // per-chunk hash-group primitives against the four-group aggregate
@@ -270,8 +208,6 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 	return engine.Result{Sum: revenue, Rows: 1}
 }
 
-func q9Key(partKey, suppKey int64) int64 { return partKey<<24 | suppKey }
-
 // Q9 is TPC-H Q9 vectorized: the same plan as the compiled engine
 // (green parts, partsupp, supplier and orders hash tables, one probe
 // pass over lineitem) with per-chunk hash/gather/compare primitives.
@@ -325,7 +261,7 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		for _, idx := range sel[:k] {
 			i := int(idx)
 			p.SparseLoad(e.li.suppKey.Addr(i), 8)
-			psSlot := psHT.LookupProbed(p, siteQ9PS, q9Key(l.PartKey[i], l.SuppKey[i]))
+			psSlot := psHT.LookupProbed(p, siteQ9PS, engine.Q9Key(l.PartKey[i], l.SuppKey[i]))
 			if psSlot < 0 {
 				continue
 			}
@@ -385,7 +321,7 @@ func (e *Engine) buildCompositePS(p *probe.Probe, as *probe.AddrSpace) *join.Tab
 		e.mulArith(p, cn*2)
 		e.arith(p, cn)
 		for i := start; i < end; i++ {
-			ht.InsertProbed(p, q9Key(d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]))
+			ht.InsertProbed(p, engine.Q9Key(d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]))
 		}
 		e.primOverhead(p, cn)
 	}
@@ -523,15 +459,15 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 
 	// Top 10 by revenue desc, orderdate asc.
 	keys := grpHT.Keys()
-	rows := make([]topRow, len(revs))
+	rows := make([]engine.TopRow, len(revs))
 	for s := range revs {
-		rows[s] = topRow{tuple: []int64{keys[s], dates[s], prios[s]}, agg: revs[s]}
+		rows[s] = engine.TopRow{Tuple: []int64{keys[s], dates[s], prios[s]}, Agg: revs[s]}
 	}
-	return sortTopRows(p, rows, 10, 2, func(a, b *topRow) bool {
-		if a.agg != b.agg {
-			return a.agg > b.agg
+	return engine.SortTopRows(p, rows, 10, 2, func(a, b *engine.TopRow) bool {
+		if a.Agg != b.Agg {
+			return a.Agg > b.Agg
 		}
-		return a.tuple[1] < b.tuple[1]
+		return a.Tuple[1] < b.Tuple[1]
 	})
 }
 
@@ -575,7 +511,7 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	ordHT := e.buildProbed(p, as, "tw.q18t.ord", e.ord.orderKey, d.Orders.OrderKey)
 	custHT := e.buildProbed(p, as, "tw.q18t.cust", e.cust.custKey, d.Customer.CustKey)
 	keys := grpHT.Keys()
-	var rows []topRow
+	var rows []engine.TopRow
 	for s := range qty {
 		p.Load(aggR.Base+uint64(s)*8, 8)
 		pass := qty[s] > 300
@@ -593,18 +529,18 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		}
 		p.Load(e.ord.orderDate.Addr(int(oSlot)), 8)
 		p.Load(e.ord.totalPrice.Addr(int(oSlot)), 8)
-		rows = append(rows, topRow{
-			tuple: []int64{d.Orders.CustKey[oSlot], keys[s], d.Orders.OrderDate[oSlot], d.Orders.TotalPrice[oSlot]},
-			agg:   qty[s],
+		rows = append(rows, engine.TopRow{
+			Tuple: []int64{d.Orders.CustKey[oSlot], keys[s], d.Orders.OrderDate[oSlot], d.Orders.TotalPrice[oSlot]},
+			Agg:   qty[s],
 		})
 	}
 	e.arith(p, uint64(len(qty)))
 	// Top 100 by totalprice desc, orderdate asc.
-	return sortTopRows(p, rows, 100, 2, func(a, b *topRow) bool {
-		if a.tuple[3] != b.tuple[3] {
-			return a.tuple[3] > b.tuple[3]
+	return engine.SortTopRows(p, rows, 100, 2, func(a, b *engine.TopRow) bool {
+		if a.Tuple[3] != b.Tuple[3] {
+			return a.Tuple[3] > b.Tuple[3]
 		}
-		return a.tuple[2] < b.tuple[2]
+		return a.Tuple[2] < b.Tuple[2]
 	})
 }
 

@@ -1,13 +1,14 @@
 // Package faults is the deterministic fault-injection layer behind
 // the server's chaos test suite. An Injector owns a set of named
-// injection points (compile error, worker panic, slow morsel, blocked
-// session writer, plan-cache eviction storm) that production call
-// sites consult before doing the faultable thing; whether a given
-// invocation fires is a pure function of the injector's seed, the
-// point, and the caller-supplied key (the statement text, for the
-// server's sites), so a chaos run can predict exactly which queries
-// will be faulted — and assert that every other query still returns
-// bit-identical results — no matter how the host interleaves them.
+// injection points (compile error, compile panic, worker panic, slow
+// morsel, blocked session writer, plan-cache eviction storm) that
+// production call sites consult before doing the faultable thing;
+// whether a given invocation fires is a pure function of the
+// injector's seed, the point, and the caller-supplied key (the
+// statement text, for the server's sites), so a chaos run can predict
+// exactly which queries will be faulted — and assert that every other
+// query still returns bit-identical results — no matter how the host
+// interleaves them.
 //
 // The injector is wired in explicitly (server.Config.Faults); a nil
 // injector is the production configuration and costs call sites one
@@ -40,6 +41,10 @@ const (
 	// EvictionStorm purges the whole plan cache before the statement's
 	// lookup, forcing the worst-case recompile pattern.
 	EvictionStorm
+	// CompilePanic panics inside a statement's compilation, on the
+	// goroutine that owns the plan-cache flight: its waiters must be
+	// released with an error and the key must compile normally next time.
+	CompilePanic
 
 	// NumPoints bounds the Point space; keep it last.
 	NumPoints
@@ -58,6 +63,8 @@ func (p Point) String() string {
 		return "blocked-writer"
 	case EvictionStorm:
 		return "eviction-storm"
+	case CompilePanic:
+		return "compile-panic"
 	}
 	return fmt.Sprintf("point(%d)", uint8(p))
 }

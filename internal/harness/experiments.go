@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"olapmicro/internal/engine"
 	"olapmicro/internal/engine/typer"
@@ -498,15 +497,4 @@ func TextHT(h *Harness) Figure {
 	f.Notes = append(f.Notes, fmt.Sprintf("Tectorwise join x%d: %.1f GB/s scalar -> %.1f GB/s with SIMD",
 		multicoreThreads, scalarMC.SocketBandwidthGBs, simdMC.SocketBandwidthGBs))
 	return f
-}
-
-// SortSeries orders a figure's series by system then label (stable
-// output for golden tests).
-func SortSeries(f *Figure) {
-	sort.SliceStable(f.Series, func(i, j int) bool {
-		if f.Series[i].System != f.Series[j].System {
-			return f.Series[i].System < f.Series[j].System
-		}
-		return f.Series[i].Label < f.Series[j].Label
-	})
 }

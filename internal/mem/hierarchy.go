@@ -106,16 +106,6 @@ func (s *Stats) TotalBytes() uint64 { return s.BytesFromMem + s.BytesToMem }
 // Accesses is the total number of demand line accesses.
 func (s *Stats) Accesses() uint64 { return s.Loads + s.Stores }
 
-// SeqFraction is the fraction of DRAM-serviced demand lines that were
-// part of a detected sequential stream.
-func (s *Stats) SeqFraction() float64 {
-	tot := s.SeqMemLines + s.RandMemLines + s.IndepMemLines
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.SeqMemLines) / float64(tot)
-}
-
 // Hierarchy is a single core's view of the memory system: private
 // L1D and L2, a shared (but per-run exclusive) L3, the four hardware
 // prefetchers, and DRAM-traffic accounting.

@@ -7,10 +7,11 @@ import (
 	"olapmicro/internal/sql"
 )
 
-// planCache is a thread-safe LRU of compiled statements. Compiled
-// plans are read-only after compilation (every execution binds a
-// fresh address space), so one cached plan may execute on any number
-// of in-flight queries at once.
+// planCache is a thread-safe LRU of compiled, executable statements —
+// one level, one entry per plan key (template, engine, threads,
+// arguments). Compiled plans are read-only after compilation (every
+// execution binds a fresh address space), so one cached plan may
+// execute on any number of in-flight queries at once.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -61,25 +62,17 @@ func (pc *planCache) evictLocked(keep int) {
 // never cached, so the next request retries; a compile that panics
 // retires its flight the same way — the waiters get a PanicError, the
 // owner's frame sees the panic itself. cached reports whether a cache
-// entry (not a fresh or deduped compilation) served the call.
-//
-// count selects whether the lookup lands in the hit/miss counters; the
-// server's nested template lookup passes false so one submission still
-// counts as exactly one plan-cache lookup. Dedups always count — they
-// measure saved compilations, not lookups.
-func (pc *planCache) getOrCompile(key string, count bool, compile func() (*sql.Compiled, error)) (c *sql.Compiled, cached bool, err error) {
+// entry (not a fresh or deduped compilation) served the call. Every
+// call is one lookup: a hit or a miss.
+func (pc *planCache) getOrCompile(key string, compile func() (*sql.Compiled, error)) (c *sql.Compiled, cached bool, err error) {
 	pc.mu.Lock()
 	if e, ok := pc.byKey[key]; ok {
-		if count {
-			pc.hits++
-		}
+		pc.hits++
 		pc.ll.MoveToFront(e)
 		pc.mu.Unlock()
 		return e.Value.(*planEntry).c, true, nil
 	}
-	if count {
-		pc.misses++
-	}
+	pc.misses++
 	if f, ok := pc.flights[key]; ok {
 		pc.dedups++
 		pc.mu.Unlock()

@@ -16,7 +16,8 @@ import (
 // textual variants.
 func TestPlanKey(t *testing.T) {
 	keyOf := func(text, engine string, threads int) string {
-		return planKey(sql.Identify(text, false).Key, engine, threads)
+		id := sql.Identify(text, true)
+		return planKey(id.Key, engine, threads, id.Args)
 	}
 	base := keyOf("select count(*) from nation", "auto", 4)
 	same := []string{
@@ -62,7 +63,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	pc := newPlanCache(2)
 	// lookup reports whether k was cached, compiling it in on a miss.
 	lookup := func(k string) bool {
-		_, cached, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
+		_, cached, err := pc.getOrCompile(k, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestPlanCacheEviction(t *testing.T) {
 func TestPlanCacheMinCapacity(t *testing.T) {
 	pc := newPlanCache(0)
 	for _, k := range []string{"a", "b"} {
-		if _, _, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
+		if _, _, err := pc.getOrCompile(k, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, cached, err := pc.getOrCompile("q", true, compile)
+			c, cached, err := pc.getOrCompile("q", compile)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 			}
@@ -181,7 +182,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		t.Errorf("hits %d, want 0", hits)
 	}
 	// The winner's plan is now cached: the next lookup hits.
-	if _, cached, _ := pc.getOrCompile("q", true, compile); !cached {
+	if _, cached, _ := pc.getOrCompile("q", compile); !cached {
 		t.Error("post-flight lookup must hit the cache")
 	}
 }
@@ -191,18 +192,18 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 func TestPlanCacheSingleFlightError(t *testing.T) {
 	pc := newPlanCache(8)
 	boom := fmt.Errorf("syntax error")
-	if _, _, err := pc.getOrCompile("bad", true, func() (*sql.Compiled, error) { return nil, boom }); err != boom {
+	if _, _, err := pc.getOrCompile("bad", func() (*sql.Compiled, error) { return nil, boom }); err != boom {
 		t.Fatalf("err %v, want %v", err, boom)
 	}
 	if pc.len() != 0 {
 		t.Fatalf("failed compile must not cache; len %d", pc.len())
 	}
 	// The error is not sticky: a later compile that succeeds caches.
-	c, cached, err := pc.getOrCompile("bad", true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
+	c, cached, err := pc.getOrCompile("bad", func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
 	if err != nil || cached || c == nil {
 		t.Fatalf("retry got c=%v cached=%v err=%v", c, cached, err)
 	}
-	if _, cached, _ := pc.getOrCompile("bad", true, nil); !cached {
+	if _, cached, _ := pc.getOrCompile("bad", nil); !cached {
 		t.Error("retry's plan must now be cached")
 	}
 }
@@ -219,7 +220,7 @@ func TestPlanCacheCompilePanic(t *testing.T) {
 	ownerPanic := make(chan any, 1)
 	go func() {
 		defer func() { ownerPanic <- recover() }()
-		_, _, _ = pc.getOrCompile("q", true, func() (*sql.Compiled, error) {
+		_, _, _ = pc.getOrCompile("q", func() (*sql.Compiled, error) {
 			close(entered)
 			<-release
 			panic("boom")
@@ -228,7 +229,7 @@ func TestPlanCacheCompilePanic(t *testing.T) {
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := pc.getOrCompile("q", true, func() (*sql.Compiled, error) {
+		_, _, err := pc.getOrCompile("q", func() (*sql.Compiled, error) {
 			return nil, fmt.Errorf("the waiter must join the flight, not compile")
 		})
 		waiterErr <- err
@@ -263,7 +264,7 @@ func TestPlanCacheCompilePanic(t *testing.T) {
 
 	retried := make(chan error, 1)
 	go func() {
-		c, cached, err := pc.getOrCompile("q", true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
+		c, cached, err := pc.getOrCompile("q", func() (*sql.Compiled, error) { return &sql.Compiled{}, nil })
 		if err == nil && (cached || c == nil) {
 			err = fmt.Errorf("retry got c=%v cached=%v, want a fresh compile", c, cached)
 		}
@@ -291,7 +292,7 @@ func TestPlanCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("q%d", (g+i)%16)
-				if _, _, err := pc.getOrCompile(k, true, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
+				if _, _, err := pc.getOrCompile(k, func() (*sql.Compiled, error) { return &sql.Compiled{}, nil }); err != nil {
 					t.Error(err)
 				}
 			}

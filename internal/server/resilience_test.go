@@ -89,6 +89,39 @@ func TestPanicIsolationFastPath(t *testing.T) {
 	checkStatsInvariant(t, s.Stats())
 }
 
+// A panic inside the one compile closure: the owner's frame converts it
+// into that submission's PanicError and counts it, nothing is cached,
+// and the next submission of the template — any spelling, any form —
+// compiles normally. (Waiters on the panicking flight get
+// PanicError{Op: "plan-compile"}: TestPlanCacheCompilePanic.)
+func TestCompilePanicFault(t *testing.T) {
+	inj := faults.New(3)
+	inj.Enable(faults.CompilePanic, 1, 0) // every text, once each
+	s := newTestServer(t, Config{Workers: 2, Faults: inj})
+	const q = "select count(*) from orders where o_totalprice < 5"
+
+	_, err := s.Submit(context.Background(), q)
+	var perr *PanicError
+	var injected *faults.ErrInjected
+	if !errors.As(err, &perr) || !errors.As(err, &injected) || injected.Point != faults.CompilePanic {
+		t.Fatalf("faulted compile: want a *PanicError wrapping the injected compile panic, got %v", err)
+	}
+	if perr.Op != "execute" {
+		t.Errorf("owner's panic op = %q, want execute (the submission frame's barrier)", perr.Op)
+	}
+	if st := s.Stats(); st.PanicsRecovered != 1 || st.Failed != 1 || st.PlanEntries != 0 {
+		t.Errorf("after the panic: panics=%d failed=%d plan-entries=%d, want 1, 1 and 0",
+			st.PanicsRecovered, st.Failed, st.PlanEntries)
+	}
+	for i, wantHit := range []bool{false, true} {
+		resp, err := s.Submit(context.Background(), q)
+		if err != nil || resp.CacheHit != wantHit {
+			t.Fatalf("submission %d after the panic: resp %+v err %v, want cached=%v", i+1, resp, err, wantHit)
+		}
+	}
+	checkStatsInvariant(t, s.Stats())
+}
+
 // Deadlines: WithTimeout bounds the whole lifecycle, the expiry is
 // counted both as a cancellation and in the deadline counter, and
 // WithTimeout(0) removes a server-wide default.

@@ -212,10 +212,10 @@ func WithThreads(n int) SubmitOption {
 
 // WithArgs executes the statement as a prepared template: the text's
 // `?` placeholders are bound to args (dates as days since the TPC-H
-// epoch, 1992-01-01), in
-// source order. The plan cache keys the unbound template, so
-// executions differing only in arguments share one compilation. The
-// argument count must match the placeholder count exactly.
+// epoch, 1992-01-01), in source order. The plan cache keys the template
+// plus its arguments, so a repetition — or the literal statement the
+// pair spells — reuses the plan. The argument count must match the
+// placeholder count exactly.
 func WithArgs(args []int64) SubmitOption {
 	return func(c *submitConfig) { c.args = args; c.hasArgs = true }
 }
@@ -628,66 +628,44 @@ func (s *Server) safeExecute(t *Ticket, text string, sc submitConfig, root *obs.
 	return s.execute(t, text, sc, root)
 }
 
-// planKey is a statement's plan-cache identity: its canonical spelling
-// plus everything else that changes the compiled artifact — the engine
-// the caller forces ("auto" when unset) and the per-query worker count
-// the plan's predictions and auto-selection were made for. Queries
-// differing only in whitespace, case or comments share a key; queries
-// differing in any literal, the forced engine or the thread count do
-// not.
-func planKey(norm, engine string, threads int) string {
-	e := strings.ToLower(engine)
-	if e == "" {
-		e = "auto"
+// planKey is a submission's plan-cache identity, built in one buffer:
+// the statement's template key plus everything else that changes the
+// compiled artifact — the forced engine ("auto" when unset), the worker
+// count the plan's predictions and auto-selection were made for, and
+// the template's arguments. Spellings of one statement (whitespace,
+// case, comments; literal or placeholder-plus-arguments form) share a
+// key; a different literal, argument, engine or thread count does not.
+func planKey(template, engine string, threads int, args []int64) string {
+	engine = strings.ToLower(engine) // no copy when already lower-case
+	if engine == "" {
+		engine = "auto"
 	}
-	return norm + "\x00" + e + "\x00" + strconv.Itoa(threads)
-}
-
-// boundKey extends a template's plan key with its bound arguments.
-func boundKey(key string, args []int64) string {
-	b := make([]byte, 0, len(key)+1+8*len(args))
-	b = append(append(b, key...), 0)
-	for i, a := range args {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, a, 10)
+	b := make([]byte, 0, len(template)+len(engine)+8+8*len(args))
+	b = append(append(b, template...), 0)
+	b = append(append(b, engine...), 0)
+	b = strconv.AppendInt(b, int64(threads), 10)
+	for _, a := range args {
+		b = strconv.AppendInt(append(b, 0), a, 10)
 	}
 	return string(b)
 }
 
-// plan resolves one submission's compiled, fully-bound plan through
-// the two-level plan cache. Every statement is keyed on its template;
-// bound plans are additionally cached under template-key + arguments,
-// so exact repetitions skip the bind replan too — the behavior literal
-// texts always had. Compilation and bind are both single-flighted per
-// key; text the lexer rejects never caches (its compile fails, and
-// failures are never stored).
-//
-// cached reports whether the execution-ready (bound) plan came from
-// the cache — the bit Response.CacheHit and the stats hit counters
-// expose; the nested template lookup is deliberately uncounted so one
-// submission is still one lookup.
+// plan resolves one submission's compiled, executable plan: one lexer
+// pass, one key, one plan-cache lookup. The identity auto-parameterizes
+// plain literal texts, so the literal, WithArgs and prepared forms of
+// one statement share a cache entry and a breaker key; what compiles on
+// a miss is the text the caller sent, so error positions cite it.
+// Compilation is single-flighted per key; failures (text the lexer
+// rejects, arity errors) are never stored. cached reports whether the
+// plan came from the cache — Response.CacheHit and the hit counters.
 func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Compiled, cached bool, err error) {
-	// The one lexer pass a text gets: the breaker key, the template key
-	// and the bound key all derive from its verdict. Explicit templates
-	// (WithArgs, prepare) keep their literals; plain literal texts are
-	// auto-parameterized so literal-varied repetitions of one workload
-	// statement share a single template compilation.
 	var id sql.Identity
 	if sc.id != nil {
 		id = *sc.id
 	} else {
 		id = sql.Identify(text, !sc.hasArgs)
 	}
-	// src is what sql.Compile sees on a miss: the canonical `?` template
-	// of an auto-parameterized statement, else the caller's text verbatim
-	// (explicit templates, EXPLAIN, and anything whose error positions
-	// must cite the original).
-	src, args := text, sc.args
-	if id.Templated {
-		src = id.Key
-	}
+	args := sc.args
 	if !sc.hasArgs {
 		args = id.Args
 	}
@@ -703,46 +681,28 @@ func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Comp
 	if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.EvictionStorm, text) {
 		s.plans.purge()
 	}
-	key := planKey(id.Key, sc.engine, sc.threads)
-	compileTemplate := func(counted bool) func() (*sql.Compiled, error) {
-		return func() (*sql.Compiled, error) {
-			if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.CompileError, text) {
+	return s.plans.getOrCompile(planKey(id.Key, sc.engine, sc.threads, args), func() (*sql.Compiled, error) {
+		if f := s.cfg.Faults; f != nil {
+			if f.Fire(faults.CompilePanic, text) {
+				panic(&faults.ErrInjected{Point: faults.CompilePanic, Key: text})
+			}
+			if f.Fire(faults.CompileError, text) {
 				return nil, &faults.ErrInjected{Point: faults.CompileError, Key: text}
 			}
-			t0 := time.Now() //olap:allow wallclock compile-time telemetry
-			tc, err := sql.Compile(s.cfg.Data, s.cfg.Machine, src,
-				sql.Options{Engine: sc.engine, Threads: sc.threads, Trace: span})
-			if err == nil && counted {
-				s.tel.CompileMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond)) //olap:allow wallclock compile-time telemetry
-			}
-			s.brk.onCompile(id.Key, err)
-			return tc, err
-		}
-	}
-	if len(args) == 0 {
-		c, cached, err = s.plans.getOrCompile(key, true, compileTemplate(true))
-		if err != nil {
-			return nil, false, err
-		}
-		if c.Params > 0 {
-			// Zero arguments for a parameterized template: let Bind
-			// phrase the arity error.
-			_, err = c.Bind(nil)
-			return nil, false, err
-		}
-		return c, cached, nil
-	}
-	return s.plans.getOrCompile(boundKey(key, args), true, func() (*sql.Compiled, error) {
-		tc, _, err := s.plans.getOrCompile(key, false, compileTemplate(false))
-		if err != nil {
-			return nil, err
 		}
 		t0 := time.Now() //olap:allow wallclock compile-time telemetry
-		bc, err := tc.BindTraced(args, span)
+		c, err := sql.Compile(s.cfg.Data, s.cfg.Machine, text,
+			sql.Options{Engine: sc.engine, Threads: sc.threads, Trace: span})
+		s.brk.onCompile(id.Key, err)
+		if err == nil {
+			// Binds an explicit template's arguments (an arity error is not
+			// the breaker's business); without placeholders, the identity.
+			c, err = c.BindTraced(sc.args, span)
+		}
 		if err == nil {
 			s.tel.CompileMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond)) //olap:allow wallclock compile-time telemetry
 		}
-		return bc, err
+		return c, err
 	})
 }
 

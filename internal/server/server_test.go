@@ -426,9 +426,9 @@ func TestSubmitAllocsGate(t *testing.T) {
 		opts    []SubmitOption
 		ceiling float64
 	}{
-		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 48},
-		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 46},
-		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 42},
+		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 47},
+		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 45},
+		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 41},
 	} {
 		submit := func() {
 			resp, err := s.Submit(ctx, form.text, form.opts...)
@@ -441,6 +441,48 @@ func TestSubmitAllocsGate(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per cache-hit fast submission, ceiling %.0f", form.name, got, form.ceiling)
 		} else {
 			t.Logf("%s: %.0f allocations (ceiling %.0f)", form.name, got, form.ceiling)
+		}
+	}
+}
+
+// One submission, one lookup: over every form and outcome that reaches
+// the plan cache — literal text, WithArgs, a prepared handle, an arity
+// error, a compile error, EXPLAIN, text the lexer rejects — hits plus
+// misses equals the submission count.
+func TestPlanOneLookupPerSubmission(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	const template = "select count(*) from orders where o_totalprice < ?"
+	handle := sql.Identify(template, false)
+	var wantHits uint64
+	for i, sub := range []struct {
+		text   string
+		opts   []SubmitOption
+		ok     bool
+		cached bool
+	}{
+		{"select count(*) from orders where o_totalprice < 7", nil, true, false},
+		{"SELECT count(*)  FROM orders WHERE o_totalprice < 7", nil, true, true},
+		{template, []SubmitOption{WithArgs([]int64{7})}, true, true},
+		{template, []SubmitOption{withPrepared(&handle, []int64{7})}, true, true},
+		{template, []SubmitOption{withPrepared(&handle, []int64{8})}, true, false},
+		{template, []SubmitOption{withPrepared(&handle, nil)}, false, false},
+		{template, []SubmitOption{WithArgs([]int64{1, 2})}, false, false},
+		{"select count(*) from orders where o_totlprice < 7", nil, false, false},
+		{"explain select count(*) from orders where o_totalprice < 7", nil, true, false},
+		{"select $ from orders", nil, false, false},
+	} {
+		resp, err := s.Submit(ctx, sub.text, sub.opts...)
+		if (err == nil) != sub.ok || err == nil && resp.CacheHit != sub.cached {
+			t.Errorf("submission %d (%q): resp %+v err %v, want ok=%v cached=%v", i, sub.text, resp, err, sub.ok, sub.cached)
+		}
+		if sub.cached {
+			wantHits++
+		}
+		st := s.Stats()
+		if st.PlanHits != wantHits || st.PlanHits+st.PlanMisses != uint64(i+1) {
+			t.Fatalf("after %d submissions: plan-hits=%d (want %d) plan-misses=%d, want hits+misses=%d",
+				i+1, st.PlanHits, wantHits, st.PlanMisses, i+1)
 		}
 	}
 }

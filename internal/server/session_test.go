@@ -167,12 +167,74 @@ func TestSessionPrepareExecuteFast(t *testing.T) {
 	if len(fast) != 1 {
 		t.Errorf("want exactly 1 fast-flagged result line, got %d:\n%s", len(fast), out)
 	}
-	// The literal text and both executions share one template plan: two
-	// hits. The third is the arity-error `execute q`, which looks its
-	// template up (a counted hit) before Bind rejects it — on its own
-	// goroutine, hence the wait before stats.
-	if !regexp.MustCompile(`stats .*plan-hits=3 `).MatchString(out) {
-		t.Errorf("template cache should have served 2 of the 3 runs and the arity-error execute:\n%s", out)
+	// The literal text and both executions share one plan: a miss and two
+	// hits. The arity-error `execute q` is one more lookup — a miss under
+	// its own zero-argument key, never stored — on its own goroutine,
+	// hence the wait before stats.
+	if !regexp.MustCompile(`stats .*plan-hits=2 plan-misses=2 `).MatchString(out) {
+		t.Errorf("one plan should have served 2 of the 3 runs, and every submission should be one lookup:\n%s", out)
+	}
+}
+
+// Error lines cite line:column of the text the client sent — whatever
+// its spacing and case — and a statement the client wrote without a `?`
+// never hears about placeholders: auto-parameterization is an identity,
+// not a second compilation unit.
+func TestSessionErrorsCiteClientText(t *testing.T) {
+	const (
+		unknown   = "SELECT    count(*)   FROM   orders   WHERE   o_totlprice   <   5"
+		truncated = "SELECT   COUNT(*)   FROM   orders   WHERE   o_totalprice   <"
+		noTable   = "select sum(x)  from   nosuch   where x between 3 and 7"
+		explicit  = "select count(*) from orders where o_totlprice < ?"
+	)
+	s := newTestServer(t, Config{Workers: 2})
+	out := serve(t, s, "query "+unknown+"\nquery "+truncated+"\nquery "+noTable+"\nquery "+explicit+"\nquit\n")
+	for _, want := range []string{
+		fmt.Sprintf(`result id=1 error 1:%d: unknown column "o_totlprice"`, strings.Index(unknown, "o_totlprice")+1), // 1:46
+		fmt.Sprintf("result id=2 error 1:%d: expected expression, found end of input", len(truncated)+1),
+		fmt.Sprintf(`result id=3 error 1:%d: unknown table "nosuch"`, strings.Index(noTable, "nosuch")+1),
+		fmt.Sprintf(`1:%d: unknown column "o_totlprice"`, strings.Index(explicit, "o_totlprice")+1),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "parameterized") != strings.HasPrefix(line, "result id=4 ") {
+			t.Errorf("only the statement written with a `?` may mention parameters: %q", line)
+		}
+	}
+}
+
+// One statement, three forms, one entry: `query`, `submit` and `execute`
+// of the same template and arguments share a plan (cached=true from the
+// second form on), and N distinct literal tuples of one template hold N
+// entries — there is no template entry beside them.
+func TestSessionFormsShareOnePlan(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	out := serve(t, s, strings.Join([]string{
+		"prepare q select count(*) from orders where o_totalprice < ?",
+		"query select count(*) from orders where o_totalprice < 100",
+		"submit SELECT COUNT(*)   FROM orders WHERE o_totalprice < 100;",
+		"wait",
+		"execute q 100",
+		"wait",
+		"query select count(*) from orders where o_totalprice < 101",
+		"query select count(*) from orders where o_totalprice < 102",
+		"stats",
+		"quit",
+	}, "\n"))
+	cached := regexp.MustCompile(`(?m)^result id=(\d+) ok .* cached=(true|false) `).FindAllStringSubmatch(out, -1)
+	if len(cached) != 5 {
+		t.Fatalf("want 5 result lines, got %d:\n%s", len(cached), out)
+	}
+	for _, m := range cached {
+		if want := m[1] == "2" || m[1] == "3"; (m[2] == "true") != want {
+			t.Errorf("id=%s cached=%s, want %v (only the submit and execute forms of literal 100 reuse a plan):\n%s", m[1], m[2], want, out)
+		}
+	}
+	if !regexp.MustCompile(`stats .*plan-hits=2 plan-misses=3 .*plan-entries=3/64 `).MatchString(out) {
+		t.Errorf("3 distinct literals of one template are 3 entries and 3 misses:\n%s", out)
 	}
 }
 

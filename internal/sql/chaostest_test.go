@@ -1,7 +1,8 @@
 // The chaos mode of the randomized differential tester: the same
 // generated corpus runs through the server with deterministic fault
-// injection armed — compile errors, worker panics, slow morsels and
-// plan-cache eviction storms — at 1, 2, 4 and 8 concurrent streams.
+// injection armed — compile errors, compile panics, worker panics, slow
+// morsels and plan-cache eviction storms — at 1, 2, 4 and 8 concurrent
+// streams.
 // The injector's fire decision is a pure function of (seed, point,
 // statement text), so each schedule predicts exactly which queries it
 // faults and asserts that everything else still returns the serial
@@ -80,6 +81,10 @@ func TestChaosDifferentialStreams(t *testing.T) {
 		// ErrBreakerOpen rejections are legitimate; anything that
 		// succeeds must still be exact.
 		{name: "compile-error", p: faults.CompileError, mod: 4, rem: 1, breaks: true},
+		// A panic inside the plan cache's compile closure fails the
+		// submission that owns the flight (and any waiter sharing it) with
+		// a PanicError, trips no breaker and strands no key.
+		{name: "compile-panic", p: faults.CompilePanic, mod: 4, rem: 3, breaks: true},
 		// A panic mid-execution — on a pool slot's morsel for measured
 		// queries, in the fast executor otherwise — becomes that one
 		// query's PanicError and nothing else's.
@@ -177,7 +182,7 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 
 	// At one stream the run is sequential, so the oracle is exact:
 	// every statement whose compile actually fired must have failed.
-	if streams == 1 && sch.p == faults.CompileError {
+	if streams == 1 && (sch.p == faults.CompileError || sch.p == faults.CompilePanic) {
 		for i, e := range corpus {
 			if inj.Fired(sch.p, e.sql) && qerr[i] == nil {
 				t.Errorf("query %d fired %s but succeeded:\n  %s", i, sch.p, e.sql)
@@ -204,8 +209,8 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 	if st.InFlight != 0 || st.Queued != 0 || st.PoolBusy != 0 {
 		t.Errorf("not drained: inflight=%d queued=%d poolbusy=%d", st.InFlight, st.Queued, st.PoolBusy)
 	}
-	if sch.p == faults.WorkerPanic && st.PanicsRecovered == 0 {
-		t.Error("worker-panic schedule recovered no panics")
+	if (sch.p == faults.WorkerPanic || sch.p == faults.CompilePanic) && st.PanicsRecovered == 0 {
+		t.Errorf("%s schedule recovered no panics", sch.name)
 	}
 }
 
@@ -236,6 +241,18 @@ func judgeChaosFailure(fail func(int, string, ...any), i int, text string, err e
 		var perr *server.PanicError
 		if !errors.As(err, &perr) || !errors.As(err, &injected) || !predicted[text] {
 			fail(i, "unattributable failure under %s: %v", sch.name, err)
+		}
+	case faults.CompilePanic:
+		// The flight's owner is the faulted text, recovered on its own
+		// submission frame; a waiter that shared the flight (another
+		// spelling of the same plan key) gets the flight's own error.
+		var perr *server.PanicError
+		switch {
+		case !errors.As(err, &perr) || !errors.As(err, &injected) || injected.Point != faults.CompilePanic:
+			fail(i, "unattributable failure under %s: %v", sch.name, err)
+		case perr.Op == "plan-compile" && streams > 1:
+		case perr.Op != "execute" || !predicted[text]:
+			fail(i, "compile panic surfaced as %q on a text the schedule did not fault: %v", perr.Op, err)
 		}
 	default:
 		fail(i, "unattributable failure under %s: %v", sch.name, err)

@@ -59,95 +59,96 @@ func (t TableMeta) Column(name string) (ColumnMeta, bool) {
 	return ColumnMeta{}, false
 }
 
-// Schema returns the full TPC-H catalog in generation order.
-func Schema() []TableMeta {
-	return []TableMeta{
-		{
-			Name: "nation",
-			Rows: func(d *Data) int { return len(d.Nation.NationKey) },
-			Cols: []ColumnMeta{
-				{Name: "n_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.NationKey }},
-				{Name: "n_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.RegionKey }},
-				{Name: "n_name", Kind: KindStr, Str: func(d *Data) []string { return d.Nation.Name }},
-			},
+// Schema returns the full TPC-H catalog in generation order. The
+// catalog is one package-level value, built once: callers only read it.
+func Schema() []TableMeta { return schema }
+
+var schema = []TableMeta{
+	{
+		Name: "nation",
+		Rows: func(d *Data) int { return len(d.Nation.NationKey) },
+		Cols: []ColumnMeta{
+			{Name: "n_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.NationKey }},
+			{Name: "n_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.RegionKey }},
+			{Name: "n_name", Kind: KindStr, Str: func(d *Data) []string { return d.Nation.Name }},
 		},
-		{
-			Name: "region",
-			Rows: func(d *Data) int { return len(d.Region.RegionKey) },
-			Cols: []ColumnMeta{
-				{Name: "r_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Region.RegionKey }},
-				{Name: "r_name", Kind: KindStr, Str: func(d *Data) []string { return d.Region.Name }},
-			},
+	},
+	{
+		Name: "region",
+		Rows: func(d *Data) int { return len(d.Region.RegionKey) },
+		Cols: []ColumnMeta{
+			{Name: "r_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Region.RegionKey }},
+			{Name: "r_name", Kind: KindStr, Str: func(d *Data) []string { return d.Region.Name }},
 		},
-		{
-			Name: "supplier",
-			Rows: func(d *Data) int { return len(d.Supplier.SuppKey) },
-			Cols: []ColumnMeta{
-				{Name: "s_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.SuppKey }},
-				{Name: "s_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.NationKey }},
-				{Name: "s_acctbal", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.AcctBal }},
-				{Name: "s_name", Kind: KindStr, Str: func(d *Data) []string { return d.Supplier.Name }},
-			},
+	},
+	{
+		Name: "supplier",
+		Rows: func(d *Data) int { return len(d.Supplier.SuppKey) },
+		Cols: []ColumnMeta{
+			{Name: "s_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.SuppKey }},
+			{Name: "s_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.NationKey }},
+			{Name: "s_acctbal", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.AcctBal }},
+			{Name: "s_name", Kind: KindStr, Str: func(d *Data) []string { return d.Supplier.Name }},
 		},
-		{
-			Name: "customer",
-			Rows: func(d *Data) int { return len(d.Customer.CustKey) },
-			Cols: []ColumnMeta{
-				{Name: "c_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.CustKey }},
-				{Name: "c_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.NationKey }},
-				{Name: "c_mktsegment", Kind: KindI8, I8: func(d *Data) []byte { return d.Customer.MktSegment }},
-				{Name: "c_name", Kind: KindStr, Str: func(d *Data) []string { return d.Customer.Name }},
-			},
+	},
+	{
+		Name: "customer",
+		Rows: func(d *Data) int { return len(d.Customer.CustKey) },
+		Cols: []ColumnMeta{
+			{Name: "c_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.CustKey }},
+			{Name: "c_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.NationKey }},
+			{Name: "c_mktsegment", Kind: KindI8, I8: func(d *Data) []byte { return d.Customer.MktSegment }},
+			{Name: "c_name", Kind: KindStr, Str: func(d *Data) []string { return d.Customer.Name }},
 		},
-		{
-			Name: "part",
-			Rows: func(d *Data) int { return len(d.Part.PartKey) },
-			Cols: []ColumnMeta{
-				{Name: "p_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.PartKey }},
-				{Name: "p_retailprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.RetailPrice }},
-				{Name: "p_name", Kind: KindStr, Str: func(d *Data) []string { return d.Part.Name }},
-			},
+	},
+	{
+		Name: "part",
+		Rows: func(d *Data) int { return len(d.Part.PartKey) },
+		Cols: []ColumnMeta{
+			{Name: "p_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.PartKey }},
+			{Name: "p_retailprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.RetailPrice }},
+			{Name: "p_name", Kind: KindStr, Str: func(d *Data) []string { return d.Part.Name }},
 		},
-		{
-			Name: "partsupp",
-			Rows: func(d *Data) int { return len(d.PartSupp.PartKey) },
-			Cols: []ColumnMeta{
-				{Name: "ps_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.PartKey }},
-				{Name: "ps_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SuppKey }},
-				{Name: "ps_availqty", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.AvailQty }},
-				{Name: "ps_supplycost", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SupplyCost }},
-			},
+	},
+	{
+		Name: "partsupp",
+		Rows: func(d *Data) int { return len(d.PartSupp.PartKey) },
+		Cols: []ColumnMeta{
+			{Name: "ps_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.PartKey }},
+			{Name: "ps_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SuppKey }},
+			{Name: "ps_availqty", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.AvailQty }},
+			{Name: "ps_supplycost", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SupplyCost }},
 		},
-		{
-			Name: "orders",
-			Rows: func(d *Data) int { return len(d.Orders.OrderKey) },
-			Cols: []ColumnMeta{
-				{Name: "o_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderKey }},
-				{Name: "o_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.CustKey }},
-				{Name: "o_orderdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderDate }},
-				{Name: "o_totalprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.TotalPrice }},
-				{Name: "o_shippriority", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.ShipPriority }},
-			},
+	},
+	{
+		Name: "orders",
+		Rows: func(d *Data) int { return len(d.Orders.OrderKey) },
+		Cols: []ColumnMeta{
+			{Name: "o_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderKey }},
+			{Name: "o_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.CustKey }},
+			{Name: "o_orderdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderDate }},
+			{Name: "o_totalprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.TotalPrice }},
+			{Name: "o_shippriority", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.ShipPriority }},
 		},
-		{
-			Name: "lineitem",
-			Rows: func(d *Data) int { return d.Lineitem.Rows() },
-			Cols: []ColumnMeta{
-				{Name: "l_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.OrderKey }},
-				{Name: "l_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.PartKey }},
-				{Name: "l_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.SuppKey }},
-				{Name: "l_quantity", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Quantity }},
-				{Name: "l_extendedprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ExtendedPrice }},
-				{Name: "l_discount", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Discount }},
-				{Name: "l_tax", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Tax }},
-				{Name: "l_shipdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ShipDate }},
-				{Name: "l_commitdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.CommitDate }},
-				{Name: "l_receiptdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ReceiptDate }},
-				{Name: "l_returnflag", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.ReturnFlag }},
-				{Name: "l_linestatus", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.LineStatus }},
-			},
+	},
+	{
+		Name: "lineitem",
+		Rows: func(d *Data) int { return d.Lineitem.Rows() },
+		Cols: []ColumnMeta{
+			{Name: "l_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.OrderKey }},
+			{Name: "l_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.PartKey }},
+			{Name: "l_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.SuppKey }},
+			{Name: "l_quantity", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Quantity }},
+			{Name: "l_extendedprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ExtendedPrice }},
+			{Name: "l_discount", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Discount }},
+			{Name: "l_tax", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Tax }},
+			{Name: "l_shipdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ShipDate }},
+			{Name: "l_commitdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.CommitDate }},
+			{Name: "l_receiptdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ReceiptDate }},
+			{Name: "l_returnflag", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.ReturnFlag }},
+			{Name: "l_linestatus", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.LineStatus }},
 		},
-	}
+	},
 }
 
 // SchemaTable finds a table by name.

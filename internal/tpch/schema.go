@@ -66,7 +66,6 @@ const (
 	SuppliersPerSF = 10_000
 	CustomersPerSF = 150_000
 	PartsPerSF     = 200_000
-	PartSuppPerSF  = 800_000
 	OrdersPerSF    = 1_500_000
 	NationCount    = 25
 	RegionCount    = 5
