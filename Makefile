@@ -49,7 +49,8 @@ bench:
 # `make ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10]` exports PARENT into a
 # temporary tree, runs the benchmark on it and on this working tree in
 # alternating order, and prints per end-to-end metric both medians, the
-# parent's inter-quartile range and wins/pairs (scripts/ab.sh).
+# parent's inter-quartile range, wins/losses/ties and the sign-test
+# p-value with its verdict (scripts/ab.sh).
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"sync"
 	"testing"
 
 	"olapmicro/internal/analysis"
@@ -60,14 +61,7 @@ func TestAllNamesUnique(t *testing.T) {
 // tree must produce zero diagnostics (fixed true positives stay fixed,
 // every annotation stays load-bearing).
 func TestSuiteCleanOnTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := lintkit.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	for _, pkg := range pkgs {
+	for _, pkg := range loadTree(t) {
 		diags, err := lintkit.RunPackage(pkg, analysis.All())
 		if err != nil {
 			t.Fatalf("running suite on %s: %v", pkg.Path, err)
@@ -76,4 +70,25 @@ func TestSuiteCleanOnTree(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
+}
+
+var tree struct {
+	once sync.Once
+	pkgs []*lintkit.Package
+	err  error
+}
+
+// loadTree loads and type-checks the root module once per test binary,
+// for every test that inspects the shipped tree. Under -short it skips
+// the calling test instead.
+func loadTree(t *testing.T) []*lintkit.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	tree.once.Do(func() { tree.pkgs, tree.err = lintkit.Load("../..", "./...") })
+	if tree.err != nil {
+		t.Fatalf("loading module: %v", tree.err)
+	}
+	return tree.pkgs
 }

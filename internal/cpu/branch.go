@@ -54,14 +54,6 @@ func (p *BranchPredictor) Observe(site uint64, taken bool) (correct bool) {
 	return correct
 }
 
-// MispredictRate is Mispredicts/Branches, 0 when no branches ran.
-func (p *BranchPredictor) MispredictRate() float64 {
-	if p.Branches == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Branches)
-}
-
 // Reset clears history, counters and statistics.
 func (p *BranchPredictor) Reset() {
 	p.history = 0

@@ -21,9 +21,6 @@ func NewGroupTable(as *probe.AddrSpace, name string, capacity int) *GroupTable {
 	return &GroupTable{ht: join.New(as, name, capacity)}
 }
 
-// Len is the number of groups.
-func (g *GroupTable) Len() int { return len(g.tuples) }
-
 // Tuples exposes the group key tuples in slot order (slot i holds
 // Tuples()[i]); workers hand them to FinalizeProbed.
 func (g *GroupTable) Tuples() [][]int64 { return g.tuples }

@@ -156,12 +156,6 @@ func (e *Engine) Name() string {
 	return "Tectorwise"
 }
 
-// SIMD reports whether SIMD primitives are active.
-func (e *Engine) SIMD() bool { return e.simd }
-
-// VectorSize is the configured vector length in values.
-func (e *Engine) VectorSize() int { return e.vec }
-
 // arith charges n single-value arithmetic operations, collapsed into
 // lane-wide ops in SIMD mode.
 func (e *Engine) arith(p *probe.Probe, n uint64) {

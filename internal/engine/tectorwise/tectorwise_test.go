@@ -44,12 +44,12 @@ func TestProjectionMatchesBruteForce(t *testing.T) {
 func TestVectorSizeAdaptsToL1(t *testing.T) {
 	e, _ := newEnv(false)
 	// Scaled L1D is 4 KB -> 128-value vectors keep intermediates L1-resident.
-	if e.VectorSize() != 128 {
-		t.Fatalf("vector size %d on a 4 KB L1D, want 128", e.VectorSize())
+	if e.vec != 128 {
+		t.Fatalf("vector size %d on a 4 KB L1D, want 128", e.vec)
 	}
 	full := New(testData, probe.NewAddrSpace(), hw.Skylake().L1D.SizeBytes, 8)
-	if full.VectorSize() != 1024 {
-		t.Fatalf("vector size %d on a 32 KB L1D, want 1024", full.VectorSize())
+	if full.vec != 1024 {
+		t.Fatalf("vector size %d on a 32 KB L1D, want 1024", full.vec)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestName(t *testing.T) {
 	if a.Name() != "Tectorwise" || b.Name() != "Tectorwise+SIMD" {
 		t.Fatalf("names: %q / %q", a.Name(), b.Name())
 	}
-	if a.SIMD() || !b.SIMD() {
+	if a.simd || !b.simd {
 		t.Fatal("SIMD flags wrong")
 	}
 }

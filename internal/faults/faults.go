@@ -29,10 +29,10 @@ type Point uint8
 const (
 	// CompileError fails a statement's compilation with ErrInjected.
 	CompileError Point = iota
-	// WorkerPanic panics inside query execution: a pool slot running
+	// WorkerPanic panics inside query execution: a scan slot running
 	// the query's morsel, or the fast-path executor before its kernels.
 	WorkerPanic
-	// SlowMorsel delays one of the query's morsels on its pool slot;
+	// SlowMorsel delays one of the query's morsels on its scan slot;
 	// results must be unaffected.
 	SlowMorsel
 	// BlockedWriter stalls the session's result writer before it

@@ -431,15 +431,15 @@ func TextSelBW(h *Harness) Figure {
 }
 
 // TextQ6Pred reports the predicated-Q6 comparison of Section 7's text:
-// response-time cuts and bandwidth gains for both engines.
+// the signed response-time change and the bandwidth of both engines.
 func TextQ6Pred(h *Harness) Figure {
 	f := Figure{ID: "text-q6-pred", Title: "Predicated TPC-H Q6 (Section 7 text)"}
 	for _, sys := range HighPerf() {
 		br := h.MeasureTPCH(sys, engine.Q6, false, Opts{})
 		bf := h.MeasureTPCH(sys, engine.Q6, true, Opts{})
 		f.Series = append(f.Series, br, bf)
-		f.Notes = append(f.Notes, fmt.Sprintf("%s: time -%.0f%%, bandwidth %.1f -> %.1f GB/s",
-			sys, 100*(1-bf.Profile.Seconds/br.Profile.Seconds),
+		f.Notes = append(f.Notes, fmt.Sprintf("%s: time %+.0f%%, bandwidth %.1f -> %.1f GB/s",
+			sys, 100*(bf.Profile.Seconds/br.Profile.Seconds-1),
 			br.Profile.BandwidthGBs, bf.Profile.BandwidthGBs))
 	}
 	return f

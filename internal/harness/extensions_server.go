@@ -15,9 +15,9 @@ import (
 // experiments: 1..8 concurrent sequential streams of one statement.
 var ConcurrentStreams = []int{1, 2, 4, 8}
 
-// Server shape of the concurrency experiments: a 4-slot shared pool,
-// each query striding its morsels over 2 slots, so 2 streams fill the
-// pool and further streams contend.
+// Server shape of the concurrency experiments: 4 scan slots, each
+// query striding its morsels over 2 of them, so 2 streams fill the
+// slots and further streams contend.
 const (
 	concurrentWorkers = 4
 	concurrentThreads = 2

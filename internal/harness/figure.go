@@ -53,13 +53,3 @@ func (f Figure) CSV() string {
 	}
 	return b.String()
 }
-
-// Find returns the series with the given system and label, or nil.
-func (f Figure) Find(sys System, label string) *Series {
-	for i := range f.Series {
-		if f.Series[i].System == sys && f.Series[i].Label == label {
-			return &f.Series[i]
-		}
-	}
-	return nil
-}

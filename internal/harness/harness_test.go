@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"olapmicro/internal/engine"
+	"olapmicro/internal/multicore"
 )
 
 // The whole package shares one harness: measurements are memoized, so
@@ -19,6 +21,16 @@ func h(t *testing.T) *Harness {
 	t.Helper()
 	sharedOnce.Do(func() { shared = New(QuickConfig()) })
 	return shared
+}
+
+// Find returns the series with the given system and label, or nil.
+func (f Figure) Find(sys System, label string) *Series {
+	for i := range f.Series {
+		if f.Series[i].System == sys && f.Series[i].Label == label {
+			return &f.Series[i]
+		}
+	}
+	return nil
 }
 
 // --- Correctness: all engines must compute identical answers. ---
@@ -451,14 +463,22 @@ func TestFig22To24SIMD(t *testing.T) {
 				c.simdSeries.Profile.Milliseconds(), c.scalarSeries.Profile.Milliseconds())
 		}
 		// Retiring time drops sharply (70-87% in the paper).
-		sc := c.scalarSeries.Profile.TimeBreakdown().Retiring
-		si := c.simdSeries.Profile.TimeBreakdown().Retiring
+		sc := c.scalarSeries.Profile.Breakdown.RetiringRatio() * c.scalarSeries.Profile.Seconds
+		si := c.simdSeries.Profile.Breakdown.RetiringRatio() * c.simdSeries.Profile.Seconds
 		if si > sc*0.6 {
 			t.Errorf("SIMD %s: retiring time only %.0f%% lower", c.name, 100*(1-si/sc))
 		}
 		if c.simdSeries.Profile.BandwidthGBs < c.scalarSeries.Profile.BandwidthGBs {
 			t.Errorf("SIMD %s must raise bandwidth utilization", c.name)
 		}
+	}
+	// On projection p4 the bottleneck shifts from Execution to Dcache:
+	// the stalls SIMD leaves are more memory, less execution.
+	exS, dcS, _, _, _ := cases[0].scalarSeries.Profile.Breakdown.StallShares()
+	exV, dcV, _, _, _ := cases[0].simdSeries.Profile.Breakdown.StallShares()
+	if dcV <= dcS || exV >= exS {
+		t.Errorf("SIMD projection p4: stall shares exec %.0f%% -> %.0f%%, dcache %.0f%% -> %.0f%%; want the shift to Dcache",
+			100*exS, 100*exV, 100*dcS, 100*dcV)
 	}
 }
 
@@ -589,7 +609,9 @@ func TestTextChainsGroupByMoreIrregular(t *testing.T) {
 
 func TestTextQ6Predication(t *testing.T) {
 	f := TextQ6Pred(h(t))
-	// Both engines get faster; Tectorwise gains more (paper: 11% vs 52%).
+	// Tectorwise gains more than Typer: the paper reports -52% vs -11%;
+	// at the quick config this reproduction shows -50% vs +21%, i.e.
+	// predication slows Typer's Q6.
 	tyBr := f.Find(Typer, "Q6").Profile
 	tyBf := f.Find(Typer, "Q6 brfree").Profile
 	twBr := f.Find(Tectorwise, "Q6").Profile
@@ -601,6 +623,37 @@ func TestTextQ6Predication(t *testing.T) {
 	}
 	if tyBf.BandwidthGBs <= tyBr.BandwidthGBs || twBf.BandwidthGBs <= twBr.BandwidthGBs {
 		t.Error("predicated Q6 must raise bandwidth utilization for both engines")
+	}
+	// The notes print a signed change, never a negated negative.
+	for _, n := range f.Notes {
+		if strings.Contains(n, "--") {
+			t.Errorf("note %q prints a double minus", n)
+		}
+	}
+}
+
+// TestTextHT pins Section 10's in-text multi-core claims (text-ht):
+// hyper-threading lifts the 14-core large-join socket bandwidth of both
+// engines (paper: ~1.3x), and SIMD lifts Tectorwise's on Skylake.
+func TestTextHT(t *testing.T) {
+	hh := h(t)
+	if n := len(TextHT(hh).Notes); n != 3 {
+		t.Fatalf("text-ht prints %d notes, want 3", n)
+	}
+	for _, sys := range HighPerf() {
+		in := hh.MeasureJoin(sys, engine.JoinLarge, Opts{}).Inputs
+		plain := multicore.Run(in, multicoreThreads, multicore.Options{})
+		ht := multicore.Run(in, multicoreThreads, multicore.Options{HyperThreading: true})
+		if r := ht.SocketBandwidthGBs / plain.SocketBandwidthGBs; r < 1.1 || r > 1.6 {
+			t.Errorf("%v large join x%d: hyper-threading changes bandwidth %.2fx, paper: ~1.3x", sys, multicoreThreads, r)
+		}
+	}
+	scalar, simd := hh.simdOpts()
+	sc := multicore.Run(hh.MeasureJoin(Tectorwise, engine.JoinLarge, scalar).Inputs, multicoreThreads, multicore.Options{})
+	si := multicore.Run(hh.MeasureJoin(Tectorwise, engine.JoinLarge, simd).Inputs, multicoreThreads, multicore.Options{})
+	if si.SocketBandwidthGBs <= sc.SocketBandwidthGBs {
+		t.Errorf("Tectorwise join x%d: SIMD bandwidth %.1f GB/s not above scalar %.1f", multicoreThreads,
+			si.SocketBandwidthGBs, sc.SocketBandwidthGBs)
 	}
 }
 

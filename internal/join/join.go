@@ -93,9 +93,6 @@ func (t *Table) Len() int { return len(t.keys) }
 // Keys exposes the inserted keys in slot order (slot i holds Keys()[i]).
 func (t *Table) Keys() []int64 { return t.keys }
 
-// Buckets is the number of buckets.
-func (t *Table) Buckets() int { return len(t.heads) }
-
 // Insert adds key and returns its slot. Duplicate keys chain.
 func (t *Table) Insert(key int64) int32 {
 	b := t.bucket(key)
@@ -119,20 +116,10 @@ func (t *Table) InsertProbed(p *probe.Probe, key int64) int32 {
 	return slot
 }
 
-// Lookup returns the first slot whose key matches, or -1.
-func (t *Table) Lookup(key int64) int32 {
-	for s := t.heads[t.bucket(key)]; s >= 0; s = t.nexts[s] {
-		if t.keys[s] == key {
-			return s
-		}
-	}
-	return -1
-}
-
-// LookupProbed is Lookup plus native events: hash arithmetic, a random
-// load of the bucket head, one random load per chain entry, a compare
-// branch per entry. site distinguishes static probe locations for the
-// branch predictor.
+// LookupProbed returns the first slot whose key matches, or -1, with
+// native events: hash arithmetic, a random load of the bucket head, one
+// random load per chain entry, a compare branch per entry. site
+// distinguishes static probe locations for the branch predictor.
 func (t *Table) LookupProbed(p *probe.Probe, site uint64, key int64) int32 {
 	t.emitHash(p)
 	b := t.bucket(key)
@@ -168,16 +155,9 @@ func (t *Table) LookupNextProbed(p *probe.Probe, site uint64, slot int32, key in
 	return -1
 }
 
-// LookupOrInsert returns the slot for key, inserting it when absent;
-// inserted reports which happened. This is the group-by path.
-func (t *Table) LookupOrInsert(key int64) (slot int32, inserted bool) {
-	if s := t.Lookup(key); s >= 0 {
-		return s, false
-	}
-	return t.Insert(key), true
-}
-
-// LookupOrInsertProbed is LookupOrInsert with native events.
+// LookupOrInsertProbed returns the slot for key, inserting it when
+// absent, with native events; inserted reports which happened. This is
+// the group-by path.
 func (t *Table) LookupOrInsertProbed(p *probe.Probe, site uint64, key int64) (slot int32, inserted bool) {
 	if s := t.LookupProbed(p, site, key); s >= 0 {
 		return s, false

@@ -13,6 +13,17 @@ func newProbe() (*probe.Probe, *probe.AddrSpace) {
 	return probe.New(hw.Broadwell().Scaled(8), mem.AllPrefetchers()), probe.NewAddrSpace()
 }
 
+// Lookup is the unprobed reference chain walk: the first slot whose key
+// matches, or -1.
+func (t *Table) Lookup(key int64) int32 {
+	for s := t.heads[t.bucket(key)]; s >= 0; s = t.nexts[s] {
+		if t.keys[s] == key {
+			return s
+		}
+	}
+	return -1
+}
+
 func TestInsertLookup(t *testing.T) {
 	_, as := newProbe()
 	ht := New(as, "t", 16)
@@ -57,10 +68,10 @@ func TestLookupAgainstMapReference(t *testing.T) {
 }
 
 func TestLookupOrInsertStableSlots(t *testing.T) {
-	_, as := newProbe()
+	p, as := newProbe()
 	ht := New(as, "t", 8)
-	s1, ins1 := ht.LookupOrInsert(42)
-	s2, ins2 := ht.LookupOrInsert(42)
+	s1, ins1 := ht.LookupOrInsertProbed(p, 1, 42)
+	s2, ins2 := ht.LookupOrInsertProbed(p, 1, 42)
 	if !ins1 || ins2 {
 		t.Fatalf("insert flags wrong: %v %v", ins1, ins2)
 	}
@@ -164,7 +175,7 @@ func TestBucketsPowerOfTwoAndCapacity(t *testing.T) {
 	_, as := newProbe()
 	for _, capacity := range []int{1, 3, 100, 1024, 5000} {
 		ht := New(as, "t", capacity)
-		b := ht.Buckets()
+		b := len(ht.heads)
 		if b&(b-1) != 0 {
 			t.Fatalf("buckets %d not a power of two", b)
 		}

@@ -28,14 +28,13 @@ const (
 // Tags are stored per way in a flat array; the zero value is not
 // usable, construct with NewCache.
 type Cache struct {
-	sets     uint64
-	ways     int
-	lineBits uint
-	tags     []uint64 // sets*ways entries
-	dirty    []bool
-	pf       []PfClass // how the line was installed (cleared on demand hit)
-	lru      []uint32
-	tick     uint32
+	sets  uint64
+	ways  int
+	tags  []uint64 // sets*ways entries
+	dirty []bool
+	pf    []PfClass // how the line was installed (cleared on demand hit)
+	lru   []uint32
+	tick  uint32
 }
 
 // NewCache builds a cache from a geometry description.
@@ -45,31 +44,18 @@ func NewCache(g hw.CacheGeometry) *Cache {
 		sets = 1
 	}
 	c := &Cache{
-		sets:     sets,
-		ways:     g.Ways,
-		lineBits: lineBits(uint64(g.LineBytes)),
-		tags:     make([]uint64, sets*uint64(g.Ways)),
-		dirty:    make([]bool, sets*uint64(g.Ways)),
-		pf:       make([]PfClass, sets*uint64(g.Ways)),
-		lru:      make([]uint32, sets*uint64(g.Ways)),
+		sets:  sets,
+		ways:  g.Ways,
+		tags:  make([]uint64, sets*uint64(g.Ways)),
+		dirty: make([]bool, sets*uint64(g.Ways)),
+		pf:    make([]PfClass, sets*uint64(g.Ways)),
+		lru:   make([]uint32, sets*uint64(g.Ways)),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	return c
 }
-
-func lineBits(lineBytes uint64) uint {
-	var b uint
-	for lineBytes > 1 {
-		lineBytes >>= 1
-		b++
-	}
-	return b
-}
-
-// Line converts a byte address to a line address (address >> lineBits).
-func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineBits }
 
 // Lookup probes the cache for a line address. On a hit it refreshes
 // LRU state, clears the prefetched tag, and reports how the line was
@@ -146,23 +132,6 @@ func (c *Cache) MarkDirty(line uint64) {
 			return
 		}
 	}
-}
-
-// Invalidate drops a line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(line uint64) (present, wasDirty bool) {
-	set := line % c.sets
-	base := set * uint64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == line {
-			wasDirty = c.dirty[i]
-			c.tags[i] = invalidTag
-			c.dirty[i] = false
-			c.pf[i] = PfNone
-			return true, wasDirty
-		}
-	}
-	return false, false
 }
 
 // Reset empties the cache.

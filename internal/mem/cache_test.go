@@ -58,12 +58,10 @@ func TestCacheMarkDirty(t *testing.T) {
 	c := NewCache(smallGeometry())
 	c.Insert(7, PfNone, false)
 	c.MarkDirty(7)
-	_, wasDirty := c.Invalidate(7)
-	if !wasDirty {
-		t.Fatal("MarkDirty must stick")
-	}
-	if present, _ := c.Invalidate(7); present {
-		t.Fatal("invalidated line must be gone")
+	c.Insert(11, PfNone, false)
+	ev, wasDirty, _ := c.Insert(15, PfNone, false) // evicts line 7 (LRU)
+	if ev != 7 || !wasDirty {
+		t.Fatalf("MarkDirty must stick: evicted %d dirty=%v", ev, wasDirty)
 	}
 }
 

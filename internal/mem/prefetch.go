@@ -18,43 +18,6 @@ func AllPrefetchers() PrefetcherConfig {
 // NoPrefetchers disables all four prefetchers.
 func NoPrefetchers() PrefetcherConfig { return PrefetcherConfig{} }
 
-// MSR 0x1A4 bit layout (Intel "Disclosure of Hardware Prefetcher
-// Control"): a SET bit DISABLES the corresponding prefetcher.
-const (
-	msrBitL2Streamer = 1 << 0 // L2 hardware prefetcher
-	msrBitL2NextLine = 1 << 1 // L2 adjacent cache line prefetcher
-	msrBitL1NextLine = 1 << 2 // DCU prefetcher
-	msrBitL1Streamer = 1 << 3 // DCU IP prefetcher
-)
-
-// MSR encodes the configuration as the value written to MSR 0x1A4.
-func (c PrefetcherConfig) MSR() uint64 {
-	var v uint64
-	if !c.L2Streamer {
-		v |= msrBitL2Streamer
-	}
-	if !c.L2NextLine {
-		v |= msrBitL2NextLine
-	}
-	if !c.L1NextLine {
-		v |= msrBitL1NextLine
-	}
-	if !c.L1Streamer {
-		v |= msrBitL1Streamer
-	}
-	return v
-}
-
-// ConfigFromMSR decodes an MSR 0x1A4 value.
-func ConfigFromMSR(v uint64) PrefetcherConfig {
-	return PrefetcherConfig{
-		L2Streamer: v&msrBitL2Streamer == 0,
-		L2NextLine: v&msrBitL2NextLine == 0,
-		L1NextLine: v&msrBitL1NextLine == 0,
-		L1Streamer: v&msrBitL1Streamer == 0,
-	}
-}
-
 // String names the configuration the way the paper's Figure 26 labels
 // its six bars.
 func (c PrefetcherConfig) String() string {

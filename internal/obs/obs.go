@@ -1,5 +1,5 @@
 // Package obs is the repository's dependency-free observability
-// toolkit: atomic counters and gauges, fixed-bucket latency
+// toolkit: atomic counters, scrape-time gauges, fixed-bucket latency
 // histograms, a registry that renders everything in the Prometheus
 // text exposition format, and per-query span trees (span.go). It is
 // the measurement substrate of internal/server and cmd/olapserve —
@@ -22,23 +22,8 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous atomic value that may go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBucketsMs is the default latency bucket layout in milliseconds,
 // spanning sub-50µs compile hits to multi-second saturated queues.
@@ -87,9 +72,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count is the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum is the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -173,13 +155,6 @@ func (r *Registry) CounterFunc(name string, f func() uint64) {
 	r.add(metric{name: name, kind: "counter", emit: func(w io.Writer, n string) {
 		fmt.Fprintf(w, "%s %d\n", n, f())
 	}})
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.GaugeFunc(name, func() float64 { return float64(g.Value()) })
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read at scrape time.

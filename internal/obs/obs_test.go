@@ -36,16 +36,15 @@ func wantLine(t *testing.T, lines []string, want string) {
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Errorf("counter = %d, want 42", got)
+	c.Inc()
+	if got := c.Value(); got != 2 {
+		t.Errorf("counter = %d, want 2", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
-	}
+	r := NewRegistry()
+	depth := int64(7)
+	r.GaugeFunc("depth", func() float64 { return float64(depth) })
+	depth -= 3
+	wantLine(t, expositionLines(t, r), "depth 4")
 }
 
 // TestHistogramBucketBoundaries pins the `le` convention: an
@@ -68,7 +67,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	wantLine(t, lines, `x_ms_bucket{le="+Inf"} 5`)
 	wantLine(t, lines, `x_ms_count 5`)
 	wantLine(t, lines, `x_ms_sum 15.5`)
-	if got := h.Count(); got != 5 {
+	if got := h.count.Load(); got != 5 {
 		t.Errorf("Count = %d, want 5", got)
 	}
 	if got := h.Sum(); got != 15.5 {
@@ -104,7 +103,7 @@ func TestHistogramQuantile(t *testing.T) {
 func TestHistogramDefaultBounds(t *testing.T) {
 	h := NewHistogram(nil)
 	h.Observe(0.01) // below the smallest default bound
-	if got := h.Count(); got != 1 {
+	if got := h.count.Load(); got != 1 {
 		t.Errorf("Count = %d, want 1", got)
 	}
 }
@@ -121,9 +120,10 @@ func TestHistogramRejectsNonIncreasingBounds(t *testing.T) {
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("q_total")
-	c.Add(3)
-	g := r.Gauge("depth")
-	g.Set(2)
+	c.Inc()
+	c.Inc()
+	c.Inc()
+	r.GaugeFunc("depth", func() float64 { return 2 })
 	r.GaugeFunc("ratio", func() float64 { return 0.25 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -64,9 +64,6 @@ func (a *AddrSpace) Fork(name string, size uint64) *AddrSpace {
 	return &AddrSpace{next: r.Base, limit: r.Base + size}
 }
 
-// Regions lists all allocations in order.
-func (a *AddrSpace) Regions() []Region { return a.regions }
-
 // TotalBytes is the sum of allocated region sizes.
 func (a *AddrSpace) TotalBytes() uint64 {
 	var t uint64

@@ -52,17 +52,6 @@ func (p *Probe) Reset() {
 	p.Frontend = cpu.Frontend{Machine: p.Machine}
 }
 
-// ResetCounters clears counters but keeps caches and predictor warm,
-// mirroring the paper's warm-up-then-profile measurement protocol.
-func (p *Probe) ResetCounters() {
-	p.Mem.ResetStats()
-	p.Branch.Branches = 0
-	p.Branch.Mispredicts = 0
-	p.Ops = cpu.OpCounts{}
-	p.Frontend.DecodeEvents = 0
-	p.Frontend.Traversals = 0
-}
-
 // Load records a demand load of size bytes at addr.
 func (p *Probe) Load(addr, size uint64) {
 	if p == nil {

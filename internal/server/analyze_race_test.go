@@ -8,8 +8,8 @@ import (
 )
 
 // TestExplainAnalyzeUnderConcurrentLoad drives EXPLAIN ANALYZE while
-// the shared pool is saturated with plain queries — the -race smoke
-// for the probe-section and span paths the analysis walks while pool
+// the scan slots are saturated with plain queries — the -race smoke
+// for the probe-section and span paths the analysis walks while scan
 // workers mutate their own probes and spans concurrently. Beyond not
 // racing, the analysis must stay deterministic under load: every
 // concurrent analysis of the same statement reports the bit-identical

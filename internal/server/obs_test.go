@@ -120,7 +120,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 
 // TestQuerySpanTree pins the per-query trace: queue-wait, plan
 // (annotated with the cache outcome), build, execute with one
-// aggregated span per pool worker, and finalize, all under one root.
+// aggregated span per scan worker, and finalize, all under one root.
 func TestQuerySpanTree(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueryThreads: 2})
 	resp, err := s.Submit(context.Background(), testQueries[0])
@@ -156,9 +156,9 @@ func TestQuerySpanTree(t *testing.T) {
 }
 
 // TestServerExplainAnalyze pins the service-side EXPLAIN ANALYZE
-// contract: it executes (off the shared pool, as the serial reference
+// contract: it executes (off the scan slots, as the serial reference
 // run), reports the analysis in Explain, and its result is
-// bit-identical to the same statement's pooled execution.
+// bit-identical to the same statement's execution on the scan slots.
 func TestServerExplainAnalyze(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 4, QueryThreads: 4})
 	q := testQueries[1]
@@ -177,7 +177,7 @@ func TestServerExplainAnalyze(t *testing.T) {
 		t.Errorf("analyze ran with %d threads, want the serial reference run", resp.Threads)
 	}
 	if !resp.Result.Equal(plain.Result) {
-		t.Errorf("analyzed result %v != pooled result %v", resp.Result, plain.Result)
+		t.Errorf("analyzed result %v != plain result %v", resp.Result, plain.Result)
 	}
 	for _, want := range []string{"predicted vs observed", "operators (observed", "timings (host wall):"} {
 		if !strings.Contains(resp.Explain, want) {

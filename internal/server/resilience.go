@@ -22,12 +22,12 @@ var ErrBreakerOpen = errors.New("server: circuit breaker open: this statement te
 
 // PanicError is a panic recovered inside one query's lifecycle — a
 // scan worker running the query's morsel, the compile path, the
-// fast-path executor, or the session writer. The panic is converted
-// into this per-query error; the process and every other in-flight
-// query are unaffected.
+// fast-path executor, the session writer or the session's command
+// loop. The panic is converted into this per-query (or per-session)
+// error; the process and every other in-flight query are unaffected.
 type PanicError struct {
 	// Op names the frame that recovered: "scan-worker", "plan-compile",
-	// "execute", "query-lifecycle", "session-report".
+	// "execute", "query-lifecycle", "session-report", "session".
 	Op string
 	// Value is the recovered panic value.
 	Value any

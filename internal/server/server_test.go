@@ -95,7 +95,7 @@ func TestServerResultsMatchSerial(t *testing.T) {
 
 // A query served concurrently must also report the same simulated
 // profile as a dedicated parallel run at the same thread count —
-// sharing the pool may delay it, never distort it.
+// sharing the scan slots may delay it, never distort it.
 func TestServerProfileMatchesDedicatedParallel(t *testing.T) {
 	d, m := testDB()
 	s := newTestServer(t, Config{Workers: 4, QueryThreads: 4})
@@ -104,7 +104,7 @@ func TestServerProfileMatchesDedicatedParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Load the pool with neighbors so the morsels genuinely interleave.
+	// Load the scan slots with neighbors so the morsels genuinely interleave.
 	var wg sync.WaitGroup
 	for _, other := range testQueries[1:] {
 		wg.Add(1)
@@ -127,10 +127,10 @@ func TestServerProfileMatchesDedicatedParallel(t *testing.T) {
 		t.Fatalf("threads %d != dedicated %d", resp.Threads, dedicated.Threads)
 	}
 	if resp.Profile.Seconds != dedicated.Profile.Seconds {
-		t.Errorf("shared-pool profile %.9fs != dedicated %.9fs", resp.Profile.Seconds, dedicated.Profile.Seconds)
+		t.Errorf("shared-slot profile %.9fs != dedicated %.9fs", resp.Profile.Seconds, dedicated.Profile.Seconds)
 	}
 	if resp.Profile.Instructions != dedicated.Profile.Instructions {
-		t.Errorf("shared-pool uops %d != dedicated %d", resp.Profile.Instructions, dedicated.Profile.Instructions)
+		t.Errorf("shared-slot uops %d != dedicated %d", resp.Profile.Instructions, dedicated.Profile.Instructions)
 	}
 }
 
@@ -394,13 +394,13 @@ func TestServerConfigDefaults(t *testing.T) {
 		cfg.MaxQueue != 32 || cfg.PlanCache != 64 || cfg.Engine != "auto" {
 		t.Errorf("unexpected defaults: %+v", cfg)
 	}
-	// Per-query thread overrides clamp to the pool size.
+	// Per-query thread overrides clamp to the scan-slot count.
 	resp, err := s.Submit(context.Background(), "select count(*) from lineitem", WithThreads(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Threads > cfg.Workers {
-		t.Errorf("threads %d exceeded the pool size %d", resp.Threads, cfg.Workers)
+		t.Errorf("threads %d exceeded the %d scan slots", resp.Threads, cfg.Workers)
 	}
 }
 

@@ -84,12 +84,21 @@ const maxPrepared = 256
 // ServeSession speaks the protocol on r/w until quit or EOF; it
 // returns the reader's error, if any. Submissions it accepted are
 // waited for before it returns (canceled instead if the peer is
-// gone).
-func (s *Server) ServeSession(r io.Reader, w io.Writer) error {
+// gone). A panic in the command loop, which runs on the connection's
+// goroutine outside every query's barrier, ends only this session: it
+// cancels the session's submissions and returns a *PanicError.
+func (s *Server) ServeSession(r io.Reader, w io.Writer) (err error) {
 	ses := &Session{srv: s, out: bufio.NewWriter(w)}
 	ses.ctx, ses.cancel = context.WithCancel(context.Background())
 	defer ses.cancel()
 	defer ses.pending.Wait()
+	defer func() {
+		if v := recover(); v != nil {
+			s.tel.Panics.Inc()
+			ses.cancel()
+			err = newPanicError("session", v)
+		}
+	}()
 	in := bufio.NewScanner(r)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	for in.Scan() {

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -383,5 +385,38 @@ func TestSessionDeadPeerCancels(t *testing.T) {
 	}
 	if st.Completed+st.Canceled != st.Submitted {
 		t.Errorf("submissions unaccounted for: %+v", st)
+	}
+}
+
+// panicReader serves r, then panics where it would report EOF: a fault
+// in the connection's command loop, outside any query.
+type panicReader struct{ r io.Reader }
+
+func (p panicReader) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	if err == io.EOF {
+		panic("reader exploded")
+	}
+	return n, err
+}
+
+// A panic in the command loop ends that session with a PanicError and
+// a counted recovery; the process and later sessions keep serving.
+func TestSessionCommandLoopPanicRecovered(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	var out strings.Builder
+	err := s.ServeSession(panicReader{strings.NewReader("stats\n")}, &out)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Op != "session" {
+		t.Fatalf("ServeSession = %v, want a *PanicError from op session", err)
+	}
+	if !strings.HasPrefix(out.String(), "stats ") {
+		t.Errorf("lines before the panic must be served:\n%s", out.String())
+	}
+	if got := s.Stats().PanicsRecovered; got != 1 {
+		t.Errorf("PanicsRecovered = %d, want 1", got)
+	}
+	if !regexp.MustCompile(`(?m)^result id=\d+ ok `).MatchString(serve(t, s, "query select count(*) from nation\nquit")) {
+		t.Error("a later session must still be served")
 	}
 }

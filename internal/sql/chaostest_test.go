@@ -45,7 +45,7 @@ type chaosSchedule struct {
 	// mod/rem select which statement texts fire (hash%mod == rem).
 	mod, rem uint64
 	// measuredOnly pins every submission to the measured path (the
-	// pool-site faults never trigger on fast vectorized queries).
+	// scan-slot faults never trigger on fast vectorized queries).
 	measuredOnly bool
 	// breaks reports whether a faulted query is expected to fail; slow
 	// morsels and eviction storms must be invisible in results.
@@ -85,11 +85,11 @@ func TestChaosDifferentialStreams(t *testing.T) {
 		// submission that owns the flight (and any waiter sharing it) with
 		// a PanicError, trips no breaker and strands no key.
 		{name: "compile-panic", p: faults.CompilePanic, mod: 4, rem: 3, breaks: true},
-		// A panic mid-execution — on a pool slot's morsel for measured
+		// A panic mid-execution — on a scan slot's morsel for measured
 		// queries, in the fast executor otherwise — becomes that one
 		// query's PanicError and nothing else's.
 		{name: "worker-panic", p: faults.WorkerPanic, mod: 4, rem: 2, breaks: true, exactCount: true},
-		// A stalled morsel reorders pool scheduling but must never
+		// A stalled morsel reorders scan-slot scheduling but must never
 		// reorder arithmetic: zero failures, all results exact.
 		{name: "slow-morsel", p: faults.SlowMorsel, mod: 3, rem: 0, measuredOnly: true},
 		// Purging the whole plan cache ahead of ~a third of lookups
@@ -158,7 +158,7 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 			defer wg.Done()
 			for i := s; i < len(corpus); i += streams {
 				// Alternate measured and profile-free fast submissions
-				// unless the schedule's fault lives on the pool path.
+				// unless the schedule's fault lives on the scan-slot path.
 				var opts []server.SubmitOption
 				if !sch.measuredOnly && i%2 == 1 {
 					opts = append(opts, server.WithFast())
@@ -198,7 +198,7 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 	}
 
 	// The server must come out drained and self-consistent: every
-	// submission accounted a final outcome, nothing stuck on the pool.
+	// submission accounted a final outcome, nothing stuck on a scan slot.
 	st := srv.Stats()
 	if got := st.Completed + st.Failed + st.Canceled; got != uint64(len(corpus)) {
 		t.Errorf("outcomes sum to %d, want the corpus size %d", got, len(corpus))

@@ -21,9 +21,6 @@ func NewColI64(as *probe.AddrSpace, name string, v []int64) ColI64 {
 // Addr returns the simulated address of element i.
 func (c ColI64) Addr(i int) uint64 { return c.R.Base + uint64(i)*8 }
 
-// Bytes is the column's total size.
-func (c ColI64) Bytes() uint64 { return uint64(len(c.V)) * 8 }
-
 // ColI8 is a byte column bound to a simulated address region.
 type ColI8 struct {
 	V []byte
@@ -37,9 +34,6 @@ func NewColI8(as *probe.AddrSpace, name string, v []byte) ColI8 {
 
 // Addr returns the simulated address of element i.
 func (c ColI8) Addr(i int) uint64 { return c.R.Base + uint64(i) }
-
-// Bytes is the column's total size.
-func (c ColI8) Bytes() uint64 { return uint64(len(c.V)) }
 
 // ColStr is a string column bound to a simulated address region; the
 // region is sized as the sum of string lengths (a packed heap), and
@@ -68,14 +62,10 @@ func (c ColStr) Addr(i int) uint64 { return c.R.Base + c.offs[i] }
 // Len returns the byte length of string i.
 func (c ColStr) Len(i int) uint64 { return c.offs[i+1] - c.offs[i] }
 
-// Bytes is the heap's total size.
-func (c ColStr) Bytes() uint64 { return c.offs[len(c.V)] }
-
 // RowHeap is a row-major table image for the row-store engine: rows of
 // fixed RowBytes width stored back to back (slotted-page layout with
 // the page directory folded into the row width).
 type RowHeap struct {
-	Rows     int
 	RowBytes uint64
 	R        probe.Region
 }
@@ -83,7 +73,6 @@ type RowHeap struct {
 // NewRowHeap allocates a heap of rows*rowBytes bytes.
 func NewRowHeap(as *probe.AddrSpace, name string, rows int, rowBytes uint64) RowHeap {
 	return RowHeap{
-		Rows:     rows,
 		RowBytes: rowBytes,
 		R:        as.Alloc(name, uint64(rows)*rowBytes),
 	}
@@ -91,6 +80,3 @@ func NewRowHeap(as *probe.AddrSpace, name string, rows int, rowBytes uint64) Row
 
 // Addr returns the simulated address of row i.
 func (h RowHeap) Addr(i int) uint64 { return h.R.Base + uint64(i)*h.RowBytes }
-
-// Bytes is the heap's total size.
-func (h RowHeap) Bytes() uint64 { return uint64(h.Rows) * h.RowBytes }

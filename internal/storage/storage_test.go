@@ -9,8 +9,8 @@ import (
 func TestColI64Addressing(t *testing.T) {
 	as := probe.NewAddrSpace()
 	c := NewColI64(as, "c", []int64{1, 2, 3, 4})
-	if c.Bytes() != 32 {
-		t.Fatalf("Bytes = %d", c.Bytes())
+	if c.R.Size != 32 {
+		t.Fatalf("region size = %d", c.R.Size)
 	}
 	if c.Addr(2)-c.Addr(0) != 16 {
 		t.Fatal("element stride must be 8 bytes")
@@ -23,8 +23,8 @@ func TestColI64Addressing(t *testing.T) {
 func TestColI8Addressing(t *testing.T) {
 	as := probe.NewAddrSpace()
 	c := NewColI8(as, "c", []byte{1, 2, 3})
-	if c.Bytes() != 3 {
-		t.Fatalf("Bytes = %d", c.Bytes())
+	if c.R.Size != 3 {
+		t.Fatalf("region size = %d", c.R.Size)
 	}
 	if c.Addr(2)-c.Addr(1) != 1 {
 		t.Fatal("byte column stride must be 1")
@@ -34,8 +34,8 @@ func TestColI8Addressing(t *testing.T) {
 func TestColStrPackedHeap(t *testing.T) {
 	as := probe.NewAddrSpace()
 	c := NewColStr(as, "c", []string{"ab", "cde", ""})
-	if c.Bytes() != 5 {
-		t.Fatalf("Bytes = %d", c.Bytes())
+	if c.R.Size != 5 {
+		t.Fatalf("region size = %d", c.R.Size)
 	}
 	if c.Len(0) != 2 || c.Len(1) != 3 || c.Len(2) != 0 {
 		t.Fatal("string lengths wrong")
@@ -48,8 +48,8 @@ func TestColStrPackedHeap(t *testing.T) {
 func TestRowHeapAddressing(t *testing.T) {
 	as := probe.NewAddrSpace()
 	h := NewRowHeap(as, "t", 100, 136)
-	if h.Bytes() != 13600 {
-		t.Fatalf("Bytes = %d", h.Bytes())
+	if h.R.Size != 13600 {
+		t.Fatalf("region size = %d", h.R.Size)
 	}
 	if h.Addr(3)-h.Addr(2) != 136 {
 		t.Fatal("row stride must equal RowBytes")

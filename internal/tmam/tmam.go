@@ -61,33 +61,6 @@ func (b Breakdown) StallShares() (execution, dcache, decoding, icache, branch fl
 	return b.Execution / s, b.Dcache / s, b.Decoding / s, b.Icache / s, b.BranchMisp / s
 }
 
-// Scale multiplies every component by f (used to convert shares of
-// cycles into shares of wall-clock milliseconds).
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		Total:      b.Total * f,
-		Retiring:   b.Retiring * f,
-		BranchMisp: b.BranchMisp * f,
-		Icache:     b.Icache * f,
-		Decoding:   b.Decoding * f,
-		Dcache:     b.Dcache * f,
-		Execution:  b.Execution * f,
-	}
-}
-
-// Add returns the component-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Total:      b.Total + o.Total,
-		Retiring:   b.Retiring + o.Retiring,
-		BranchMisp: b.BranchMisp + o.BranchMisp,
-		Icache:     b.Icache + o.Icache,
-		Decoding:   b.Decoding + o.Decoding,
-		Dcache:     b.Dcache + o.Dcache,
-		Execution:  b.Execution + o.Execution,
-	}
-}
-
 // String renders the two-level breakdown as percentages.
 func (b Breakdown) String() string {
 	var sb strings.Builder
@@ -288,15 +261,6 @@ type Profile struct {
 
 // Milliseconds is the run time in ms.
 func (p Profile) Milliseconds() float64 { return p.Seconds * 1e3 }
-
-// TimeBreakdown scales the cycle breakdown to milliseconds, the form
-// Figures 17-20 and 26 plot.
-func (p Profile) TimeBreakdown() Breakdown {
-	if p.Breakdown.Total == 0 {
-		return Breakdown{}
-	}
-	return p.Breakdown.Scale(p.Milliseconds() / p.Breakdown.Total)
-}
 
 // Account converts a probed run into a Profile with default ceilings.
 func Account(p *probe.Probe, params Params) Profile {

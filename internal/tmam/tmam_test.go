@@ -25,18 +25,6 @@ func TestBreakdownSumsAndRatios(t *testing.T) {
 	}
 }
 
-func TestBreakdownScaleAdd(t *testing.T) {
-	b := Breakdown{Total: 10, Retiring: 4, Dcache: 6}
-	s := b.Scale(2)
-	if s.Total != 20 || s.Retiring != 8 || s.Dcache != 12 {
-		t.Fatalf("Scale: %+v", s)
-	}
-	a := b.Add(b)
-	if a.Total != 20 || a.Retiring != 8 {
-		t.Fatalf("Add: %+v", a)
-	}
-}
-
 func TestBreakdownZeroSafe(t *testing.T) {
 	var b Breakdown
 	if b.StallRatio() != 0 || b.RetiringRatio() != 0 {
@@ -177,15 +165,6 @@ func TestBreakdownComponentsSumToTotal(t *testing.T) {
 	bd := prof.Breakdown
 	if math.Abs(bd.Retiring+bd.Stall()-bd.Total) > 1e-6*bd.Total {
 		t.Fatalf("components %v + %v != total %v", bd.Retiring, bd.Stall(), bd.Total)
-	}
-}
-
-func TestTimeBreakdownMatchesMilliseconds(t *testing.T) {
-	m := hw.Broadwell()
-	prof := AccountInputs(computeOnly(m, 1<<20), Params{})
-	tb := prof.TimeBreakdown()
-	if math.Abs(tb.Total-prof.Milliseconds()) > 1e-9 {
-		t.Fatalf("time breakdown total %v != %v ms", tb.Total, prof.Milliseconds())
 	}
 }
 
