@@ -281,8 +281,8 @@ func (w *sectionWalker) checkReturn(pos token.Pos, states []secState) {
 }
 
 // nilGuardedSections recognizes `if x != nil { <only section calls> }`
-// (no else): the probe's methods nil-gate internally, so the guard is
-// equivalent to executing the body unconditionally.
+// (no else): a nil probe has no sections to open or close, so the guard
+// is equivalent to executing the body unconditionally.
 func nilGuardedSections(s *ast.IfStmt) bool {
 	if s.Else != nil {
 		return false

@@ -40,8 +40,11 @@ const DefaultMorselRows = 16384
 // addresses, far past any group table a planner estimate can size.
 const WorkerWindow = 1 << 36
 
-// Scan describes one engine scan for Run: everything but the scan step
-// itself, which Run takes from its caller.
+// Scan describes one measured engine scan for Run: everything but the
+// scan step itself, which Run takes from its caller. Every scan is
+// measured — the build phase and every worker carry a probe, a
+// simulated core — because a profile is the only reason to run the
+// engines; fast mode's answers come from relop.FastPlan.
 type Scan struct {
 	Machine  *hw.Machine
 	Pipeline *relop.Pipeline
@@ -52,13 +55,6 @@ type Scan struct {
 	// Threads is the worker count, clamped to [1, 2 x cores-per-socket]
 	// (see ClampThreads) and to the morsel count.
 	Threads int
-	// Measured attaches a probe — a simulated core — to the build phase
-	// and to every worker and accounts them into the Result. A
-	// profile-free run (false) executes the identical computation with
-	// nil probes, whose event hooks are no-ops: same morsel partition,
-	// same merge, bit-identical answer, and a Result carrying only
-	// Result, Threads and Morsels.
-	Measured bool
 	// Name prefixes the workers' address-space forks (Name0, Name1, ...).
 	Name string
 	// Trace, when non-nil, receives the "build" and "finalize" phase
@@ -181,16 +177,9 @@ func ClampThreads(m *hw.Machine, threads int) int {
 // profile reproducible regardless of how the host schedules the scan.
 func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Result, error) {
 	threads := ClampThreads(s.Machine, s.Threads)
-	newProbe := func() *probe.Probe {
-		if !s.Measured {
-			return nil
-		}
-		return probe.New(s.Machine, mem.AllPrefetchers())
-	}
-
 	end := s.phase("build")
 	as := probe.NewAddrSpace()
-	buildProbe := newProbe()
+	buildProbe := probe.New(s.Machine, mem.AllPrefetchers())
 	prep, err := s.Prepare(buildProbe, as)
 	end()
 	if err != nil {
@@ -208,7 +197,7 @@ func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Re
 	probes := make([]*probe.Probe, threads)
 	workers := make([]relop.Worker, threads)
 	for t := range workers {
-		probes[t] = newProbe()
+		probes[t] = probe.New(s.Machine, mem.AllPrefetchers())
 		workers[t] = prep.NewWorker(probes[t], as.Fork(fmt.Sprintf("%s%d", s.Name, t), WorkerWindow))
 	}
 
@@ -222,9 +211,6 @@ func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Re
 		partials[t] = w.Partial()
 	}
 	merged := relop.FinalizeProbed(buildProbe, s.Pipeline, partials)
-	if !s.Measured {
-		return &Result{Threads: threads, Morsels: len(morsels), Result: merged}, nil
-	}
 	return assemble(s.Machine, buildProbe, probes, merged, len(morsels)), nil
 }
 

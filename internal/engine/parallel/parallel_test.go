@@ -55,7 +55,7 @@ func run(t *testing.T, engName, query string, threads int) *parallel.Result {
 	}
 	r, err := parallel.Run(parallel.Scan{
 		Machine: m, Pipeline: c.Pipeline, Prepare: c.Prepare,
-		Threads: threads, Measured: true, Name: "parallel.worker",
+		Threads: threads, Name: "parallel.worker",
 	}, parallel.Dedicated)
 	if err != nil {
 		t.Fatalf("parallel run x%d: %v", threads, err)
@@ -204,25 +204,21 @@ func (panicWorker) RunMorsel(start, end int) { panic("morsel boom") }
 func (panicWorker) Partial() *relop.Partial  { return &relop.Partial{} }
 
 // A worker panic must re-surface on the goroutine that called Run —
-// where a recover barrier can convert it — for the measured and the
-// probe-free fleet alike, not kill the process from a worker frame.
+// where a recover barrier can convert it — not kill the process from a
+// worker frame.
 func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 	_, m := pt(t)
-	for _, measured := range []bool{true, false} {
-		func() {
-			defer func() {
-				if r := recover(); r != "morsel boom" {
-					t.Errorf("measured=%v: recovered %v on the caller, want the worker's panic", measured, r)
-				}
-			}()
-			_, err := parallel.Run(parallel.Scan{
-				Machine: m,
-				Prepare: func(*probe.Probe, *probe.AddrSpace) (relop.Prepared, error) { return panicPrepared{}, nil },
-				Threads: 2, Measured: measured, Name: "panic.worker",
-			}, parallel.Dedicated)
-			t.Errorf("measured=%v: Run returned (err %v) past a panicking worker", measured, err)
-		}()
-	}
+	defer func() {
+		if r := recover(); r != "morsel boom" {
+			t.Errorf("recovered %v on the caller, want the worker's panic", r)
+		}
+	}()
+	_, err := parallel.Run(parallel.Scan{
+		Machine: m,
+		Prepare: func(*probe.Probe, *probe.AddrSpace) (relop.Prepared, error) { return panicPrepared{}, nil },
+		Threads: 2, Name: "panic.worker",
+	}, parallel.Dedicated)
+	t.Errorf("Run returned (err %v) past a panicking worker", err)
 }
 
 // Strided is the one partition every scan shares: each morsel is

@@ -1,24 +1,25 @@
-// fast.go is the profile-free vectorized executor behind fast mode.
+// fast.go is the profile-free vectorized executor behind fast mode, and
+// fast mode's only executor.
 //
-// CompileFast lowers a join-free Pipeline onto flat column slices and
+// CompileFast lowers a Pipeline onto flat column slices and
 // closure-compiled vector kernels: filter conjuncts compact a selection
 // vector branchlessly, expressions evaluate chunk-at-a-time into reused
-// buffers, and grouping runs an open-addressing table hashed on the
-// same mixed GroupKey the engines bucket with (group identity stays the
-// full key tuple). No probes, no simulated events, no per-row
-// interpretation — this is what the same scan costs when only the
+// buffers, joins probe build-side indexes made once per plan
+// (fastjoin.go), and grouping runs an open-addressing table hashed on
+// the same mixed GroupKey the engines bucket with (group identity stays
+// the full key tuple). No probes, no simulated events, no per-row
+// interpretation — this is what the same query costs when only the
 // answer matters, the headroom the measured profiles quantify.
 //
 // The partials it produces feed the shared FinalizeProbed, so a fast
 // Result is bit-identical to a measured run's at any thread count or
 // partitioning: integer aggregation commutes (sums wrap, min/max/count
 // are order-free) and the result checksum is order-insensitive by
-// construction. Pipelines with joins compile to no plan; fast execution
-// then falls back to the engines' nil-probe worker path, which runs
-// every shape.
+// construction.
 package relop
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -51,10 +52,11 @@ type selKernel func(w *fastWorker, rows []int32) []int32
 // through.
 type rangeSelKernel func(lo, hi int32, out []int32) []int32
 
-// FastPlan is a join-free pipeline compiled for probe-free execution.
-// It is immutable after CompileFast and safe for any number of
-// concurrent Execute calls; workers (selection vectors, value buffers,
-// group tables) are pooled and reset between executions.
+// FastPlan is a pipeline compiled for probe-free execution, its join
+// build sides indexed. It is immutable after CompileFast and safe for
+// any number of concurrent Execute calls; workers (selection vectors,
+// value buffers, group tables) are pooled and reset between
+// executions.
 type FastPlan struct {
 	pl       *Pipeline
 	rows     int
@@ -63,6 +65,7 @@ type FastPlan struct {
 	tableCap uint64
 	filter0  rangeSelKernel
 	filter   []selKernel
+	joins    []fastJoin
 	keys     []vecKernel
 	aggs     []fastAgg
 	nbufs    int
@@ -125,14 +128,23 @@ type fastAgg struct {
 }
 
 // CompileFast compiles pl, resolved against b, into a vectorized
-// probe-free executor. It returns nil when the pipeline's shape is not
-// specialized — joins, or a driver too large for 32-bit row indexes —
-// and the caller falls back to the engines' nil-probe path.
-func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
-	if len(pl.Joins) > 0 || pl.Tables[0].Rows > math.MaxInt32 {
-		return nil
+// probe-free executor: every pipeline Validate accepts, joins included.
+// Each join's build side is filtered and indexed here, once, and the
+// plan keeps the index, so every Execute of it — concurrent ones
+// included — only probes. Beyond Validate's errors it refuses one shape:
+// a table of more than MaxInt32 rows, which 32-bit row ids cannot
+// address (the planner drives the largest table, so in practice a
+// driver past SF 350).
+func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
+	if err := pl.Validate(); err != nil {
+		return nil, err
 	}
-	fc := &fastCompiler{pl: pl, b: b, ok: true}
+	for _, t := range pl.Tables {
+		if t.Rows > math.MaxInt32 {
+			return nil, fmt.Errorf("relop: fast mode addresses rows with 32 bits; table %s has %d rows", t.Name, t.Rows)
+		}
+	}
+	fc := &fastCompiler{pl: pl, b: b}
 	p := &FastPlan{
 		pl:      pl,
 		rows:    pl.Tables[0].Rows,
@@ -140,6 +152,9 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 		nkeys:   len(pl.GroupBy),
 	}
 	conds, rest, never := fc.pred(pl.Filter)
+	for ji := range pl.Joins {
+		p.joins = append(p.joins, fc.join(ji))
+	}
 	for _, g := range pl.GroupBy {
 		p.keys = append(p.keys, fc.kernel(fc.expr(g)))
 	}
@@ -169,10 +184,6 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 			fa.seed = math.MinInt64
 		}
 		if a.Kind != AggCount {
-			if a.Arg == nil {
-				fc.ok = false
-				break
-			}
 			fe := fc.expr(a.Arg)
 			fa.i64, fa.i8 = fe.i64, fe.i8
 			if fa.i64 == nil && fa.i8 == nil {
@@ -181,15 +192,12 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 		}
 		p.aggs = append(p.aggs, fa)
 	}
-	if !fc.ok {
-		return nil
-	}
 	switch {
 	case never:
 		// Some conjunct excludes every present value: nothing matches,
 		// whatever the other conjuncts say.
 		p.filter0 = neverMatch
-	case len(rest) == 0:
+	case len(rest) == 0 && len(p.joins) == 0:
 		p.fused = p.fuse(conds)
 	}
 	if p.filter0 == nil && p.fused == nil {
@@ -208,7 +216,7 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 		cap <<= 1
 	}
 	p.tableCap = cap
-	return p
+	return p, nil
 }
 
 // fuse lowers the plan to its one-pass dense form, or nil when the
@@ -323,12 +331,21 @@ func (p *FastPlan) worker(pooled bool) *fastWorker {
 			w.denseTab = make([]int32, size)
 		}
 	}
-	w.scratch = make([][]int64, p.nbufs)
-	for i := range w.scratch {
-		w.scratch[i] = make([]int64, fastChunk)
+	w.scratch = scratchBufs(p.nbufs)
+	if len(p.joins) > 0 {
+		w.initJoins()
 	}
 	w.resetScalars()
 	return w
+}
+
+// scratchBufs allocates n chunk-sized scratch buffers.
+func scratchBufs(n int) [][]int64 {
+	s := make([][]int64, n)
+	for i := range s {
+		s[i] = make([]int64, fastChunk)
+	}
+	return s
 }
 
 // fastWorker is one execution's thread-local state: selection and value
@@ -356,6 +373,11 @@ type fastWorker struct {
 	fAcc     [][]int64
 	fSeen    []byte
 	fTouched []int32
+	// Joined plans: lv holds one tuple batch per join level, and rv is
+	// the row vectors of the batch the kernels are reading, which a
+	// joined table's column leaves gather through.
+	lv []joinLevel
+	rv [][]int32
 }
 
 func (w *fastWorker) reset() {
@@ -387,7 +409,7 @@ func (w *fastWorker) resetScalars() {
 }
 
 // run scans driver rows [start, end) chunk by chunk: filter to a
-// selection vector, then fold the survivors.
+// selection vector, probe the joins, then fold the survivors.
 func (w *fastWorker) run(start, end int) {
 	p := w.p
 	if p.fused != nil {
@@ -395,34 +417,47 @@ func (w *fastWorker) run(start, end int) {
 		return
 	}
 	for lo := start; lo < end; lo += fastChunk {
-		hi := lo + fastChunk
-		if hi > end {
-			hi = end
+		sel := w.selectChunk(p.filter0, p.filter, lo, min(lo+fastChunk, end))
+		switch {
+		case len(sel) == 0:
+		case len(p.joins) > 0:
+			w.lv[0].rv[0] = sel
+			w.probe(0, len(sel))
+		default:
+			w.fold(sel)
 		}
-		var sel []int32
-		if p.filter0 != nil {
-			sel = p.filter0(int32(lo), int32(hi), w.selBuf)
-		} else {
-			sel = w.selBuf[:hi-lo]
-			for i := range sel {
-				sel[i] = int32(lo + i)
-			}
+	}
+}
+
+// selectChunk filters rows [lo, hi) of the table f0 and fs were
+// compiled over: the range kernel (or every row), then each refining
+// kernel on the rows still selected.
+func (w *fastWorker) selectChunk(f0 rangeSelKernel, fs []selKernel, lo, hi int) []int32 {
+	var sel []int32
+	if f0 != nil {
+		sel = f0(int32(lo), int32(hi), w.selBuf)
+	} else {
+		sel = w.selBuf[:hi-lo]
+		for i := range sel {
+			sel[i] = int32(lo + i)
 		}
-		for _, f := range p.filter {
-			if len(sel) == 0 {
-				break
-			}
-			sel = f(w, sel)
-		}
+	}
+	for _, f := range fs {
 		if len(sel) == 0 {
-			continue
+			break
 		}
-		w.matched += int64(len(sel))
-		if p.grouped {
-			w.foldGroups(sel)
-		} else {
-			w.foldScalar(sel)
-		}
+		sel = f(w, sel)
+	}
+	return sel
+}
+
+// fold aggregates one batch of selected (and joined) rows.
+func (w *fastWorker) fold(sel []int32) {
+	w.matched += int64(len(sel))
+	if w.p.grouped {
+		w.foldGroups(sel)
+	} else {
+		w.foldScalar(sel)
 	}
 }
 
@@ -870,12 +905,15 @@ func (g *fastGroups) grow() {
 }
 
 // fastCompiler lowers expressions and predicates to kernels, assigning
-// scratch buffer slots as general shapes need them.
+// scratch buffer slots as general shapes need them. Column leaves of
+// table tab — the driver, or the build side being indexed — read the
+// row a kernel is handed; any other table's gather through the row
+// vectors of the join stage.
 type fastCompiler struct {
 	pl    *Pipeline
 	b     *Bound
+	tab   int
 	nbufs int
-	ok    bool
 }
 
 func (fc *fastCompiler) buf() int {
@@ -894,7 +932,7 @@ type fexpr struct {
 	conV int64
 	i64  []int64
 	i8   []byte
-	col  int // a bare column's index in the driver table
+	col  int // a bare column's index in the compiler's table
 }
 
 // kernel materializes an fexpr into a plain evaluation kernel.
@@ -930,11 +968,13 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 	case OpConst:
 		return fexpr{con: true, conV: e.Val}
 	case OpCol:
-		if e.Tab != 0 {
-			fc.ok = false
-			return fexpr{con: true}
+		c := fc.b.Tables[e.Tab][e.Col]
+		if e.Tab != fc.tab {
+			if c.Kind == I8 {
+				return fexpr{eval: gatherCol(e.Tab, c.I8.V)}
+			}
+			return fexpr{eval: gatherCol(e.Tab, c.I64.V)}
 		}
-		c := fc.b.Tables[0][e.Col]
 		if c.Kind == I8 {
 			return fexpr{i8: c.I8.V, col: e.Col}
 		}
@@ -1260,7 +1300,7 @@ const (
 // assembled by hand — is scanned here.
 func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
 	if d := fc.b.Data; d != nil {
-		if mn, mx, ok := d.Extremes(fc.pl.Tables[0].Cols[x.col].Name); ok {
+		if mn, mx, ok := d.Extremes(fc.pl.Tables[fc.tab].Cols[x.col].Name); ok {
 			return mn, mx, true
 		}
 	}
@@ -1454,8 +1494,7 @@ func gatherSpan[T int64 | byte](v []T, c spanCond) selKernel {
 
 // sel compiles one conjunct into a selection-refining kernel.
 func (fc *fastCompiler) sel(p *Pred) selKernel {
-	switch p.Op {
-	case PredCmp:
+	if p.Op == PredCmp {
 		a, b := fc.expr(p.A), fc.expr(p.B)
 		op := p.Cmp
 		if a.con && !b.con {
@@ -1482,29 +1521,26 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 			}
 			return rows[:m]
 		}
-	case PredBetween:
-		x, lo, hi := fc.expr(p.A), fc.expr(p.B), fc.expr(p.C)
-		kx, kl, kh := fc.kernel(x), fc.kernel(lo), fc.kernel(hi)
-		ix, il, ih := fc.buf(), fc.buf(), fc.buf()
-		return func(w *fastWorker, rows []int32) []int32 {
-			n := len(rows)
-			xv, lv, hv := w.scratch[ix][:n], w.scratch[il][:n], w.scratch[ih][:n]
-			kx(w, rows, xv)
-			kl(w, rows, lv)
-			kh(w, rows, hv)
-			m := 0
-			for i := 0; i < n; i++ {
-				rows[m] = rows[i]
-				if xv[i] >= lv[i] && xv[i] <= hv[i] {
-					m++
-				}
-			}
-			return rows[:m]
-		}
 	}
-	// PredAnd cannot reach here: Conjuncts flattened it.
-	fc.ok = false
-	return nil
+	// PredBetween: Conjuncts flattened every PredAnd.
+	x, lo, hi := fc.expr(p.A), fc.expr(p.B), fc.expr(p.C)
+	kx, kl, kh := fc.kernel(x), fc.kernel(lo), fc.kernel(hi)
+	ix, il, ih := fc.buf(), fc.buf(), fc.buf()
+	return func(w *fastWorker, rows []int32) []int32 {
+		n := len(rows)
+		xv, lv, hv := w.scratch[ix][:n], w.scratch[il][:n], w.scratch[ih][:n]
+		kx(w, rows, xv)
+		kl(w, rows, lv)
+		kh(w, rows, hv)
+		m := 0
+		for i := 0; i < n; i++ {
+			rows[m] = rows[i]
+			if xv[i] >= lv[i] && xv[i] <= hv[i] {
+				m++
+			}
+		}
+		return rows[:m]
+	}
 }
 
 // constSel keeps everything or nothing.

@@ -17,20 +17,26 @@ type fastCol struct {
 	i8   []byte
 }
 
-// fastFixture builds a single-table pipeline input over the columns.
-func fastFixture(rows int, cols ...fastCol) (TableRef, *Bound) {
+// tableFixture binds one synthetic table over the columns.
+func tableFixture(name string, rows int, cols ...fastCol) (TableRef, []Col) {
 	as := probe.NewAddrSpace()
-	tr := TableRef{Name: "t", Rows: rows}
+	tr := TableRef{Name: name, Rows: rows}
 	var bound []Col
 	for _, c := range cols {
 		if c.i64 != nil {
 			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I64})
-			bound = append(bound, Col{Kind: I64, I64: storage.NewColI64(as, "t."+c.name, c.i64)})
+			bound = append(bound, Col{Kind: I64, I64: storage.NewColI64(as, name+"."+c.name, c.i64)})
 		} else {
 			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I8})
-			bound = append(bound, Col{Kind: I8, I8: storage.NewColI8(as, "t."+c.name, c.i8)})
+			bound = append(bound, Col{Kind: I8, I8: storage.NewColI8(as, name+"."+c.name, c.i8)})
 		}
 	}
+	return tr, bound
+}
+
+// fastFixture builds a single-table pipeline input over the columns.
+func fastFixture(rows int, cols ...fastCol) (TableRef, *Bound) {
+	tr, bound := tableFixture("t", rows, cols...)
 	return tr, &Bound{Tables: [][]Col{bound}}
 }
 
@@ -65,8 +71,9 @@ func naiveFold(k AggKind, acc, v int64) int64 {
 }
 
 // naiveResult executes the pipeline row-at-a-time through the plan
-// tree's own Eval methods and finalizes the single partial — the
-// reference every fast execution must match bit-for-bit.
+// tree's own Eval methods — the driver filter, then every join as a
+// nested loop over its whole build table — and finalizes the single
+// partial: the reference every fast execution must match bit-for-bit.
 func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 	part := &Partial{Scalar: make([]int64, len(pl.Aggs))}
 	for ai, a := range pl.Aggs {
@@ -78,11 +85,19 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 		part.Scalar = nil
 	}
 	seen := map[string]int{}
-	rows := []int{0}
-	for r := 0; r < pl.Tables[0].Rows; r++ {
-		rows[0] = r
-		if pl.Filter != nil && !pl.Filter.Eval(b, rows) {
-			continue
+	rows := make([]int, len(pl.Tables))
+	var join func(ji int)
+	join = func(ji int) {
+		if ji < len(pl.Joins) {
+			j := pl.Joins[ji]
+			key := j.ProbeKey.Eval(b, rows)
+			for r := 0; r < pl.Tables[j.Build].Rows; r++ {
+				rows[j.Build] = r
+				if (j.BuildFilter == nil || j.BuildFilter.Eval(b, rows)) && j.BuildKey.Eval(b, rows) == key {
+					join(ji + 1)
+				}
+			}
+			return
 		}
 		part.Matched++
 		if !grouped {
@@ -93,7 +108,7 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 				}
 				part.Scalar[ai] = naiveFold(a.Kind, part.Scalar[ai], v)
 			}
-			continue
+			return
 		}
 		tuple := make([]int64, len(pl.GroupBy))
 		for k, g := range pl.GroupBy {
@@ -114,6 +129,12 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 				v = a.Arg.Eval(b, rows)
 			}
 			part.Aggs[ai][gi] = naiveFold(a.Kind, part.Aggs[ai][gi], v)
+		}
+	}
+	for r := 0; r < pl.Tables[0].Rows; r++ {
+		rows[0] = r
+		if pl.Filter == nil || pl.Filter.Eval(b, rows) {
+			join(0)
 		}
 	}
 	return FinalizeProbed(nil, pl, []*Partial{part})
@@ -254,9 +275,9 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.pl.Tables = []TableRef{tr}
-			p := CompileFast(tc.pl, bound)
-			if p == nil {
-				t.Fatal("CompileFast declined a join-free pipeline")
+			p, err := CompileFast(tc.pl, bound)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if (p.fused != nil) != tc.fused {
 				t.Errorf("fused executor engaged = %v, want %v", p.fused != nil, tc.fused)
@@ -288,29 +309,14 @@ func TestFastPlanEmptyTable(t *testing.T) {
 		{Tables: []TableRef{tr}, GroupBy: []*Expr{ColExpr(0, 1)},
 			Aggs: []Agg{{Kind: AggCount}}},
 	} {
-		p := CompileFast(pl, bound)
-		if p == nil {
-			t.Fatal("CompileFast declined the empty table")
+		p, err := CompileFast(pl, bound)
+		if err != nil {
+			t.Fatal(err)
 		}
 		want := naiveResult(pl, bound)
 		if got, _ := p.Execute(4); got != want {
 			t.Errorf("empty table: got %+v, want %+v", got, want)
 		}
-	}
-}
-
-// TestCompileFastDeclinesJoins pins the fallback contract: joined
-// pipelines go back to the engines' nil-probe path.
-func TestCompileFastDeclinesJoins(t *testing.T) {
-	tr, bound := fastFixture(8, fastCol{name: "a", i64: make([]int64, 8)})
-	build := TableRef{Name: "b", Cols: []ColSpec{{Name: "x", Kind: I64}}, Rows: 8}
-	pl := &Pipeline{
-		Tables: []TableRef{tr, build},
-		Joins:  []Join{{Build: 1, BuildKey: ColExpr(1, 0), ProbeKey: ColExpr(0, 0)}},
-		Aggs:   []Agg{{Kind: AggCount}},
-	}
-	if CompileFast(pl, bound) != nil {
-		t.Fatal("CompileFast must decline joined pipelines")
 	}
 }
 

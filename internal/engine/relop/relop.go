@@ -468,12 +468,57 @@ func (pl *Pipeline) Validate() error {
 	if len(pl.Joins) != len(pl.Tables)-1 {
 		return fmt.Errorf("relop: %d joins cannot connect %d tables", len(pl.Joins), len(pl.Tables))
 	}
+	// Every column leaf must name a listed column of a table its clause
+	// can see: the driver filter reads the driver, a join's build key
+	// and filter read its build table, its probe key the tables joined
+	// before it, and grouping and aggregates any table.
 	seen := map[int]bool{0: true}
-	for _, j := range pl.Joins {
+	reads := func(what string, visible func(t int) bool, e ...*Expr) error {
+		cols := map[[2]int]bool{}
+		for _, x := range e {
+			x.Cols(cols)
+		}
+		for _, c := range SortedCols(cols, -1) {
+			if c[0] < 0 || c[0] >= len(pl.Tables) || !visible(c[0]) || c[1] < 0 || c[1] >= len(pl.Tables[c[0]].Cols) {
+				return fmt.Errorf("relop: %s reads column %d of table %d, which it cannot see", what, c[1], c[0])
+			}
+		}
+		return nil
+	}
+	predExprs := func(p *Pred) (out []*Expr) {
+		for _, c := range p.Conjuncts() {
+			out = append(out, c.A, c.B, c.C)
+		}
+		return out
+	}
+	if err := reads("filter", func(t int) bool { return t == 0 }, predExprs(pl.Filter)...); err != nil {
+		return err
+	}
+	for ji, j := range pl.Joins {
 		if j.Build <= 0 || j.Build >= len(pl.Tables) || seen[j.Build] {
 			return fmt.Errorf("relop: join build table %d invalid or repeated", j.Build)
 		}
+		if j.BuildKey == nil || j.ProbeKey == nil {
+			return fmt.Errorf("relop: join %d lacks a key", ji)
+		}
+		own := func(t int) bool { return t == j.Build }
+		if err := reads(fmt.Sprintf("join %d build side", ji), own, append(predExprs(j.BuildFilter), j.BuildKey)...); err != nil {
+			return err
+		}
+		if err := reads(fmt.Sprintf("join %d probe key", ji), func(t int) bool { return seen[t] }, j.ProbeKey); err != nil {
+			return err
+		}
 		seen[j.Build] = true
+	}
+	outputs := append([]*Expr(nil), pl.GroupBy...)
+	for ai, a := range pl.Aggs {
+		if a.Kind != AggCount && a.Arg == nil {
+			return fmt.Errorf("relop: aggregate %d (%s) has no argument", ai, a.Kind)
+		}
+		outputs = append(outputs, a.Arg)
+	}
+	if err := reads("grouping or aggregate", func(int) bool { return true }, outputs...); err != nil {
+		return err
 	}
 	if pl.Limit < 0 {
 		return fmt.Errorf("relop: negative limit %d", pl.Limit)

@@ -13,11 +13,9 @@ import (
 	"olapmicro/internal/mem"
 )
 
-// Probe collects one profiled run's events. A nil *Probe is the
-// profile-free fast-execution mode: every event method is a
-// nil-receiver no-op, so the engines run their real computation —
-// and return bit-identical results — without paying for any
-// simulation accounting.
+// Probe collects one profiled run's events. Every engine run carries
+// one; profile-free answers come from relop.FastPlan, which emits no
+// events at all.
 type Probe struct {
 	Machine  *hw.Machine
 	Mem      *mem.Hierarchy
@@ -54,9 +52,6 @@ func (p *Probe) Reset() {
 
 // Load records a demand load of size bytes at addr.
 func (p *Probe) Load(addr, size uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpLoad]++
 	p.Mem.Load(addr, size)
 }
@@ -65,9 +60,6 @@ func (p *Probe) Load(addr, size uint64) {
 // of prior loads (a filtered column read at a selection-vector
 // position): DRAM misses overlap at line-fill-buffer depth.
 func (p *Probe) SparseLoad(addr, size uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpLoad]++
 	p.Mem.LoadIndep(addr, size)
 }
@@ -76,17 +68,11 @@ func (p *Probe) SparseLoad(addr, size uint64) {
 // without a per-lane micro-op: the gather instruction's uops are
 // charged separately by the caller at lane granularity.
 func (p *Probe) GatherLoad(addr, size uint64) {
-	if p == nil {
-		return
-	}
 	p.Mem.LoadIndep(addr, size)
 }
 
 // Store records a demand store of size bytes at addr.
 func (p *Probe) Store(addr, size uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpStore]++
 	p.Mem.Store(addr, size)
 }
@@ -95,9 +81,6 @@ func (p *Probe) Store(addr, size uint64) {
 // micro-op per element of elemSize bytes. It is the batched form used
 // by column scans.
 func (p *Probe) SeqLoad(base, totalBytes, elemSize uint64) {
-	if p == nil {
-		return
-	}
 	if totalBytes == 0 {
 		return
 	}
@@ -111,9 +94,6 @@ func (p *Probe) SeqLoad(base, totalBytes, elemSize uint64) {
 // SeqStore streams totalBytes of stores from base (one store uop per
 // element), the materialization pattern of the vectorized engine.
 func (p *Probe) SeqStore(base, totalBytes, elemSize uint64) {
-	if p == nil {
-		return
-	}
 	if totalBytes == 0 {
 		return
 	}
@@ -126,34 +106,22 @@ func (p *Probe) SeqStore(base, totalBytes, elemSize uint64) {
 
 // ALU records n simple arithmetic/logic micro-ops.
 func (p *Probe) ALU(n uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpALU] += n
 }
 
 // Mul records n multiply-class micro-ops (hash mixing, multiplication).
 func (p *Probe) Mul(n uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpMul] += n
 }
 
 // SIMD records n vector micro-ops.
 func (p *Probe) SIMD(n uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpSIMD] += n
 }
 
 // Dep adds cycles to the critical dependency chain (e.g. a loop-carried
 // accumulator or a serial hash computation).
 func (p *Probe) Dep(cycles uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.DepCycles += cycles
 }
 
@@ -161,18 +129,12 @@ func (p *Probe) Dep(cycles uint64) {
 // maxima cannot express (store-buffer/AGU pressure of materialization-
 // heavy execution); see engine.TectorwiseCosts.
 func (p *Probe) ExecPressure(cycles uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.ExtraExecCycles += cycles
 }
 
 // BranchOp records a conditional branch at a call-site id with its
 // outcome, running it through the branch predictor.
 func (p *Probe) BranchOp(site uint64, taken bool) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpBranch]++
 	p.Branch.Observe(site, taken)
 }
@@ -182,9 +144,6 @@ func (p *Probe) BranchOp(site uint64, taken bool) {
 // dispatch branches of an interpreter, whose misprediction rate is a
 // property of the engine, not of the data.
 func (p *Probe) BranchStatic(n, misp uint64) {
-	if p == nil {
-		return
-	}
 	p.Ops.N[cpu.OpBranch] += n
 	p.Branch.Branches += n
 	p.Branch.Mispredicts += misp
@@ -193,9 +152,6 @@ func (p *Probe) BranchStatic(n, misp uint64) {
 // LoopBranch records n iterations of a loop back-edge branch: all
 // taken, predicted correctly except the final fall-through.
 func (p *Probe) LoopBranch(site uint64, n uint64) {
-	if p == nil {
-		return
-	}
 	if n == 0 {
 		return
 	}
@@ -209,9 +165,6 @@ func (p *Probe) LoopBranch(site uint64, n uint64) {
 // SetFootprint declares the engine's hot-path instruction footprint and
 // how many times it is traversed (frontend model inputs).
 func (p *Probe) SetFootprint(bytes, traversals uint64) {
-	if p == nil {
-		return
-	}
 	p.Frontend.FootprintBytes = bytes
 	p.Frontend.Traversals = traversals
 }
@@ -219,16 +172,10 @@ func (p *Probe) SetFootprint(bytes, traversals uint64) {
 // AddTraversals records n additional traversals of the configured
 // footprint (a worker executing n more morsel chunks).
 func (p *Probe) AddTraversals(n uint64) {
-	if p == nil {
-		return
-	}
 	p.Frontend.Traversals += n
 }
 
 // AddDecodeEvents feeds the decode-inefficiency model.
 func (p *Probe) AddDecodeEvents(n uint64) {
-	if p == nil {
-		return
-	}
 	p.Frontend.DecodeEvents += n
 }

@@ -78,9 +78,6 @@ func (p *Probe) EnableSections() {
 // existing section, preserving first-use order — a vectorized chunk
 // loop re-enters its primitive sections thousands of times.
 func (p *Probe) BeginSection(name string) {
-	if p == nil {
-		return
-	}
 	s := p.secs
 	if s == nil {
 		return
@@ -102,9 +99,6 @@ func (p *Probe) BeginSection(name string) {
 // EndSection closes the open section; events until the next
 // BeginSection go unattributed (they still count in the run totals).
 func (p *Probe) EndSection() {
-	if p == nil {
-		return
-	}
 	s := p.secs
 	if s == nil || s.cur < 0 {
 		return
@@ -117,7 +111,7 @@ func (p *Probe) EndSection() {
 // Sections returns the accumulated sections in first-use order,
 // closing the open one first.
 func (p *Probe) Sections() []Section {
-	if p == nil || p.secs == nil {
+	if p.secs == nil {
 		return nil
 	}
 	p.EndSection()

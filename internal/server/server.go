@@ -741,19 +741,20 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 		return resp, nil
 	}
 
-	var fp *relop.FastPlan
 	if sc.fast {
-		fp = c.FastPlan()
-	}
-	if fp != nil {
-		// The vectorized fast plan is cached on the Compiled, which the
-		// plan cache shares across sessions: repeated EXECUTEs of one
-		// template skip planning and engine construction and run the
-		// compiled kernels directly. Queries here are sub-millisecond and
-		// take no scan slot (measured: rotating them through a shared
-		// scheduler cost fast_frame 6% qps and fast_scan 23%, see README
-		// "Serving concurrent queries"); the admission ticket already
-		// bounds how many execute at once.
+		// Fast mode has one executor: the statement's FastPlan, cached on
+		// the Compiled, which the plan cache shares across sessions —
+		// repeated EXECUTEs of one template skip planning, engine
+		// construction and join builds and run the compiled kernels
+		// directly. Fast plans take no scan slot (measured: rotating them
+		// through a shared scheduler cost fast_frame 6% qps and fast_scan
+		// 23%, see README "Serving concurrent queries"); the admission
+		// ticket already bounds how many execute at once. Having no
+		// morsel boundaries, they are cancelled only before they start.
+		fp, err := c.Fast()
+		if err != nil {
+			return nil, err
+		}
 		if err := t.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -771,19 +772,15 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 		return resp, nil
 	}
 
-	// Engine scan: the morsel partition and worker shape of a dedicated
-	// run at this thread count — the invariant behind every
+	// Measured engine scan: the morsel partition and worker shape of a
+	// dedicated run at this thread count — the invariant behind every
 	// "bit-identical under concurrency" guarantee — scanned under the
-	// shared slot budget. Fast mode for shapes the vectorized plan does
-	// not cover (joins) is the same run with no probes attached: the
-	// computation is real and identical, so Result is bit-identical to a
-	// measured run; nothing is simulated, so Profile stays zero.
+	// shared slot budget.
 	r, err := parallel.Run(parallel.Scan{
 		Machine:  s.cfg.Machine,
 		Pipeline: c.Pipeline,
 		Prepare:  c.Prepare,
 		Threads:  sc.threads,
-		Measured: !sc.fast,
 		Name:     fmt.Sprintf("server.q%d.w", t.ID),
 		Trace:    root,
 	}, func(workers []relop.Worker, morsels []parallel.Morsel) error {
@@ -793,14 +790,11 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 		return nil, err
 	}
 	resp.Executed = true
-	resp.Fast = sc.fast
 	resp.Result = r.Result
 	resp.Threads = r.Threads
 	resp.Morsels = r.Morsels
-	if !sc.fast {
-		resp.Parallel = r
-		resp.Profile = r.Profile()
-	}
+	resp.Parallel = r
+	resp.Profile = r.Profile()
 	return resp, nil
 }
 
@@ -810,11 +804,9 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 // execute at most Workers morsels at once, and a long scan cannot keep
 // the budget from its neighbours. Every morsel boundary checks the
 // query's context and abort flag: cancellation, a deadline or a sibling
-// worker's panic stops the scan there. Measured and fast executions
-// schedule identically — the step neither knows nor cares whether a
-// worker carries a probe. A panic recovered on one of the query's
-// morsels surfaces as the query's error; other queries and their spans
-// are untouched.
+// worker's panic stops the scan there. A panic recovered on one of the
+// query's morsels surfaces as the query's error; other queries and
+// their spans are untouched.
 func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop.Worker, morsels []parallel.Morsel) error {
 	threads := len(workers)
 	exec := root.Child("execute")

@@ -486,3 +486,33 @@ func TestPlanOneLookupPerSubmission(t *testing.T) {
 		}
 	}
 }
+
+// A fast join runs on its fast plan: it answers Fast with the measured
+// run's result, and takes no scan slot — it completes while every slot
+// is held elsewhere, and leaves the pool idle.
+func TestFastJoinTakesNoScanSlot(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, QueryThreads: 2})
+	q := testQueries[3]
+	measured, err := s.Submit(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(s.slots); i++ {
+		s.slots <- struct{}{}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	resp, err := s.Submit(ctx, q, WithFast())
+	for i := 0; i < cap(s.slots); i++ {
+		<-s.slots
+	}
+	if err != nil {
+		t.Fatalf("fast join with every scan slot held: %v", err)
+	}
+	if !resp.Fast || !resp.Result.Equal(measured.Result) {
+		t.Errorf("fast join: fast=%v result %v, want fast and the measured %v", resp.Fast, resp.Result, measured.Result)
+	}
+	if busy := s.Stats().PoolBusy; busy != 0 {
+		t.Errorf("PoolBusy = %d after the fast join, want 0", busy)
+	}
+}

@@ -86,8 +86,8 @@ func TestChaosDifferentialStreams(t *testing.T) {
 		// a PanicError, trips no breaker and strands no key.
 		{name: "compile-panic", p: faults.CompilePanic, mod: 4, rem: 3, breaks: true},
 		// A panic mid-execution — on a scan slot's morsel for measured
-		// queries, in the fast executor otherwise — becomes that one
-		// query's PanicError and nothing else's.
+		// queries, in the fast plan otherwise, joins included — becomes
+		// that one query's PanicError and nothing else's.
 		{name: "worker-panic", p: faults.WorkerPanic, mod: 4, rem: 2, breaks: true, exactCount: true},
 		// A stalled morsel reorders scan-slot scheduling but must never
 		// reorder arithmetic: zero failures, all results exact.
@@ -160,13 +160,14 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 				// Alternate measured and profile-free fast submissions
 				// unless the schedule's fault lives on the scan-slot path.
 				var opts []server.SubmitOption
-				if !sch.measuredOnly && i%2 == 1 {
+				fast := !sch.measuredOnly && i%2 == 1
+				if fast {
 					opts = append(opts, server.WithFast())
 				}
 				resp, err := srv.Submit(context.Background(), corpus[i].sql, opts...)
 				qerr[i] = err
 				if err != nil {
-					judgeChaosFailure(fail, i, corpus[i].sql, err, sch, predicted, streams)
+					judgeChaosFailure(fail, i, corpus[i].sql, err, sch, predicted, streams, fast)
 					continue
 				}
 				if !resp.Result.Equal(corpus[i].res) {
@@ -216,7 +217,7 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 
 // judgeChaosFailure decides whether one failed submission is an
 // acceptable consequence of the armed schedule.
-func judgeChaosFailure(fail func(int, string, ...any), i int, text string, err error, sch chaosSchedule, predicted map[string]bool, streams int) {
+func judgeChaosFailure(fail func(int, string, ...any), i int, text string, err error, sch chaosSchedule, predicted map[string]bool, streams int, fast bool) {
 	if !sch.breaks {
 		fail(i, "%s must be invisible, got: %v", sch.name, err)
 		return
@@ -241,6 +242,12 @@ func judgeChaosFailure(fail func(int, string, ...any), i int, text string, err e
 		var perr *server.PanicError
 		if !errors.As(err, &perr) || !errors.As(err, &injected) || !predicted[text] {
 			fail(i, "unattributable failure under %s: %v", sch.name, err)
+			return
+		}
+		// Fast plans — joins included — panic on the submission frame,
+		// measured scans on a scan slot's morsel.
+		if want := map[bool]string{true: "execute", false: "scan-worker"}[fast]; perr.Op != want {
+			fail(i, "worker panic surfaced as %q, want %q (fast=%v): %v", perr.Op, want, fast, err)
 		}
 	case faults.CompilePanic:
 		// The flight's owner is the faulted text, recovered on its own

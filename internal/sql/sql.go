@@ -66,12 +66,13 @@ type Compiled struct {
 	// "tectorwise"), kept so Bind re-runs engine selection under the
 	// same policy the template was compiled with.
 	reqEngine string
-	// fastOnce/fastPlan lazily compile and cache the vectorized
-	// profile-free executor; nil for pipeline shapes it does not
-	// specialize (joins), which fast-execute through the engines'
-	// nil-probe worker path instead.
+	// fastOnce/fastPlan lazily compile and cache fast mode's one
+	// executor, join build indexes included, so every execution of a
+	// cached statement only probes; fastErr instead for the pipeline it
+	// refuses (a table past 32-bit row ids).
 	fastOnce sync.Once
 	fastPlan *relop.FastPlan
+	fastErr  error
 }
 
 // Answer is one executed query: the comparable result plus the
@@ -389,57 +390,52 @@ func (c *Compiled) Prepare(p *probe.Probe, as *probe.AddrSpace) (relop.Prepared,
 	return ex.PreparePipeline(p, as, c.Pipeline)
 }
 
-// FastPlan returns the statement's cached vectorized fast-mode
-// executor, compiling it on first use. It is nil for pipeline shapes
-// the vectorized executor does not specialize (joins), which
-// fast-execute through the engines' nil-probe worker path instead. The
-// plan is immutable and safe for concurrent Execute calls — the server
-// shares it across sessions through the plan cache, so repeated
-// EXECUTEs of one prepared statement skip both planning and engine
-// construction entirely.
-func (c *Compiled) FastPlan() *relop.FastPlan {
-	if c.Pipeline == nil {
-		return nil
+// Fast returns the statement's cached fast-mode executor — fast mode's
+// only one, joins included — compiling it on first use. Compiling
+// filters and indexes every join's build side, and the plan is
+// immutable and safe for concurrent Execute calls: the server shares it
+// across sessions through the plan cache, so repeated EXECUTEs of one
+// prepared statement skip planning, engine construction and join builds
+// entirely and only probe. It errors for an unbound template and for a
+// table past 32-bit row ids.
+func (c *Compiled) Fast() (*relop.FastPlan, error) {
+	if err := c.errUnbound(); err != nil {
+		return nil, err
 	}
 	c.fastOnce.Do(func() {
-		c.fastPlan = relop.CompileFast(c.Pipeline, relop.BindData(c.Pipeline, c.data))
+		c.fastPlan, c.fastErr = relop.CompileFast(c.Pipeline, relop.BindData(c.Pipeline, c.data))
 	})
-	return c.fastPlan
+	return c.fastPlan, c.fastErr
 }
 
-// ExecuteFast runs the pipeline in profile-free fast mode: no
-// cache-hierarchy simulation, no branch predictor, no section
-// accounting — only the answer. Join-free pipelines run the compiled
-// vectorized FastPlan; everything else runs the real engines with nil
-// probes. Either way the Result is bit-identical to a measured run at
-// any thread count; there is no profile to report. threads <= 1 runs
-// one worker.
+// FastPlan is Fast without the reason: nil where Fast errors.
+func (c *Compiled) FastPlan() *relop.FastPlan {
+	fp, _ := c.Fast()
+	return fp
+}
+
+// ExecuteFast runs the pipeline in profile-free fast mode on its
+// FastPlan: no cache-hierarchy simulation, no branch predictor, no
+// section accounting — only the answer, bit-identical to a measured
+// run at any thread count; there is no profile to report. threads <= 1
+// runs one worker.
 func (c *Compiled) ExecuteFast(threads int) (engine.Result, error) {
-	if err := c.errUnbound(); err != nil {
-		return engine.Result{}, err
-	}
-	threads = parallel.ClampThreads(c.machine, threads)
-	if fp := c.FastPlan(); fp != nil {
-		r, _ := fp.Execute(threads)
-		return r, nil
-	}
-	r, err := c.runMorsels(threads, false)
+	fp, err := c.Fast()
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return r.Result, nil
+	r, _ := fp.Execute(parallel.ClampThreads(c.machine, threads))
+	return r, nil
 }
 
-// runMorsels is the statement's morsel-driven run on its own goroutine
-// fleet: measured (a probe per worker, the profile accounted) or
-// profile-free with nil probes throughout.
-func (c *Compiled) runMorsels(threads int, measured bool) (*parallel.Result, error) {
+// runMorsels is the statement's measured morsel-driven run on its own
+// goroutine fleet: a probe per worker, the profile accounted.
+func (c *Compiled) runMorsels(threads int) (*parallel.Result, error) {
 	return parallel.Run(parallel.Scan{
 		Machine:  c.machine,
 		Pipeline: c.Pipeline,
 		Prepare:  c.Prepare,
 		Threads:  threads,
-		Measured: measured,
 		Name:     "parallel.worker",
 	}, parallel.Dedicated)
 }
@@ -484,7 +480,7 @@ func (c *Compiled) ExecuteThreads(threads int) (*Answer, error) {
 // executeParallel runs the morsel-driven executor and reports the
 // slowest worker's shared-ceiling profile as the statement's profile.
 func (c *Compiled) executeParallel(threads int) (*Answer, error) {
-	r, err := c.runMorsels(threads, true)
+	r, err := c.runMorsels(threads)
 	if err != nil {
 		return nil, err
 	}
