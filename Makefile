@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt bench ab loc
+.PHONY: all build test lint staticcheck govulncheck race fmt bench ab loc bce
 
 all: build test lint
 
@@ -63,5 +63,11 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
+
+# bce prints the bounds checks the compiler keeps in the fast kernels'
+# package, internal/engine/relop, per function and in total
+# (scripts/bce.sh). Informational; nothing gates on it.
+bce:
+	@bash scripts/bce.sh ./internal/engine/relop
 
 FORCE:

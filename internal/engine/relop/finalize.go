@@ -163,6 +163,21 @@ func chargeSort(p *probe.Probe, pl *Pipeline, kept int) {
 	p.Dep(cmps / 2)
 }
 
+// partialRows lays one partial's groups out as output rows.
+func partialRows(pl *Pipeline, pt *Partial) []outRow {
+	na := len(pl.Aggs)
+	vals := make([]int64, len(pt.Tuples)*na)
+	rows := make([]outRow, len(pt.Tuples))
+	for s := range rows {
+		v := vals[s*na : (s+1)*na]
+		for ai := range v {
+			v[ai] = pt.Aggs[ai][s]
+		}
+		rows[s] = outRow{tuple: pt.Tuples[s], vals: v}
+	}
+	return rows
+}
+
 // FinalizeProbed merges worker partials into the pipeline's result and
 // runs the post-aggregation operators — HAVING, ORDER BY (total
 // order), LIMIT/top-k — charging the serial finalize work to p (nil
@@ -203,13 +218,21 @@ func FinalizeProbed(p *probe.Probe, pl *Pipeline, parts []*Partial) engine.Resul
 		return res
 	}
 
-	// Merge the thread-local group tables with full-tuple identity.
-	idx := map[string]int{}
-	var rows []outRow
+	// Merge the thread-local group tables with full-tuple identity. A
+	// lone partial needs no merge map: every producer groups by the full
+	// key tuple, so one table's tuples are already distinct.
+	var live []*Partial
 	for _, pt := range parts {
-		if pt == nil {
-			continue
+		if pt != nil {
+			live = append(live, pt)
 		}
+	}
+	var rows []outRow
+	if len(live) == 1 {
+		rows, live = partialRows(pl, live[0]), nil
+	}
+	idx := map[string]int{}
+	for _, pt := range live {
 		for s := range pt.Tuples {
 			k := tupleKey(pt.Tuples[s])
 			g, ok := idx[k]

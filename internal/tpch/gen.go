@@ -58,7 +58,8 @@ func Generate(sf float64) *Data {
 }
 
 // Extremes reports the smallest and largest value present in the named
-// int64 column (ok is false for an empty column or any other name). The
+// int64 or byte column (ok is false for an empty column or any other
+// name). The
 // database is immutable, so a column is scanned for the first plan that
 // asks and never again — not at Generate, where a pass over every
 // column would cost each process start a sixth of its generation time.
@@ -68,8 +69,14 @@ func (d *Data) Extremes(name string) (mn, mx int64, ok bool) {
 	if e, hit := d.extremes[name]; hit {
 		return e[0], e[1], true
 	}
-	if _, c, found := SchemaColumn(name); found && c.Kind == KindI64 {
-		if mn, mx, ok = MinMax(c.I64(d)); ok {
+	if _, c, found := SchemaColumn(name); found {
+		switch c.Kind {
+		case KindI64:
+			mn, mx, ok = MinMax(c.I64(d))
+		case KindI8:
+			mn, mx, ok = MinMax(c.I8(d))
+		}
+		if ok {
 			d.extremes[name] = [2]int64{mn, mx}
 		}
 	}
@@ -77,20 +84,16 @@ func (d *Data) Extremes(name string) (mn, mx int64, ok bool) {
 }
 
 // MinMax scans v for its extremes; ok is false when v is empty.
-func MinMax(v []int64) (mn, mx int64, ok bool) {
+func MinMax[T int64 | byte](v []T) (mn, mx int64, ok bool) {
 	if len(v) == 0 {
 		return 0, 0, false
 	}
-	mn, mx = v[0], v[0]
+	lo, hi := v[0], v[0]
 	for _, x := range v[1:] {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
+		lo = min(lo, x)
+		hi = max(hi, x)
 	}
-	return mn, mx, true
+	return int64(lo), int64(hi), true
 }
 
 func scale(sf float64, base int) int {

@@ -241,20 +241,22 @@ func TestGenerateInvalidSFPanics(t *testing.T) {
 }
 
 // Extremes is what plan compiles read instead of scanning: it must
-// agree with a scan for every int64 column of the catalog and know
+// agree with a scan for every column of every table — int64 and byte
+// columns report their extremes, string columns none — and know
 // nothing else.
 func TestExtremesMatchScan(t *testing.T) {
 	d := Generate(0.01)
 	for _, tb := range Schema() {
 		for _, c := range tb.Cols {
 			mn, mx, ok := d.Extremes(c.Name)
-			if c.Kind != KindI64 {
-				if ok {
-					t.Errorf("%s: extremes reported for a %s column", c.Name, c.Kind)
-				}
-				continue
+			var wmn, wmx int64
+			var wok bool
+			switch c.Kind {
+			case KindI64:
+				wmn, wmx, wok = MinMax(c.I64(d))
+			case KindI8:
+				wmn, wmx, wok = MinMax(c.I8(d))
 			}
-			wmn, wmx, wok := MinMax(c.I64(d))
 			if mn != wmn || mx != wmx || ok != wok {
 				t.Errorf("%s: Extremes = %d..%d %v, scan says %d..%d %v", c.Name, mn, mx, ok, wmn, wmx, wok)
 			}
@@ -263,7 +265,10 @@ func TestExtremesMatchScan(t *testing.T) {
 	if _, _, ok := d.Extremes("no_such_column"); ok {
 		t.Error("unknown column reported extremes")
 	}
-	if _, _, ok := MinMax(nil); ok {
+	if _, _, ok := MinMax([]int64(nil)); ok {
 		t.Error("empty column reported extremes")
+	}
+	if _, _, ok := MinMax([]byte{}); ok {
+		t.Error("empty byte column reported extremes")
 	}
 }
