@@ -76,44 +76,10 @@ type FastPlan struct {
 	// two more GC cycles: at ad-hoc rates that is thousands of dead
 	// plans' buffers counted as live heap, which doubles the GC's target.
 	ran atomic.Bool
-	// dense direct-indexes groups when every group key is a bare
-	// byte-width column (flag/status/key columns — the common analytic
-	// grouping): the packed key bytes address a flat table, no hashing.
-	dense *denseKeys
-	// fused collapses the whole pipeline into one pass when the plan is
-	// dense-grouped, every filter conjunct is a span test, and every
-	// aggregate is COUNT or a bare-column SUM: per row, a branchless
-	// filter bit masks the addends into code-indexed accumulators, so no
-	// selection vector or slot table ever materializes.
-	fused *fusedDense
-}
-
-// fusedDense is the compiled one-pass form: the packed byte key
-// columns, the normalized filter spans, and the aggregates split by
-// addend source (COUNT adds the filter bit itself).
-type fusedDense struct {
-	k0, k1 []byte
-	conds  []spanCond
-	sums   []fusedCol64
-	sums8  []fusedCol8
-	counts []int // aggregate indexes
-	size   int   // code space: 256 for one key, 65536 for two
-}
-
-type fusedCol64 struct {
-	agg int
-	v   []int64
-}
-
-type fusedCol8 struct {
-	agg int
-	v   []byte
-}
-
-// denseKeys holds the raw byte columns of a direct-indexed grouping;
-// k1 is nil for a single key.
-type denseKeys struct {
-	k0, k1 []byte
+	// codes direct-codes the groups when every group key is a bare
+	// driver column with a small proven range (fastgroup.go); nil plans
+	// hash.
+	codes *codeGroups
 }
 
 // fastAgg is one compiled aggregate: COUNT ignores its argument (the
@@ -158,22 +124,8 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 	for _, g := range pl.GroupBy {
 		p.keys = append(p.keys, fc.kernel(fc.expr(g)))
 	}
-	if p.grouped && p.nkeys <= 2 {
-		cols := make([][]byte, 0, 2)
-		for _, g := range pl.GroupBy {
-			if g.Op != OpCol || g.Tab != 0 {
-				break
-			}
-			if c := b.Tables[0][g.Col]; c.Kind == I8 {
-				cols = append(cols, c.I8.V)
-			}
-		}
-		if len(cols) == p.nkeys {
-			p.dense = &denseKeys{k0: cols[0]}
-			if p.nkeys == 2 {
-				p.dense.k1 = cols[1]
-			}
-		}
+	if p.grouped {
+		p.codes = fc.codeGroups()
 	}
 	for _, a := range pl.Aggs {
 		fa := fastAgg{kind: a.Kind}
@@ -197,10 +149,9 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 		// Some conjunct excludes every present value: nothing matches,
 		// whatever the other conjuncts say.
 		p.filter0 = neverMatch
-	case len(rest) == 0 && len(p.joins) == 0:
-		p.fused = p.fuse(conds)
-	}
-	if p.filter0 == nil && p.fused == nil {
+	case p.codes != nil && len(rest) == 0 && len(p.joins) == 0:
+		p.codes.chunked, p.codes.conds = true, conds
+	default:
 		p.filter0, p.filter = stageSpans(conds, rest)
 	}
 	p.nbufs = fc.nbufs
@@ -219,35 +170,6 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 	return p, nil
 }
 
-// fuse lowers the plan to its one-pass dense form, or nil when the
-// shape doesn't qualify. COUNT and bare-column SUM are the aggregates
-// a filter bit can mask (their seed is 0 and a masked addend of 0 is a
-// no-op); MIN/MAX and computed arguments keep the staged path.
-func (p *FastPlan) fuse(conds []spanCond) *fusedDense {
-	if p.dense == nil {
-		return nil
-	}
-	size := 256
-	if p.dense.k1 != nil {
-		size = 1 << 16
-	}
-	f := &fusedDense{k0: p.dense.k0, k1: p.dense.k1, conds: conds, size: size}
-	for ai := range p.aggs {
-		a := &p.aggs[ai]
-		switch {
-		case a.kind == AggCount:
-			f.counts = append(f.counts, ai)
-		case a.kind == AggSum && a.i64 != nil:
-			f.sums = append(f.sums, fusedCol64{ai, a.i64})
-		case a.kind == AggSum && a.i8 != nil:
-			f.sums8 = append(f.sums8, fusedCol8{ai, a.i8})
-		default:
-			return nil
-		}
-	}
-	return f
-}
-
 // Execute runs the plan on up to threads workers over contiguous row
 // ranges and returns the finalized result plus the worker count used.
 // Any partitioning yields the identical Result (see the file comment),
@@ -261,37 +183,58 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 		threads = 1
 	}
 	pooled := p.ran.Swap(true)
-	if threads == 1 {
-		w := p.worker(pooled)
-		w.run(0, p.rows)
-		res := FinalizeProbed(nil, p.pl, []*Partial{w.partial()})
-		if pooled {
-			p.pool.Put(w)
-		}
-		return res, 1
-	}
 	workers := make([]*fastWorker, threads)
-	parts := make([]*Partial, threads)
-	per := (p.rows + threads - 1) / threads
-	// Panicking workers stay out of the pool — their state is suspect.
-	Fleet(threads, func(t int) {
-		lo := t * per
-		hi := min(lo+per, p.rows)
-		if lo >= hi {
-			return
-		}
-		w := p.worker(pooled)
-		w.run(lo, hi)
-		workers[t] = w
-		parts[t] = w.partial()
-	})
-	res := FinalizeProbed(nil, p.pl, parts)
+	if threads == 1 {
+		workers[0] = p.worker(pooled)
+		workers[0].run(0, p.rows)
+	} else {
+		per := (p.rows + threads - 1) / threads
+		// Panicking workers stay out of the pool — their state is suspect.
+		Fleet(threads, func(t int) {
+			lo := t * per
+			hi := min(lo+per, p.rows)
+			if lo >= hi {
+				return
+			}
+			w := p.worker(pooled)
+			w.run(lo, hi)
+			workers[t] = w
+		})
+	}
+	res := FinalizeProbed(nil, p.pl, p.partials(workers))
 	for _, w := range workers {
 		if w != nil && pooled {
 			p.pool.Put(w)
 		}
 	}
 	return res, threads
+}
+
+// partials exposes the workers' state in the form FinalizeProbed
+// merges: a direct-coded plan's tables merged into one partial, or one
+// partial per worker. Hashed partials alias their workers, so Execute
+// returns workers to the pool only after finalize has consumed them.
+func (p *FastPlan) partials(ws []*fastWorker) []*Partial {
+	if p.codes != nil {
+		return []*Partial{p.codePartial(ws)}
+	}
+	parts := make([]*Partial, len(ws))
+	for t, w := range ws {
+		if w == nil {
+			continue
+		}
+		if !p.grouped {
+			parts[t] = &Partial{Scalar: append([]int64(nil), w.scalar...), Matched: w.matched}
+			continue
+		}
+		g := &w.groups
+		tuples := make([][]int64, g.n)
+		for i := range tuples {
+			tuples[i] = g.tuples[i*g.width : (i+1)*g.width]
+		}
+		parts[t] = &Partial{Tuples: tuples, Aggs: g.acc, Matched: w.matched}
+	}
+	return parts
 }
 
 // worker takes a pooled worker (reset) or builds a fresh one.
@@ -309,12 +252,9 @@ func (p *FastPlan) worker(pooled bool) *fastWorker {
 		scalar: make([]int64, len(p.aggs)),
 	}
 	switch {
-	case p.fused != nil:
-		w.fAcc = make([][]int64, len(p.aggs))
-		for ai := range w.fAcc {
-			w.fAcc[ai] = make([]int64, p.fused.size)
-		}
-		w.fSeen = make([]byte, p.fused.size)
+	case p.codes != nil:
+		w.slots = make([]int32, fastChunk)
+		w.initCodeTables()
 	case p.grouped:
 		w.slots = make([]int32, fastChunk)
 		w.mix = make([]int64, fastChunk)
@@ -323,13 +263,6 @@ func (p *FastPlan) worker(pooled bool) *fastWorker {
 			w.keyBufs[k] = make([]int64, fastChunk)
 		}
 		w.groups.init(p)
-		if p.dense != nil {
-			size := 256
-			if p.dense.k1 != nil {
-				size = 1 << 16
-			}
-			w.denseTab = make([]int32, size)
-		}
 	}
 	w.scratch = scratchBufs(p.nbufs)
 	if len(p.joins) > 0 {
@@ -362,17 +295,14 @@ type fastWorker struct {
 	groups  fastGroups
 	scalar  []int64
 	matched int64
-	// denseTab direct-indexes packed byte keys to group index + 1;
-	// touched lists the occupied codes so reset is proportional to the
-	// group count, not the table size.
-	denseTab []int32
-	touched  []int32
-	// fused plans accumulate straight into code-indexed tables: fAcc is
-	// [aggregate][code], fSeen marks codes with at least one passing
-	// row, fTouched lists them in first-seen order.
-	fAcc     [][]int64
-	fSeen    []byte
-	fTouched []int32
+	// contig says the rows the kernels are handed are one ascending run
+	// (the chunked code fold's), so a bare column slices instead of
+	// gathering.
+	contig bool
+	// Direct-coded plans: cnt counts rows per code slot and acc is
+	// [aggregate][slot], nil for COUNT. codePartial leaves them reset.
+	cnt []int64
+	acc [][]int64
 	// Joined plans: lv holds one tuple batch per join level, and rv is
 	// the row vectors of the batch the kernels are reading, which a
 	// joined table's column leaves gather through.
@@ -383,22 +313,8 @@ type fastWorker struct {
 func (w *fastWorker) reset() {
 	w.matched = 0
 	w.resetScalars()
-	if w.p.fused != nil {
-		for _, c := range w.fTouched {
-			for ai := range w.fAcc {
-				w.fAcc[ai][c] = 0
-			}
-			w.fSeen[c] = 0
-		}
-		w.fTouched = w.fTouched[:0]
-		return
-	}
-	if w.p.grouped {
+	if w.p.grouped && w.p.codes == nil {
 		w.groups.reset()
-		for _, d := range w.touched {
-			w.denseTab[d] = 0
-		}
-		w.touched = w.touched[:0]
 	}
 }
 
@@ -412,8 +328,8 @@ func (w *fastWorker) resetScalars() {
 // selection vector, probe the joins, then fold the survivors.
 func (w *fastWorker) run(start, end int) {
 	p := w.p
-	if p.fused != nil {
-		w.runFused(start, end)
+	if p.codes != nil && p.codes.chunked {
+		w.runCoded(start, end)
 		return
 	}
 	for lo := start; lo < end; lo += fastChunk {
@@ -482,18 +398,19 @@ func (w *fastWorker) foldScalar(sel []int32) {
 	}
 }
 
-// foldGroups resolves one chunk's selected rows to group slots and
-// folds every aggregate column-at-a-time.
+// foldGroups resolves one chunk's selected rows to group slots — code
+// slots or hash-table groups — and folds every aggregate
+// column-at-a-time.
 func (w *fastWorker) foldGroups(sel []int32) {
-	p := w.p
-	n := len(sel)
-	slots := w.slots[:n]
-	if p.dense != nil {
-		w.denseSlots(sel, slots)
-	} else {
-		w.hashSlots(sel, slots)
+	slots := w.slots[:len(sel)]
+	if g := w.p.codes; g != nil {
+		g.codeSlots(sel, slots)
+		countCodes(w.cnt, slots)
+		w.foldGroupAggs(sel, slots, w.acc)
+		return
 	}
-	w.foldGroupAggs(sel, slots)
+	w.hashSlots(sel, slots)
+	w.foldGroupAggs(sel, slots, w.groups.acc)
 }
 
 // hashSlots resolves rows to group slots through the open-addressing
@@ -519,47 +436,17 @@ func (w *fastWorker) hashSlots(sel, slots []int32) {
 	}
 }
 
-// denseSlots resolves rows to group slots by direct-indexing the
-// packed byte keys — a load and a test per row, no hashing.
-func (w *fastWorker) denseSlots(sel, slots []int32) {
-	d := w.p.dense
-	g := &w.groups
-	tab := w.denseTab
-	k0 := d.k0
-	if d.k1 == nil {
-		for i, r := range sel {
-			c := int32(k0[r])
-			t := tab[c]
-			if t == 0 {
-				t = g.denseInsert(int64(k0[r]))
-				tab[c] = t
-				w.touched = append(w.touched, c)
-			}
-			slots[i] = t - 1
-		}
-		return
-	}
-	k1 := d.k1
-	for i, r := range sel {
-		c := int32(k0[r]) | int32(k1[r])<<8
-		t := tab[c]
-		if t == 0 {
-			t = g.denseInsert(int64(k0[r]), int64(k1[r]))
-			tab[c] = t
-			w.touched = append(w.touched, c)
-		}
-		slots[i] = t - 1
-	}
-}
-
-// foldGroupAggs folds every aggregate over the chunk's resolved slots.
-func (w *fastWorker) foldGroupAggs(sel, slots []int32) {
+// foldGroupAggs folds every aggregate over the chunk's resolved slots
+// into accs, the tables they index; a nil table is a COUNT the code
+// tables' row counts answer.
+func (w *fastWorker) foldGroupAggs(sel, slots []int32, accs [][]int64) {
 	p := w.p
 	n := len(sel)
 	for ai := range p.aggs {
 		a := &p.aggs[ai]
-		acc := w.groups.acc[ai]
+		acc := accs[ai]
 		switch {
+		case acc == nil:
 		case a.kind == AggCount:
 			for _, s := range slots {
 				acc[s]++
@@ -574,228 +461,6 @@ func (w *fastWorker) foldGroupAggs(sel, slots []int32) {
 			foldGroupVals(a.kind, acc, vals, slots)
 		}
 	}
-}
-
-// partial exposes the worker's state in the form FinalizeProbed merges.
-// The returned slices alias the worker; Execute returns workers to the
-// pool only after finalize has consumed them.
-func (w *fastWorker) partial() *Partial {
-	if !w.p.grouped {
-		return &Partial{Scalar: append([]int64(nil), w.scalar...), Matched: w.matched}
-	}
-	if f := w.p.fused; f != nil {
-		return w.fusedPartial(f)
-	}
-	g := &w.groups
-	tuples := make([][]int64, g.n)
-	for i := range tuples {
-		tuples[i] = g.tuples[i*g.width : (i+1)*g.width]
-	}
-	return &Partial{Tuples: tuples, Aggs: g.acc, Matched: w.matched}
-}
-
-// fusedSumAcc pairs a SUM's addend column with this worker's
-// accumulator table for that aggregate; resolving the pair once per
-// scan keeps the row loop to a load, a mask and an add.
-type fusedSumAcc struct {
-	v   []int64
-	acc []int64
-}
-
-type fusedSum8Acc struct {
-	v   []byte
-	acc []int64
-}
-
-// runFused executes the one-pass dense pipeline over [start, end): per
-// row, the filter evaluates to a bit k, the packed key bytes form the
-// accumulator code, and every aggregate folds k-masked — no branches on
-// data, no selection vector, no slot resolution. The single-conjunct
-// filter (the common analytic shape) gets a dedicated loop per column
-// width; everything else shares the per-row conjunct loop.
-func (w *fastWorker) runFused(start, end int) {
-	f := w.p.fused
-	sums := make([]fusedSumAcc, len(f.sums))
-	for j, s := range f.sums {
-		sums[j] = fusedSumAcc{s.v, w.fAcc[s.agg]}
-	}
-	sums8 := make([]fusedSum8Acc, len(f.sums8))
-	for j, s := range f.sums8 {
-		sums8[j] = fusedSum8Acc{s.v, w.fAcc[s.agg]}
-	}
-	counts := make([][]int64, len(f.counts))
-	for j, ai := range f.counts {
-		counts[j] = w.fAcc[ai]
-	}
-	switch {
-	case len(f.conds) == 1 && f.conds[0].v64 != nil:
-		fusedScan(w, start, end, f.conds[0].v64, f.conds[0], sums, sums8, counts)
-	case len(f.conds) == 1:
-		fusedScan(w, start, end, f.conds[0].v8, f.conds[0], sums, sums8, counts)
-	default:
-		w.fusedScanN(start, end, sums, sums8, counts)
-	}
-}
-
-// fusedScan is the single-conjunct fused loop, stenciled per filter
-// column width. The first-seen branch is the only one keyed on data,
-// and it stops being taken once every surviving code has appeared.
-func fusedScan[T int64 | byte](w *fastWorker, start, end int, fv []T, c spanCond,
-	sums []fusedSumAcc, sums8 []fusedSum8Acc, counts [][]int64) {
-	f := w.p.fused
-	k0, k1 := f.k0, f.k1
-	seen := w.fSeen
-	touched := w.fTouched
-	matched := w.matched
-	base, a, s1 := c.base, c.a, c.s1
-	neg := int64(c.neg)
-	if k1 != nil && len(sums) == 1 && len(sums8) == 0 && len(counts) == 1 {
-		// The dominant analytic shape (SUM + COUNT over two byte keys)
-		// keeps every accumulator slice in a named local, so the row
-		// loop compiles to straight-line loads and masked adds.
-		sv, sacc, cacc := sums[0].v, sums[0].acc, counts[0]
-		for r := start; r < end; r++ {
-			d := uint64(fv[r]) - base
-			k := (int64((d-s1)>>63) & (int64((d-a)>>63) ^ 1)) ^ neg
-			code := int32(k0[r]) | int32(k1[r])<<8
-			if seen[code] == 0 && k != 0 {
-				seen[code] = 1
-				touched = append(touched, code)
-			}
-			matched += k
-			sacc[code] += sv[r] & -k
-			cacc[code] += k
-		}
-		w.fTouched = touched
-		w.matched = matched
-		return
-	}
-	if k1 == nil {
-		for r := start; r < end; r++ {
-			d := uint64(fv[r]) - base
-			k := (int64((d-s1)>>63) & (int64((d-a)>>63) ^ 1)) ^ neg
-			code := int32(k0[r])
-			if seen[code] == 0 && k != 0 {
-				seen[code] = 1
-				touched = append(touched, code)
-			}
-			matched += k
-			m := -k
-			for j := range sums {
-				s := &sums[j]
-				s.acc[code] += s.v[r] & m
-			}
-			for j := range sums8 {
-				s := &sums8[j]
-				s.acc[code] += int64(s.v[r]) & m
-			}
-			for j := range counts {
-				counts[j][code] += k
-			}
-		}
-	} else {
-		for r := start; r < end; r++ {
-			d := uint64(fv[r]) - base
-			k := (int64((d-s1)>>63) & (int64((d-a)>>63) ^ 1)) ^ neg
-			code := int32(k0[r]) | int32(k1[r])<<8
-			if seen[code] == 0 && k != 0 {
-				seen[code] = 1
-				touched = append(touched, code)
-			}
-			matched += k
-			m := -k
-			for j := range sums {
-				s := &sums[j]
-				s.acc[code] += s.v[r] & m
-			}
-			for j := range sums8 {
-				s := &sums8[j]
-				s.acc[code] += int64(s.v[r]) & m
-			}
-			for j := range counts {
-				counts[j][code] += k
-			}
-		}
-	}
-	w.fTouched = touched
-	w.matched = matched
-}
-
-// fusedScanN is the general fused loop: zero conjuncts (every row
-// passes) or several, ANDed branchlessly per row.
-func (w *fastWorker) fusedScanN(start, end int,
-	sums []fusedSumAcc, sums8 []fusedSum8Acc, counts [][]int64) {
-	f := w.p.fused
-	conds := f.conds
-	k0, k1 := f.k0, f.k1
-	seen := w.fSeen
-	touched := w.fTouched
-	matched := w.matched
-	for r := start; r < end; r++ {
-		k := int64(1)
-		for ci := range conds {
-			c := &conds[ci]
-			var d uint64
-			if c.v64 != nil {
-				d = uint64(c.v64[r]) - c.base
-			} else {
-				d = uint64(c.v8[r]) - c.base
-			}
-			k &= (int64((d-c.s1)>>63) & (int64((d-c.a)>>63) ^ 1)) ^ int64(c.neg)
-		}
-		code := int32(k0[r])
-		if k1 != nil {
-			code |= int32(k1[r]) << 8
-		}
-		if seen[code] == 0 && k != 0 {
-			seen[code] = 1
-			touched = append(touched, code)
-		}
-		matched += k
-		m := -k
-		for j := range sums {
-			s := &sums[j]
-			s.acc[code] += s.v[r] & m
-		}
-		for j := range sums8 {
-			s := &sums8[j]
-			s.acc[code] += int64(s.v[r]) & m
-		}
-		for j := range counts {
-			counts[j][code] += k
-		}
-	}
-	w.fTouched = touched
-	w.matched = matched
-}
-
-// fusedPartial decodes the touched codes back into key tuples and
-// per-group aggregate rows — the same Partial shape the staged path
-// produces, merged identically by FinalizeProbed.
-func (w *fastWorker) fusedPartial(f *fusedDense) *Partial {
-	n := len(w.fTouched)
-	width := 1
-	if f.k1 != nil {
-		width = 2
-	}
-	flat := make([]int64, n*width)
-	tuples := make([][]int64, n)
-	aggs := make([][]int64, len(w.fAcc))
-	for ai := range aggs {
-		aggs[ai] = make([]int64, n)
-	}
-	for g, code := range w.fTouched {
-		t := flat[g*width : (g+1)*width]
-		t[0] = int64(code & 0xff)
-		if width == 2 {
-			t[1] = int64(code >> 8)
-		}
-		tuples[g] = t
-		for ai := range aggs {
-			aggs[ai][g] = w.fAcc[ai][code]
-		}
-	}
-	return &Partial{Tuples: tuples, Aggs: aggs, Matched: w.matched}
 }
 
 // fastGroups is the probe-free group table: open addressing over the
@@ -879,18 +544,6 @@ func (g *fastGroups) insert(s uint64, key int64, keys [][]int64, i int) int32 {
 	return gi
 }
 
-// denseInsert registers a new group for the given key tuple and
-// returns its slot + 1 (the dense table's occupied encoding). The hash
-// table is not maintained — dense plans never probe it.
-func (g *fastGroups) denseInsert(keys ...int64) int32 {
-	g.tuples = append(g.tuples, keys...)
-	for ai := range g.acc {
-		g.acc[ai] = append(g.acc[ai], g.seeds[ai])
-	}
-	g.n++
-	return int32(g.n)
-}
-
 func (g *fastGroups) grow() {
 	size := (g.mask + 1) * 2
 	g.table = make([]int32, size)
@@ -948,6 +601,10 @@ func (fc *fastCompiler) kernel(e fexpr) vecKernel {
 	case e.i64 != nil:
 		v := e.i64
 		return func(w *fastWorker, rows []int32, out []int64) {
+			if w.contig && len(rows) > 0 {
+				copy(out, v[rows[0]:int(rows[0])+len(rows)])
+				return
+			}
 			for i, r := range rows {
 				out[i] = v[r]
 			}
@@ -955,6 +612,14 @@ func (fc *fastCompiler) kernel(e fexpr) vecKernel {
 	case e.i8 != nil:
 		v := e.i8
 		return func(w *fastWorker, rows []int32, out []int64) {
+			if w.contig && len(rows) > 0 {
+				run := v[rows[0] : int(rows[0])+len(rows)]
+				out = out[:len(run)]
+				for i, x := range run {
+					out[i] = int64(x)
+				}
+				return
+			}
 			for i, r := range rows {
 				out[i] = int64(v[r])
 			}
@@ -1293,16 +958,19 @@ const (
 	condAlways                   // every present value satisfies it: drop it
 )
 
-// colRange reports the extreme values present in the bare int64 column
-// x: the rebased range tests are only valid against a column's true
-// extremes. They are a fact of the immutable database, which remembers
-// them (tpch.Data.Extremes); only a column it does not know — a Bound
-// assembled by hand — is scanned here.
+// colRange reports the extreme values present in the bare column x:
+// the rebased range tests and the group codes are only valid against a
+// column's true extremes. They are a fact of the immutable database,
+// which remembers them (tpch.Data.Extremes); only a column it does not
+// know — a Bound assembled by hand — is scanned here.
 func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
 	if d := fc.b.Data; d != nil {
 		if mn, mx, ok := d.Extremes(fc.pl.Tables[fc.tab].Cols[x.col].Name); ok {
 			return mn, mx, true
 		}
+	}
+	if x.i8 != nil {
+		return tpch.MinMax(x.i8)
 	}
 	return tpch.MinMax(x.i64)
 }

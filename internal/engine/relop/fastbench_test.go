@@ -1,0 +1,54 @@
+package relop_test
+
+import (
+	"sync"
+	"testing"
+
+	"olapmicro/internal/engine/relop"
+	"olapmicro/internal/sql"
+	"olapmicro/internal/tpch"
+)
+
+var (
+	shapeOnce sync.Once
+	shapeData *tpch.Data
+)
+
+// BenchmarkFastShape times one single-threaded execution of each
+// fast_scan statement at SF 0.25 and reports it per lineitem row:
+//
+//	go test -run '^$' -bench FastShape -count 7 ./internal/engine/relop
+func BenchmarkFastShape(b *testing.B) {
+	shapeOnce.Do(func() { shapeData = tpch.Generate(0.25) })
+	for _, sh := range []struct{ name, sql string }{
+		{"q6", "select sum(l_extendedprice * l_discount / 100) from lineitem " +
+			"where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01' " +
+			"and l_discount between 5 and 7 and l_quantity < 24"},
+		{"q1_fused", "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*) " +
+			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus"},
+		{"q1_expr", "select l_returnflag, l_linestatus, sum(l_extendedprice * (100 - l_discount) / 100), count(*) " +
+			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus"},
+		{"minmax", "select min(l_extendedprice), max(l_extendedprice), min(l_shipdate), max(l_shipdate) from lineitem"},
+		{"hashgrp_topk", "select l_suppkey, sum(l_quantity) from lineitem group by l_suppkey order by 2 desc limit 10"},
+	} {
+		stmt, err := sql.Parse(sh.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := sql.BuildPipeline(shapeData, stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := relop.CompileFast(pl, relop.BindData(pl, shapeData))
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Execute(1) // the second execution on is pooled
+		b.Run(sh.name, func(b *testing.B) {
+			for b.Loop() {
+				p.Execute(1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pl.Tables[0].Rows), "ns/row")
+		})
+	}
+}

@@ -8,14 +8,17 @@ import (
 
 // FuzzFastGroup builds a one-table grouped pipeline from the input and
 // requires the fast plan to match the row-at-a-time reference
-// bit-for-bit at one, two and five threads, then once more on pooled
-// workers. keys picks the key shape (one or two keys, byte or int64),
+// bit-for-bit at one, two, five and three threads; every execution
+// after the first runs on pooled workers. keys picks the key shape (one or two keys, byte or int64),
 // domain the key values — small negative ranges, ranges at MinInt64 and
 // MaxInt64, ±2⁶² and the int64 extremes, and spans whose product sits
-// at 2^16 − 1 or 2^16 — shape the filter (none, span tests only, a
-// computed conjunct, or one matching nothing) and the output operators,
-// and aggs which aggregates run, with computed arguments that divide by
-// zero and wrap.
+// at 2^16 − 1 or 2^16 (the code-space cap and one past it) — shape the
+// filter (none, span tests only, a computed conjunct, or one matching
+// nothing), the output operators and the table size, and aggs which
+// aggregates run, with computed arguments that divide by zero and wrap.
+// A table under one chunk runs on one worker whatever the thread count;
+// shape bit 16 draws two to six chunks, so the workers' partial tables
+// are merged.
 func FuzzFastGroup(f *testing.F) {
 	for _, s := range []struct {
 		seed                      int64
@@ -24,6 +27,8 @@ func FuzzFastGroup(f *testing.F) {
 		{1, 2, 0, 1, 0x03}, {2, 3, 6, 0, 0xff}, {3, 3, 7, 1, 0x0f}, {4, 0, 4, 2, 0x1d},
 		{5, 0, 5, 5, 0x42}, {6, 2, 1, 9, 0x8c}, {7, 3, 2, 1, 0x31}, {8, 1, 19, 2, 0x7e},
 		{9, 1, 8, 3, 0x01}, {10, 2, 11, 1, 0x24},
+		{11, 3, 6, 17, 0xff}, {12, 1, 0, 20, 0x7e}, {13, 2, 1, 18, 0x2d}, {14, 0, 5, 17, 0x0f},
+		{15, 3, 0, 25, 0xe3}, {16, 0, 2, 16, 0x5a},
 	} {
 		f.Add(s.seed, s.keys, s.domain, s.shape, s.aggs)
 	}
@@ -48,6 +53,9 @@ func FuzzFastGroup(f *testing.F) {
 func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs uint8) (*Pipeline, *Bound) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := rng.Intn(400)
+	if shape&16 != 0 {
+		rows = 2*fastChunk + rng.Intn(4*fastChunk)
+	}
 	type dom struct{ lo, span int64 }
 	var da, db dom
 	wide := false

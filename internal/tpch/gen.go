@@ -59,10 +59,10 @@ func Generate(sf float64) *Data {
 
 // Extremes reports the smallest and largest value present in the named
 // int64 or byte column (ok is false for an empty column or any other
-// name). The
-// database is immutable, so a column is scanned for the first plan that
-// asks and never again — not at Generate, where a pass over every
-// column would cost each process start a sixth of its generation time.
+// name). The database is immutable, so a column is scanned for the
+// first plan that asks and never again — not at Generate, where a pass
+// over every column would cost each process start a sixth of its
+// generation time.
 func (d *Data) Extremes(name string) (mn, mx int64, ok bool) {
 	d.extremesMu.Lock()
 	defer d.extremesMu.Unlock()
