@@ -14,6 +14,11 @@ import (
 // wall-clock step never corrupts a span). Spans are safe for
 // concurrent children/annotations; a span's own Start/End belong to
 // the goroutine driving it.
+//
+// A tree is built on every query and read on few, so building one
+// costs few allocations: a root and its first children are one block,
+// a span's first child pointers and first note live in arrays inside
+// it, and notes are formatted only when Render runs.
 type Span struct {
 	Name string
 
@@ -22,18 +27,48 @@ type Span struct {
 	dur      time.Duration
 	ended    bool
 	children []*Span
-	notes    []string
+	notes    []note
+	// spare is the unused rest of the block this span's children are
+	// carved from; the first Child of a span with none allocates one.
+	spare []Span
+	kids  [spanBlock]*Span
+	note0 [1]note
+}
+
+// spanBlock is how many spans one allocation carries: a root and its
+// first children (a fast query's tree is a root and three), or a
+// span's next children.
+const spanBlock = 4
+
+// note is one Annotate call, formatted when the tree is rendered.
+type note struct {
+	format string
+	args   [2]any
+	n      int
 }
 
 // NewSpan opens a root span starting now.
 func NewSpan(name string) *Span {
-	return &Span{Name: name, start: time.Now()}
+	block := make([]Span, spanBlock)
+	s := &block[0]
+	s.init(name, block[1:])
+	return s
+}
+
+func (s *Span) init(name string, spare []Span) {
+	s.Name, s.start, s.spare = name, time.Now(), spare
+	s.children, s.notes = s.kids[:0], s.note0[:0]
 }
 
 // Child opens and attaches a new child span starting now.
 func (s *Span) Child(name string) *Span {
-	c := NewSpan(name)
 	s.mu.Lock()
+	if len(s.spare) == 0 {
+		s.spare = make([]Span, spanBlock)
+	}
+	c := &s.spare[0]
+	s.spare = s.spare[1:]
+	c.init(name, nil)
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
@@ -82,11 +117,17 @@ func (s *Span) Duration() time.Duration {
 }
 
 // Annotate appends a key=value style note rendered after the
-// duration.
+// duration. The arguments are kept and formatted when Render runs, so
+// pass values, not pointers to state that changes later.
 func (s *Span) Annotate(format string, args ...any) {
-	note := fmt.Sprintf(format, args...)
+	n := note{format: format, n: len(args)}
+	if len(args) > len(n.args) {
+		n = note{format: "%s", n: 1}
+		args = []any{fmt.Sprintf(format, args...)}
+	}
+	copy(n.args[:], args)
 	s.mu.Lock()
-	s.notes = append(s.notes, note)
+	s.notes = append(s.notes, n)
 	s.mu.Unlock()
 }
 
@@ -131,14 +172,15 @@ func (s *Span) render(b *strings.Builder, depth int) {
 	if !s.ended {
 		dur = time.Since(s.start)
 	}
-	notes := strings.Join(s.notes, " ")
+	notes := append([]note(nil), s.notes...)
 	kids := make([]*Span, len(s.children))
 	copy(kids, s.children)
 	s.mu.Unlock()
 	b.WriteString(strings.Repeat("  ", depth))
 	fmt.Fprintf(b, "%s %.2fms", s.Name, float64(dur)/float64(time.Millisecond))
-	if notes != "" {
-		b.WriteString(" " + notes)
+	for _, n := range notes {
+		b.WriteByte(' ')
+		fmt.Fprintf(b, n.format, n.args[:n.n]...)
 	}
 	b.WriteString("\n")
 	for _, c := range kids {

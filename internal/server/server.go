@@ -164,6 +164,15 @@ type Ticket struct {
 	resp     *Response
 	err      error
 	finished atomic.Bool // finish ran; guards the last-resort recovery path
+
+	// sc is the submission's resolved configuration and response the
+	// storage resp points at: both ride in the ticket's allocation.
+	// admitted reports whether admission granted an in-flight slot at
+	// once (false: parked in the wait queue) at the submitted instant.
+	sc        submitConfig
+	response  Response
+	admitted  bool
+	submitted time.Time
 }
 
 // Done closes when the submission has finished (or failed).
@@ -196,6 +205,9 @@ type submitConfig struct {
 	fast       bool
 	timeout    time.Duration
 	hasTimeout bool
+	// owner is the session that submitted, nil from the Go API: a
+	// session's cancel verb reaches only its own submissions.
+	owner *Session
 }
 
 // WithEngine forces this submission's engine ("typer", "tectorwise"
@@ -343,10 +355,23 @@ func (s *Server) Config() Config { return s.cfg }
 // wait queue); ErrOverloaded reports both budgets full, ErrClosed a
 // closed server.
 func (s *Server) QueryAsync(ctx context.Context, text string, opts ...SubmitOption) (*Ticket, error) {
-	var sc submitConfig
+	t := &Ticket{}
 	for _, o := range opts {
-		o(&sc)
+		o(&t.sc)
 	}
+	if err := s.admit(ctx, t); err != nil {
+		return nil, err
+	}
+	go s.run(t, text)
+	return t, nil
+}
+
+// admit resolves t's configuration against the server defaults, then
+// admits the submission or parks it in the wait queue; an error means
+// t was refused. The caller runs the admitted ticket's lifecycle, s.run,
+// exactly once: on a goroutine of its own, or on one it already has.
+func (s *Server) admit(ctx context.Context, t *Ticket) error {
+	sc := &t.sc
 	if sc.engine == "" {
 		sc.engine = s.cfg.Engine
 	}
@@ -364,7 +389,7 @@ func (s *Server) QueryAsync(ctx context.Context, text string, opts ...SubmitOpti
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	// Admission under the lock, so Close never races a late add.
 	admitted := false
@@ -382,14 +407,14 @@ func (s *Server) QueryAsync(ctx context.Context, text string, opts ...SubmitOpti
 			// backoff spreads thundering-herd retries instead of having
 			// every rejected client hammer the queue again at once.
 			s.tel.RetryHints.Inc()
-			return nil, &OverloadError{
+			return &OverloadError{
 				Queued:     queued,
 				InFlight:   inflight,
 				RetryAfter: s.retryAfter(queued),
 			}
 		}
 	}
-	t := &Ticket{ID: s.nextID.Add(1), done: make(chan struct{})}
+	t.ID, t.done, t.admitted = s.nextID.Add(1), make(chan struct{}), admitted
 	if timeout > 0 {
 		t.ctx, t.cancel = context.WithTimeout(ctx, timeout)
 	} else {
@@ -404,9 +429,8 @@ func (s *Server) QueryAsync(ctx context.Context, text string, opts ...SubmitOpti
 		s.st.queued++
 	}
 	s.mu.Unlock()
-
-	go s.run(t, text, sc, admitted, time.Now()) //olap:allow wallclock queue-latency telemetry timestamp
-	return t, nil
+	t.submitted = time.Now() //olap:allow wallclock queue-latency telemetry timestamp
+	return nil
 }
 
 // Submit is the synchronous form of QueryAsync.
@@ -418,12 +442,15 @@ func (s *Server) Submit(ctx context.Context, text string, opts ...SubmitOption) 
 	return t.Wait(ctx)
 }
 
-// Cancel cancels a pending submission by id.
-func (s *Server) Cancel(id uint64) error {
+// cancel cancels pending submission id if owner submitted it (nil:
+// the Go API did). Another owner's id reads as not pending: ids are
+// sequential, so anything else would let any client cancel its
+// neighbours' work.
+func (s *Server) cancel(id uint64, owner *Session) error {
 	s.mu.Lock()
 	t, ok := s.pending[id]
 	s.mu.Unlock()
-	if !ok {
+	if !ok || t.sc.owner != owner {
 		return fmt.Errorf("server: no pending query with id %d", id)
 	}
 	t.Cancel()
@@ -545,7 +572,8 @@ func (s *Server) finish(t *Ticket, resp *Response, err error, inflight bool) {
 // process and the other in-flight queries survive any query-scoped
 // fault. (Panics inside the query's own work are converted closer to
 // home, by safeExecute and runMorsel's per-morsel recovery.)
-func (s *Server) run(t *Ticket, text string, sc submitConfig, admitted bool, submitted time.Time) {
+func (s *Server) run(t *Ticket, text string) {
+	admitted, submitted := t.admitted, t.submitted
 	holding := admitted // whether we hold an in-flight slot right now
 	defer func() {
 		if r := recover(); r != nil {
@@ -589,7 +617,7 @@ func (s *Server) run(t *Ticket, text string, sc submitConfig, admitted bool, sub
 		s.finish(t, nil, t.ctx.Err(), true)
 		return
 	}
-	resp, err := s.safeExecute(t, text, sc, root)
+	resp, err := s.safeExecute(t, text, root)
 	root.End()
 	wall := time.Since(submitted) //olap:allow wallclock wall-time telemetry
 	if resp != nil {
@@ -618,14 +646,14 @@ func (s *Server) run(t *Ticket, text string, sc submitConfig, admitted bool, sub
 // captured in the PanicError. runMorsel's own recovery covers the scan
 // phase, whose panics surface as runScan errors, not panics, and so
 // arrive here as plain errors.
-func (s *Server) safeExecute(t *Ticket, text string, sc submitConfig, root *obs.Span) (resp *Response, err error) {
+func (s *Server) safeExecute(t *Ticket, text string, root *obs.Span) (resp *Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.tel.Panics.Inc()
 			resp, err = nil, newPanicError("execute", r)
 		}
 	}()
-	return s.execute(t, text, sc, root)
+	return s.execute(t, text, root)
 }
 
 // planKey is a submission's plan-cache identity, built in one buffer:
@@ -640,7 +668,7 @@ func planKey(template, engine string, threads int, args []int64) string {
 	if engine == "" {
 		engine = "auto"
 	}
-	b := make([]byte, 0, len(template)+len(engine)+8+8*len(args))
+	b := make([]byte, 0, 256) // on the stack unless the key is longer
 	b = append(append(b, template...), 0)
 	b = append(append(b, engine...), 0)
 	b = strconv.AppendInt(b, int64(threads), 10)
@@ -708,16 +736,18 @@ func (s *Server) plan(text string, sc submitConfig, span *obs.Span) (c *sql.Comp
 
 // execute compiles (through the plan cache) and runs one statement,
 // hanging its phase spans under root.
-func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span) (*Response, error) {
+func (s *Server) execute(t *Ticket, text string, root *obs.Span) (*Response, error) {
+	sc := &t.sc
 	plan := root.Child("plan")
-	c, hit, err := s.plan(text, sc, plan)
+	c, hit, err := s.plan(text, *sc, plan)
 	if err != nil {
 		plan.End()
 		return nil, err
 	}
 	plan.Annotate("cache=%v", hit)
 	plan.End()
-	resp := &Response{ID: t.ID, Engine: c.Engine, CacheHit: hit}
+	resp := &t.response
+	*resp = Response{ID: t.ID, Engine: c.Engine, CacheHit: hit}
 	if c.Stmt.Analyze {
 		// EXPLAIN ANALYZE runs the dedicated serial instrumented pass
 		// outside the scan slots: its observed profile is the single-core

@@ -426,9 +426,9 @@ func TestSubmitAllocsGate(t *testing.T) {
 		opts    []SubmitOption
 		ceiling float64
 	}{
-		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 47},
-		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 45},
-		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 41},
+		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 29},
+		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 28},
+		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 23},
 	} {
 		submit := func() {
 			resp, err := s.Submit(ctx, form.text, form.opts...)
