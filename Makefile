@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt bench ab loc bce
+.PHONY: all build test lint staticcheck govulncheck race fmt bench ab simdiff loc bce
 
 all: build test lint
 
@@ -53,6 +53,14 @@ bench:
 # p-value with its verdict (scripts/ab.sh).
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# simdiff is the check behind ROADMAP aim 2's "the experiments stay
+# byte-identical": `make simdiff PARENT=<ref>` builds cmd/olapsim on an
+# export of PARENT and on this working tree, runs every experiment in
+# quick mode on both, drops the host-clock lines and diffs the rest,
+# exiting 1 on any difference (scripts/simdiff.sh).
+simdiff:
+	bash scripts/simdiff.sh $(PARENT)
 
 # loc prints the figure ROADMAP aim 2 tracks: `wc -l` of production Go
 # (no tests, no analyzer fixtures, not the nested benchmark/ module),

@@ -20,6 +20,7 @@ import (
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/hw"
 	"olapmicro/internal/mem"
+	"olapmicro/internal/multicore"
 	"olapmicro/internal/obs"
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
@@ -256,10 +257,7 @@ func Dedicated(workers []relop.Worker, morsels []Morsel) error {
 // T cores streaming, each one gets at most per-socket/T.
 func assemble(m *hw.Machine, buildProbe *probe.Probe, probes []*probe.Probe, merged engine.Result, morsels int) *Result {
 	threads := len(probes)
-	params := tmam.Params{
-		BWSeq:  min(m.PerCoreBW.Sequential, m.PerSocketBW.Sequential/float64(threads)),
-		BWRand: min(m.PerCoreBW.Random, m.PerSocketBW.Random/float64(threads)),
-	}
+	params := multicore.SharedCeiling(m, threads)
 	buildIn := tmam.InputsFrom(buildProbe)
 	buildProf := tmam.AccountInputs(buildIn, tmam.Params{})
 	total := buildIn

@@ -2,8 +2,8 @@
 // subsystem lowers queries onto: a driving scan with an optional
 // pushed-down filter, a chain of equi-hash-joins, and a (grouped)
 // aggregation. internal/engine/typer and internal/engine/tectorwise
-// each provide an ExecPipeline entry point that executes the same
-// Pipeline with their own loop structure and micro-architectural event
+// each prepare a Pipeline (PreparePipeline runs its builds) and scan
+// it with their own loop structure and micro-architectural event
 // stream — fused tuple-at-a-time versus vectorized primitives — so an
 // ad-hoc query profiles the way that engine's hardcoded queries do.
 package relop

@@ -3,7 +3,6 @@ package tectorwise
 import (
 	"fmt"
 
-	"olapmicro/internal/engine"
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/join"
 	"olapmicro/internal/probe"
@@ -468,23 +467,3 @@ func (w *worker) RunMorsel(start, end int) {
 
 // Partial returns the worker's aggregation state for merging.
 func (w *worker) Partial() *relop.Partial { return w.agg.Partial() }
-
-// ExecPipeline executes an ad-hoc relational pipeline the way the
-// vectorized engine executes its hardcoded queries: every conjunct,
-// hash probe, arithmetic operator and aggregate update is a primitive
-// streaming one selection-vector-guided chunk of ~1024 values through
-// materialized intermediates. Join probes follow duplicate-key chains,
-// growing the match vectors when a build key is 1:N. The result
-// convention matches the compiled executor: scalar queries fill Sum;
-// grouped queries fold one row of aggregate values per group and sum
-// the first aggregate. It is the single-threaded form of the
-// morsel-driven executor: one worker, one morsel spanning the driver.
-func (e *Engine) ExecPipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (engine.Result, error) {
-	pr, err := e.PreparePipeline(p, as, pl)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	w := pr.NewWorker(p, as)
-	w.RunMorsel(0, pr.Rows())
-	return relop.FinalizeProbed(p, pl, []*relop.Partial{w.Partial()}), nil
-}

@@ -3,7 +3,6 @@ package typer
 import (
 	"fmt"
 
-	"olapmicro/internal/engine"
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/join"
 	"olapmicro/internal/probe"
@@ -311,24 +310,3 @@ func (w *worker) RunMorsel(start, end int) {
 
 // Partial returns the worker's aggregation state for merging.
 func (w *worker) Partial() *relop.Partial { return w.agg.Partial() }
-
-// ExecPipeline executes an ad-hoc relational pipeline the way the
-// compiled engine executes its hardcoded queries: every hash build is
-// fused into the build table's scan, and filter, probes, arithmetic
-// and aggregation run in one data-centric pass over the driver, with
-// predicates folded behind a single branch per tuple. Joins follow
-// duplicate-key chains, so 1:N build sides produce every match. The
-// returned result follows the repository convention: scalar queries
-// fill Sum; grouped queries fold one row of aggregate values per
-// group and sum the first aggregate. It is the single-threaded form
-// of the morsel-driven executor: one worker, one morsel spanning the
-// whole driver.
-func (e *Engine) ExecPipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (engine.Result, error) {
-	pr, err := e.PreparePipeline(p, as, pl)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	w := pr.NewWorker(p, as)
-	w.RunMorsel(0, pr.Rows())
-	return relop.FinalizeProbed(p, pl, []*relop.Partial{w.Partial()}), nil
-}

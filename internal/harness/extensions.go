@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"olapmicro/internal/engine"
-	"olapmicro/internal/engine/tectorwise"
-	"olapmicro/internal/engine/typer"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
@@ -42,30 +40,14 @@ func ExtGroupBy(h *Harness) Figure {
 	for _, sys := range HighPerf() {
 		as := probe.NewAddrSpace()
 		p := probe.New(m, mem.AllPrefetchers())
-		var (
-			res engine.Result
-			cs  string
-		)
-		switch sys {
-		case Typer:
-			e := typer.New(h.Data, as)
-			r, table := e.GroupBy(p, as)
-			res = r
-			st := table.ChainStats()
-			cs = fmt.Sprintf("chains mean %.2f std %.2f max %d", st.Mean, st.Std, st.Max)
-		default:
-			e := tectorwise.New(h.Data, as, m.L1D.SizeBytes, m.SIMDLanes64)
-			r, table := e.GroupBy(p, as)
-			res = r
-			st := table.ChainStats()
-			cs = fmt.Sprintf("chains mean %.2f std %.2f max %d", st.Mean, st.Std, st.Max)
-		}
-		prof := tmam.Account(p, tmam.Params{})
+		res, table := h.newSystem(sys, m, as, false).(highPerf).GroupBy(p, as)
 		f.Series = append(f.Series, Series{
-			System: sys, Label: "grpby", Profile: prof, Result: res,
+			System: sys, Label: "grpby", Profile: tmam.Account(p, tmam.Params{}), Result: res,
 			Inputs: tmam.InputsFrom(p),
 		})
-		f.Notes = append(f.Notes, fmt.Sprintf("%s: %d groups, %s", sys, res.Rows, cs))
+		st := table.ChainStats()
+		f.Notes = append(f.Notes, fmt.Sprintf("%s: %d groups, chains mean %.2f std %.2f max %d",
+			sys, res.Rows, st.Mean, st.Std, st.Max))
 	}
 
 	// The paper's claim: same micro-architectural shape as the join.

@@ -16,6 +16,7 @@ import (
 	"olapmicro/internal/engine/tectorwise"
 	"olapmicro/internal/engine/typer"
 	"olapmicro/internal/hw"
+	"olapmicro/internal/join"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
@@ -176,7 +177,7 @@ func (o Opts) key() string {
 
 // measure runs f on a fresh engine/probe and accounts the result.
 func (h *Harness) measure(sys System, label string, o Opts,
-	f func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result) Series {
+	f func(p *probe.Probe, as *probe.AddrSpace, e system) engine.Result) Series {
 
 	key := fmt.Sprintf("%v|%s|%s", sys, label, o.key())
 	if s, ok := h.cache[key]; ok {
@@ -185,8 +186,7 @@ func (h *Harness) measure(sys System, label string, o Opts,
 	m := o.machine(h)
 	as := probe.NewAddrSpace()
 	p := probe.New(m, o.prefetchers())
-	r := h.newRunner(sys, m, as, o.SIMD)
-	res := f(p, as, r)
+	res := f(p, as, h.newSystem(sys, m, as, o.SIMD))
 	prof := tmam.Account(p, tmam.Params{})
 	s := Series{
 		System:  sys,
@@ -199,124 +199,52 @@ func (h *Harness) measure(sys System, label string, o Opts,
 	return s
 }
 
-// runner adapts the four engines' concrete types to one call surface.
-type runner struct {
-	name       string
-	projection func(p *probe.Probe, as *probe.AddrSpace, degree int) engine.Result
-	selection  func(p *probe.Probe, as *probe.AddrSpace, cut engine.SelectionCutoffs, predicated bool) engine.Result
-	join       func(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize) engine.Result
-	tpchq      func(p *probe.Probe, as *probe.AddrSpace, q engine.TPCHQuery, predicated bool) engine.Result
-	// topq runs the ordered-output hardcoded twins ("Q3", "Q18Top");
-	// high-performance engines only.
-	topq func(p *probe.Probe, as *probe.AddrSpace, name string) engine.Result
+// system is the call surface all four engines share: the
+// micro-benchmarks.
+type system interface {
+	Name() string
+	Projection(p *probe.Probe, degree int) engine.Result
+	Selection(p *probe.Probe, cut engine.SelectionCutoffs, predicated bool) engine.Result
+	Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize) engine.Result
 }
 
-func (h *Harness) newRunner(sys System, m *hw.Machine, as *probe.AddrSpace, simd bool) runner {
+// highPerf is what the two high-performance engines add: the TPC-H
+// queries, their ordered-output twins and the group-by
+// micro-benchmark.
+type highPerf interface {
+	system
+	Q1(p *probe.Probe, as *probe.AddrSpace) engine.Result
+	Q6(p *probe.Probe, predicated bool) engine.Result
+	Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result
+	Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result
+	Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result
+	Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result
+	GroupBy(p *probe.Probe, as *probe.AddrSpace) (engine.Result, *join.Table)
+}
+
+// newSystem instantiates sys's engine against as; simd runs Tectorwise
+// with AVX-512 primitives.
+func (h *Harness) newSystem(sys System, m *hw.Machine, as *probe.AddrSpace, simd bool) system {
 	switch sys {
 	case DBMSR:
-		e := rowstore.New(h.Data, as)
-		return runner{
-			name: e.Name(),
-			projection: func(p *probe.Probe, _ *probe.AddrSpace, d int) engine.Result {
-				return e.Projection(p, d)
-			},
-			selection: func(p *probe.Probe, _ *probe.AddrSpace, c engine.SelectionCutoffs, pred bool) engine.Result {
-				return e.Selection(p, c, pred)
-			},
-			join: func(p *probe.Probe, a *probe.AddrSpace, s engine.JoinSize) engine.Result {
-				return e.Join(p, a, s)
-			},
-		}
+		return rowstore.New(h.Data, as)
 	case DBMSC:
-		e := colstore.New(h.Data, as)
-		return runner{
-			name: e.Name(),
-			projection: func(p *probe.Probe, _ *probe.AddrSpace, d int) engine.Result {
-				return e.Projection(p, d)
-			},
-			selection: func(p *probe.Probe, _ *probe.AddrSpace, c engine.SelectionCutoffs, pred bool) engine.Result {
-				return e.Selection(p, c, pred)
-			},
-			join: func(p *probe.Probe, a *probe.AddrSpace, s engine.JoinSize) engine.Result {
-				return e.Join(p, a, s)
-			},
-		}
+		return colstore.New(h.Data, as)
 	case Typer:
-		e := typer.New(h.Data, as)
-		return runner{
-			name: e.Name(),
-			projection: func(p *probe.Probe, _ *probe.AddrSpace, d int) engine.Result {
-				return e.Projection(p, d)
-			},
-			selection: func(p *probe.Probe, _ *probe.AddrSpace, c engine.SelectionCutoffs, pred bool) engine.Result {
-				return e.Selection(p, c, pred)
-			},
-			join: func(p *probe.Probe, a *probe.AddrSpace, s engine.JoinSize) engine.Result {
-				return e.Join(p, a, s)
-			},
-			tpchq: func(p *probe.Probe, a *probe.AddrSpace, q engine.TPCHQuery, pred bool) engine.Result {
-				switch q {
-				case engine.Q1:
-					return e.Q1(p, a)
-				case engine.Q6:
-					return e.Q6(p, pred)
-				case engine.Q9:
-					return e.Q9(p, a)
-				default:
-					return e.Q18(p, a)
-				}
-			},
-			topq: func(p *probe.Probe, a *probe.AddrSpace, name string) engine.Result {
-				if name == "Q3" {
-					return e.Q3(p, a)
-				}
-				return e.Q18Top(p, a)
-			},
-		}
-	default: // Tectorwise
-		var opts []tectorwise.Option
-		if simd {
-			opts = append(opts, tectorwise.WithSIMD())
-		}
-		e := tectorwise.New(h.Data, as, m.L1D.SizeBytes, m.SIMDLanes64, opts...)
-		return runner{
-			name: e.Name(),
-			projection: func(p *probe.Probe, _ *probe.AddrSpace, d int) engine.Result {
-				return e.Projection(p, d)
-			},
-			selection: func(p *probe.Probe, _ *probe.AddrSpace, c engine.SelectionCutoffs, pred bool) engine.Result {
-				return e.Selection(p, c, pred)
-			},
-			join: func(p *probe.Probe, a *probe.AddrSpace, s engine.JoinSize) engine.Result {
-				return e.Join(p, a, s)
-			},
-			tpchq: func(p *probe.Probe, a *probe.AddrSpace, q engine.TPCHQuery, pred bool) engine.Result {
-				switch q {
-				case engine.Q1:
-					return e.Q1(p, a)
-				case engine.Q6:
-					return e.Q6(p, pred)
-				case engine.Q9:
-					return e.Q9(p, a)
-				default:
-					return e.Q18(p, a)
-				}
-			},
-			topq: func(p *probe.Probe, a *probe.AddrSpace, name string) engine.Result {
-				if name == "Q3" {
-					return e.Q3(p, a)
-				}
-				return e.Q18Top(p, a)
-			},
-		}
+		return typer.New(h.Data, as)
 	}
+	var opts []tectorwise.Option
+	if simd {
+		opts = append(opts, tectorwise.WithSIMD())
+	}
+	return tectorwise.New(h.Data, as, m.L1D.SizeBytes, m.SIMDLanes64, opts...)
 }
 
 // MeasureProjection profiles the projection micro-benchmark.
 func (h *Harness) MeasureProjection(sys System, degree int, o Opts) Series {
 	return h.measure(sys, fmt.Sprintf("p%d", degree), o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			return r.projection(p, as, degree)
+		func(p *probe.Probe, _ *probe.AddrSpace, e system) engine.Result {
+			return e.Projection(p, degree)
 		})
 }
 
@@ -328,16 +256,16 @@ func (h *Harness) MeasureSelection(sys System, sel float64, predicated bool, o O
 	}
 	cut := h.Cutoffs(sel)
 	return h.measure(sys, label, o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			return r.selection(p, as, cut, predicated)
+		func(p *probe.Probe, _ *probe.AddrSpace, e system) engine.Result {
+			return e.Selection(p, cut, predicated)
 		})
 }
 
 // MeasureJoin profiles a join micro-benchmark.
 func (h *Harness) MeasureJoin(sys System, size engine.JoinSize, o Opts) Series {
 	return h.measure(sys, size.String(), o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			return r.join(p, as, size)
+		func(p *probe.Probe, as *probe.AddrSpace, e system) engine.Result {
+			return e.Join(p, as, size)
 		})
 }
 
@@ -346,8 +274,12 @@ func (h *Harness) MeasureJoin(sys System, size engine.JoinSize, o Opts) Series {
 // cached measurement path as every other hardcoded workload.
 func (h *Harness) MeasureTopQuery(sys System, name string, o Opts) Series {
 	return h.measure(sys, name, o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			return r.topq(p, as, name)
+		func(p *probe.Probe, as *probe.AddrSpace, e system) engine.Result {
+			hp := e.(highPerf)
+			if name == "Q3" {
+				return hp.Q3(p, as)
+			}
+			return hp.Q18Top(p, as)
 		})
 }
 
@@ -359,27 +291,29 @@ func (h *Harness) MeasureTPCH(sys System, q engine.TPCHQuery, predicated bool, o
 		label += " brfree"
 	}
 	return h.measure(sys, label, o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			if r.tpchq == nil {
-				panic("harness: TPC-H queries are only profiled on Typer/Tectorwise")
+		func(p *probe.Probe, as *probe.AddrSpace, e system) engine.Result {
+			hp := e.(highPerf)
+			switch q {
+			case engine.Q1:
+				return hp.Q1(p, as)
+			case engine.Q6:
+				return hp.Q6(p, predicated)
+			case engine.Q9:
+				return hp.Q9(p, as)
+			default:
+				return hp.Q18(p, as)
 			}
-			return r.tpchq(p, as, q, predicated)
 		})
 }
 
 // MeasureJoinProbeOnly profiles just the probe phase of the large join
-// on Tectorwise (the Section 8.2 SIMD comparison).
+// on Tectorwise (the Section 8.2 SIMD comparison). A second engine,
+// constructed after the measured one on the same address space, builds
+// and probes the table.
 func (h *Harness) MeasureJoinProbeOnly(o Opts) Series {
-	label := "probe"
-	return h.measure(Tectorwise, label, o,
-		func(p *probe.Probe, as *probe.AddrSpace, r runner) engine.Result {
-			m := o.machine(h)
-			var topts []tectorwise.Option
-			if o.SIMD {
-				topts = append(topts, tectorwise.WithSIMD())
-			}
-			e := tectorwise.New(h.Data, as, m.L1D.SizeBytes, m.SIMDLanes64, topts...)
-			ht := e.BuildLargeJoinTable(as)
-			return e.JoinProbeOnly(p, ht)
+	return h.measure(Tectorwise, "probe", o,
+		func(p *probe.Probe, as *probe.AddrSpace, _ system) engine.Result {
+			e := h.newSystem(Tectorwise, o.machine(h), as, o.SIMD).(*tectorwise.Engine)
+			return e.JoinProbeOnly(p, e.BuildLargeJoinTable(as))
 		})
 }

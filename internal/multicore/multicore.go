@@ -33,30 +33,41 @@ type Options struct {
 	HyperThreading bool
 }
 
-// Run derives the T-thread profile from a single-core run's inputs.
-func Run(in tmam.Inputs, threads int, opts Options) Result {
-	m := in.Machine
-	if threads < 1 {
-		threads = 1
+// SharedCeiling is the bandwidth ceiling of one of n cores streaming
+// from m's socket at once: min(per-core BW, per-socket BW / n).
+func SharedCeiling(m *hw.Machine, n int) tmam.Params {
+	return tmam.Params{
+		BWSeq:  min(m.PerCoreBW.Sequential, m.PerSocketBW.Sequential/float64(n)),
+		BWRand: min(m.PerCoreBW.Random, m.PerSocketBW.Random/float64(n)),
 	}
-	per := in.ScaleCounts(float64(threads))
+}
 
-	bwSeq := min(m.PerCoreBW.Sequential, m.PerSocketBW.Sequential/float64(threads))
-	bwRand := min(m.PerCoreBW.Random, m.PerSocketBW.Random/float64(threads))
-	if opts.HyperThreading {
-		// Two hyper-threads per core keep ~1.3x more misses in flight:
-		// both the achievable bandwidth and the random-access overlap
-		// improve by the paper's measured factor.
-		bwSeq = min(bwSeq*m.HyperThreadBWx, m.PerSocketBW.Sequential/float64(threads))
-		bwRand = min(bwRand*m.HyperThreadBWx, m.PerSocketBW.Random/float64(threads))
+// ceiling returns one thread's inputs per with SharedCeiling for n
+// busy cores. With hyper-threading, two hyper-threads per core keep
+// ~1.3x more misses in flight: both the achievable bandwidth (still at
+// most the per-socket share) and per's random-access overlap improve
+// by the paper's measured factor.
+func (o Options) ceiling(m *hw.Machine, n int, per tmam.Inputs) (tmam.Inputs, tmam.Params) {
+	params := SharedCeiling(m, n)
+	if o.HyperThreading {
+		params.BWSeq = min(params.BWSeq*m.HyperThreadBWx, m.PerSocketBW.Sequential/float64(n))
+		params.BWRand = min(params.BWRand*m.HyperThreadBWx, m.PerSocketBW.Random/float64(n))
 		boost := per.RandMLPBoost
 		if boost <= 0 {
 			boost = 1
 		}
 		per.RandMLPBoost = boost * m.HyperThreadBWx
 	}
-	params := tmam.Params{BWSeq: bwSeq, BWRand: bwRand}
-	prof := tmam.AccountInputs(per, params)
+	return per, params
+}
+
+// Run derives the T-thread profile from a single-core run's inputs.
+func Run(in tmam.Inputs, threads int, opts Options) Result {
+	m := in.Machine
+	if threads < 1 {
+		threads = 1
+	}
+	prof := tmam.AccountInputs(opts.ceiling(m, threads, in.ScaleCounts(float64(threads))))
 
 	single := tmam.AccountInputs(in, tmam.Params{})
 	speedup := 0.0
@@ -134,19 +145,7 @@ func Concurrent(in tmam.Inputs, streams, threads, cores int, opts Options) Concu
 	if busy > cores {
 		busy = cores
 	}
-	per := in.ScaleCounts(float64(threads))
-	bwSeq := min(m.PerCoreBW.Sequential, m.PerSocketBW.Sequential/float64(busy))
-	bwRand := min(m.PerCoreBW.Random, m.PerSocketBW.Random/float64(busy))
-	if opts.HyperThreading {
-		bwSeq = min(bwSeq*m.HyperThreadBWx, m.PerSocketBW.Sequential/float64(busy))
-		bwRand = min(bwRand*m.HyperThreadBWx, m.PerSocketBW.Random/float64(busy))
-		boost := per.RandMLPBoost
-		if boost <= 0 {
-			boost = 1
-		}
-		per.RandMLPBoost = boost * m.HyperThreadBWx
-	}
-	prof := tmam.AccountInputs(per, tmam.Params{BWSeq: bwSeq, BWRand: bwRand})
+	prof := tmam.AccountInputs(opts.ceiling(m, busy, in.ScaleCounts(float64(threads))))
 	r := ConcurrentResult{
 		Streams:            streams,
 		ThreadsPerQuery:    threads,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"olapmicro/internal/engine/relop"
-	"olapmicro/internal/mem"
 	"olapmicro/internal/obs"
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
@@ -50,35 +48,16 @@ func (c *Compiled) serialPrediction() tmam.Profile {
 	return tmam.Profile{}
 }
 
-// Analyze executes the statement's serial instrumented run: a fresh
-// probe with named-section attribution enabled, one worker, one
-// morsel spanning the driver. It is EXPLAIN ANALYZE's engine — the
-// paper's predicted-vs-measured methodology applied to one statement
-// on demand.
+// Analyze executes the statement's serial run with the probe's
+// named-section attribution enabled: one worker, one morsel spanning
+// the driver. It is EXPLAIN ANALYZE's engine — the paper's
+// predicted-vs-measured methodology applied to one statement on
+// demand.
 func (c *Compiled) Analyze() (*Analysis, error) {
-	as := probe.NewAddrSpace()
-	p := probe.New(c.machine, mem.AllPrefetchers())
-	p.EnableSections()
-	ex, err := c.executor(as)
+	p, res, root, err := c.serialRun(true)
 	if err != nil {
 		return nil, err
 	}
-	root := obs.NewSpan("analyze")
-	sp := root.Child("build")
-	prep, err := ex.PreparePipeline(p, as, c.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	sp = root.Child("scan+probe")
-	w := prep.NewWorker(p, as)
-	w.RunMorsel(0, prep.Rows())
-	sp.End()
-	sp = root.Child("finalize")
-	res := relop.FinalizeProbed(p, c.Pipeline, []*relop.Partial{w.Partial()})
-	sp.End()
-	root.End()
-
 	an := &Analysis{
 		Engine:    c.Engine,
 		Predicted: c.serialPrediction(),

@@ -10,8 +10,9 @@ import (
 // the paper queries for both engines: the plan, the predicted and
 // observed top-down rows side by side, a per-operator table naming
 // the engine's actual pipeline stages, and the host-wall span tree.
-// The executed result must match a plain run of the same statement —
-// ANALYZE observes the query, it must not change it.
+// The executed result, counter inputs and profile must match a plain
+// serial run of the same statement — ANALYZE observes the query, it
+// must not change it.
 func TestExplainAnalyzeShape(t *testing.T) {
 	d, m := cv(t)
 	for _, tc := range []struct {
@@ -41,6 +42,13 @@ func TestExplainAnalyzeShape(t *testing.T) {
 			}
 			if !a.Result.Equal(plain.Result) {
 				t.Errorf("analyzed result %v != plain result %v", a.Result, plain.Result)
+			}
+			// Sections only attribute counters; they never change them.
+			if !reflect.DeepEqual(a.Inputs, plain.Inputs) {
+				t.Errorf("analyzed inputs %+v != plain inputs %+v", a.Inputs, plain.Inputs)
+			}
+			if !reflect.DeepEqual(a.Profile, plain.Profile) {
+				t.Errorf("analyzed profile %+v != plain profile %+v", a.Profile, plain.Profile)
 			}
 			out := c.RenderAnalysis(a.Analysis)
 			for _, want := range append([]string{

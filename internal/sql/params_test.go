@@ -122,6 +122,9 @@ func TestBindErrorsAndUnboundGuards(t *testing.T) {
 	if _, err := ct.ExecuteFast(4); err == nil || !strings.Contains(err.Error(), "unbound") {
 		t.Errorf("ExecuteFast on template: %v", err)
 	}
+	if _, err := ct.Analyze(); err == nil || !strings.Contains(err.Error(), "unbound") {
+		t.Errorf("Analyze on template: %v", err)
+	}
 	if !strings.Contains(ct.Explain(), "unbound template") {
 		t.Errorf("Explain on template: %q", ct.Explain())
 	}

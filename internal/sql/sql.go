@@ -356,38 +356,21 @@ func (c *Compiled) prediction(system string) tmam.Profile {
 	return tmam.Profile{}
 }
 
-// pipelineEngine is what both executing engines provide: the serial
-// entry point and the build-phase hook of a morsel-driven run.
-type pipelineEngine interface {
-	PreparePipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (relop.Prepared, error)
-	ExecPipeline(p *probe.Probe, as *probe.AddrSpace, pl *relop.Pipeline) (engine.Result, error)
-}
-
-// executor instantiates the chosen engine against a fresh address
-// space.
-func (c *Compiled) executor(as *probe.AddrSpace) (pipelineEngine, error) {
-	switch c.Engine {
-	case "Typer":
-		return typer.New(c.data, as), nil
-	case "Tectorwise":
-		return tectorwise.New(c.data, as, c.machine.L1D.SizeBytes, c.machine.SIMDLanes64), nil
-	}
-	return nil, fmt.Errorf("engine %q cannot execute SQL pipelines; force typer or tectorwise", c.Engine)
-}
-
 // Prepare instantiates the chosen engine against as and runs the
 // pipeline's build phase on p, returning the read-only plan fragment
 // any number of workers may probe concurrently — the build step of
-// every parallel.Run, whoever scans.
+// every measured run, serial or parallel, whoever scans.
 func (c *Compiled) Prepare(p *probe.Probe, as *probe.AddrSpace) (relop.Prepared, error) {
 	if err := c.errUnbound(); err != nil {
 		return nil, err
 	}
-	ex, err := c.executor(as)
-	if err != nil {
-		return nil, err
+	switch c.Engine {
+	case "Typer":
+		return typer.New(c.data, as).PreparePipeline(p, as, c.Pipeline)
+	case "Tectorwise":
+		return tectorwise.New(c.data, as, c.machine.L1D.SizeBytes, c.machine.SIMDLanes64).PreparePipeline(p, as, c.Pipeline)
 	}
-	return ex.PreparePipeline(p, as, c.Pipeline)
+	return nil, fmt.Errorf("engine %q cannot execute SQL pipelines; force typer or tectorwise", c.Engine)
 }
 
 // Fast returns the statement's cached fast-mode executor — fast mode's
@@ -440,6 +423,35 @@ func (c *Compiled) runMorsels(threads int) (*parallel.Result, error) {
 	}, parallel.Dedicated)
 }
 
+// serialRun is the statement's serial measured run on one fresh
+// probe: Prepare, one worker over the whole driver, then the finalize,
+// timed as a host-clock span tree (build, scan+probe, finalize).
+// sections turns on the probe's named-section attribution for EXPLAIN
+// ANALYZE; sections only attribute counters, they never change them.
+func (c *Compiled) serialRun(sections bool) (*probe.Probe, engine.Result, *obs.Span, error) {
+	as := probe.NewAddrSpace()
+	p := probe.New(c.machine, mem.AllPrefetchers())
+	if sections {
+		p.EnableSections()
+	}
+	root := obs.NewSpan("analyze")
+	sp := root.Child("build")
+	prep, err := c.Prepare(p, as)
+	if err != nil {
+		return nil, engine.Result{}, nil, err
+	}
+	sp.End()
+	sp = root.Child("scan+probe")
+	w := prep.NewWorker(p, as)
+	w.RunMorsel(0, prep.Rows())
+	sp.End()
+	sp = root.Child("finalize")
+	res := relop.FinalizeProbed(p, c.Pipeline, []*relop.Partial{w.Partial()})
+	sp.End()
+	root.End()
+	return p, res, root, nil
+}
+
 // Execute runs the pipeline on the chosen engine at the compilation's
 // thread count, measuring the run like the harness measures the
 // hardcoded workloads.
@@ -457,13 +469,7 @@ func (c *Compiled) ExecuteThreads(threads int) (*Answer, error) {
 	if threads > 1 {
 		return c.executeParallel(threads)
 	}
-	as := probe.NewAddrSpace()
-	p := probe.New(c.machine, mem.AllPrefetchers())
-	ex, err := c.executor(as)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ex.ExecPipeline(p, as, c.Pipeline)
+	p, res, _, err := c.serialRun(false)
 	if err != nil {
 		return nil, err
 	}

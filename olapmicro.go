@@ -20,8 +20,8 @@
 //     Tectorwise (vectorized, with AVX-512 SIMD mode) — executing the
 //     paper's workloads for real while reporting micro-architectural
 //     events; Typer and Tectorwise additionally expose generalized
-//     scan/filter/hash-join/aggregate operators (ExecPipeline) that
-//     run ad-hoc plans;
+//     scan/filter/hash-join/aggregate operators (PreparePipeline and
+//     its workers) that run ad-hoc plans;
 //   - internal/engine/relop: the engine-neutral physical plan those
 //     operators execute;
 //   - internal/engine/parallel: the morsel-driven multi-core
