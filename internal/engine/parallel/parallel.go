@@ -14,8 +14,6 @@
 package parallel
 
 import (
-	"fmt"
-
 	"olapmicro/internal/engine"
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/hw"
@@ -25,16 +23,6 @@ import (
 	"olapmicro/internal/probe"
 	"olapmicro/internal/tmam"
 )
-
-// Morsel is one contiguous slice of the driver table's rows.
-type Morsel struct {
-	Start, End int
-}
-
-// DefaultMorselRows keeps a morsel's per-column footprint around
-// 128 KB of 8-byte values: big enough to amortize per-morsel setup,
-// small enough that the interleave stays balanced.
-const DefaultMorselRows = 16384
 
 // WorkerWindow is the simulated address-space window each worker's
 // private structures are carved from — 64 GB of free simulated
@@ -56,8 +44,6 @@ type Scan struct {
 	// Threads is the worker count, clamped to [1, 2 x cores-per-socket]
 	// (see ClampThreads) and to the morsel count.
 	Threads int
-	// Name prefixes the workers' address-space forks (Name0, Name1, ...).
-	Name string
 	// Trace, when non-nil, receives the "build" and "finalize" phase
 	// spans as children.
 	Trace *obs.Span
@@ -94,49 +80,6 @@ type Result struct {
 	Speedup float64
 }
 
-// Morsels partitions rows into morsels of roughly targetRows rows.
-// Boundaries land on align-multiples so every worker's chunks coincide
-// with the serial execution's, the morsel count is rounded up to a
-// multiple of threads so the even split has no remainder, and sizes
-// are interleaved within one align unit of each other — the simulated
-// cores are symmetric, so balance, not stealing, determines the
-// parallel phase's span. A driver with fewer align-units than that
-// rounded count gets one morsel per unit instead (some workers then
-// stay idle).
-func Morsels(rows, targetRows, align, threads int) []Morsel {
-	if rows <= 0 {
-		return nil
-	}
-	if align < 1 {
-		align = 1
-	}
-	if targetRows < 1 {
-		targetRows = DefaultMorselRows
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	units := (rows + align - 1) / align
-	count := (rows + targetRows - 1) / targetRows
-	count = (count + threads - 1) / threads * threads
-	if count > units {
-		count = units
-	}
-	out := make([]Morsel, 0, count)
-	start := 0
-	for i := 0; i < count; i++ {
-		// Bresenham split: morsel i spans units (i*units/count,
-		// (i+1)*units/count], spreading the remainder evenly.
-		end := (i + 1) * units / count * align
-		if end > rows {
-			end = rows
-		}
-		out = append(out, Morsel{Start: start, End: end})
-		start = end
-	}
-	return out
-}
-
 // ClampThreads bounds a requested worker count to [1, 2 x
 // cores-per-socket] — the single-socket hyper-threaded capacity the
 // Section-10 model covers. A worker is a whole simulated core, so
@@ -154,13 +97,13 @@ func ClampThreads(m *hw.Machine, threads int) int {
 	return threads
 }
 
-// Run is the one morsel driver every engine scan goes through: the
-// build phase once, serially, on the run's own probe; the driver table
-// cut into Morsels; one worker per thread, each with a private probe
+// Run is the morsel driver every engine scan goes through: the build
+// phase once, serially, on the run's own probe; the driver table cut
+// into relop.Morsels; one worker per thread, each with a private probe
 // and a WorkerWindow-sized address-space fork; the scan step, which is
-// the caller's — Dedicated for a run that owns its goroutines,
+// the caller's — relop.Dedicated for a run that owns its goroutines,
 // internal/server's slot-capped step for one that shares the machine
-// with other queries (both on the Strided fleet); then the
+// with other queries (both on the relop.Strided fleet); then the
 // thread-local partials merged and the post-aggregation operators
 // (HAVING, sort, top-k) run on the coordinator, charged to the build
 // probe so they count toward the serial span, not any worker's.
@@ -176,7 +119,7 @@ func ClampThreads(m *hw.Machine, threads int) int {
 // homogeneous, so dynamic morsel stealing converges to this even
 // interleave anyway, and the fixed assignment keeps every worker's
 // profile reproducible regardless of how the host schedules the scan.
-func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Result, error) {
+func Run(s Scan, scan func(workers []relop.Worker, morsels []relop.Morsel) error) (*Result, error) {
 	threads := ClampThreads(s.Machine, s.Threads)
 	end := s.phase("build")
 	as := probe.NewAddrSpace()
@@ -186,7 +129,7 @@ func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Re
 	if err != nil {
 		return nil, err
 	}
-	morsels := Morsels(prep.Rows(), 0, prep.MorselAlign(), threads)
+	morsels := relop.Morsels(prep.Rows(), prep.MorselAlign(), threads)
 	// The thread count clamps to the morsel count: a driver smaller than
 	// the worker fleet leaves workers idle, and idle workers must not
 	// count toward the shared-bandwidth divisor ("with T cores
@@ -199,7 +142,7 @@ func Run(s Scan, scan func(workers []relop.Worker, morsels []Morsel) error) (*Re
 	workers := make([]relop.Worker, threads)
 	for t := range workers {
 		probes[t] = probe.New(s.Machine, mem.AllPrefetchers())
-		workers[t] = prep.NewWorker(probes[t], as.Fork(fmt.Sprintf("%s%d", s.Name, t), WorkerWindow))
+		workers[t] = prep.NewWorker(probes[t], as.Fork("worker", WorkerWindow))
 	}
 
 	if err := scan(workers, morsels); err != nil {
@@ -222,33 +165,6 @@ func (s Scan) phase(name string) func() {
 		return func() {}
 	}
 	return s.Trace.Child(name).End
-}
-
-// Strided is the scan fleet every caller of Run shares: one goroutine
-// per worker (a relop.Fleet, so a panic resurfaces on the caller), and
-// worker t of T visits morsels t, t+T, t+2T, ... in order, handing each
-// to step. A false return from step stops that worker — the hook the
-// server uses for cancellation and per-query abort; the other workers
-// run on until their own step says otherwise.
-func Strided(threads int, morsels []Morsel, step func(t int, m Morsel) bool) {
-	relop.Fleet(threads, func(t int) {
-		for i := t; i < len(morsels); i += threads {
-			if !step(t, morsels[i]) {
-				return
-			}
-		}
-	})
-}
-
-// Dedicated is the scan step of a run that owns its workers end to
-// end: every worker runs its morsels back to back until the scan
-// drains.
-func Dedicated(workers []relop.Worker, morsels []Morsel) error {
-	Strided(len(workers), morsels, func(t int, m Morsel) bool {
-		workers[t].RunMorsel(m.Start, m.End)
-		return true
-	})
-	return nil
 }
 
 // assemble accounts one completed measured run from its probes: the

@@ -55,8 +55,8 @@ func run(t *testing.T, engName, query string, threads int) *parallel.Result {
 	}
 	r, err := parallel.Run(parallel.Scan{
 		Machine: m, Pipeline: c.Pipeline, Prepare: c.Prepare,
-		Threads: threads, Name: "parallel.worker",
-	}, parallel.Dedicated)
+		Threads: threads,
+	}, relop.Dedicated)
 	if err != nil {
 		t.Fatalf("parallel run x%d: %v", threads, err)
 	}
@@ -157,42 +157,11 @@ func TestWorkerBandwidthUnderSharedCeiling(t *testing.T) {
 	}
 }
 
-func TestMorselsPartition(t *testing.T) {
-	cases := []struct {
-		rows, target, align, threads int
-	}{
-		{1_499_451, 16384, 1, 16},
-		{1_499_451, 16384, 1024, 16},
-		{100, 16384, 1024, 8},
-		{0, 16384, 1, 4},
-		{7, 3, 1, 2},
-	}
-	for _, tc := range cases {
-		ms := parallel.Morsels(tc.rows, tc.target, tc.align, tc.threads)
-		covered := 0
-		for i, mo := range ms {
-			if mo.Start != covered || mo.End <= mo.Start {
-				t.Fatalf("%+v: morsel %d [%d,%d) does not tile from %d", tc, i, mo.Start, mo.End, covered)
-			}
-			if mo.Start%tc.align != 0 {
-				t.Errorf("%+v: morsel %d starts off-alignment at %d", tc, i, mo.Start)
-			}
-			covered = mo.End
-		}
-		if covered != tc.rows {
-			t.Fatalf("%+v: morsels cover %d of %d rows", tc, covered, tc.rows)
-		}
-		if tc.rows > tc.align*tc.threads && len(ms)%tc.threads != 0 {
-			t.Errorf("%+v: %d morsels do not split evenly over %d workers", tc, len(ms), tc.threads)
-		}
-	}
-}
-
 // panicPrepared is a relop.Prepared whose workers panic on their
 // first morsel.
 type panicPrepared struct{}
 
-func (panicPrepared) Rows() int        { return 4 * parallel.DefaultMorselRows }
+func (panicPrepared) Rows() int        { return 4 * relop.DefaultMorselRows }
 func (panicPrepared) MorselAlign() int { return 1 }
 func (panicPrepared) NewWorker(*probe.Probe, *probe.AddrSpace) relop.Worker {
 	return panicWorker{}
@@ -216,55 +185,7 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 	_, err := parallel.Run(parallel.Scan{
 		Machine: m,
 		Prepare: func(*probe.Probe, *probe.AddrSpace) (relop.Prepared, error) { return panicPrepared{}, nil },
-		Threads: 2, Name: "panic.worker",
-	}, parallel.Dedicated)
+		Threads: 2,
+	}, relop.Dedicated)
 	t.Errorf("Run returned (err %v) past a panicking worker", err)
-}
-
-// Strided is the one partition every scan shares: each morsel is
-// visited exactly once, by worker i mod T, in ascending order per
-// worker — for morsel counts below, equal to and above the worker
-// count — and a false return from the step stops that worker alone.
-func TestStridedVisitsEachMorselOnceOnItsWorker(t *testing.T) {
-	for _, threads := range []int{1, 2, 3} {
-		for _, count := range []int{0, threads - 1, threads, threads + 1, 3*threads + 2} {
-			if count < 0 {
-				continue
-			}
-			morsels := make([]parallel.Morsel, count)
-			for i := range morsels {
-				morsels[i] = parallel.Morsel{Start: i * 10, End: i*10 + 10}
-			}
-			// seen[w] is written by worker w's goroutine only.
-			seen := make([][]int, threads)
-			parallel.Strided(threads, morsels, func(w int, m parallel.Morsel) bool {
-				seen[w] = append(seen[w], m.Start/10)
-				return true
-			})
-			visits := make([]int, count)
-			for w, idx := range seen {
-				for k, i := range idx {
-					visits[i]++
-					if i != w+k*threads {
-						t.Errorf("T=%d n=%d: worker %d's visit %d was morsel %d, want %d", threads, count, w, k, i, w+k*threads)
-					}
-				}
-			}
-			for i, n := range visits {
-				if n != 1 {
-					t.Errorf("T=%d n=%d: morsel %d visited %d times", threads, count, i, n)
-				}
-			}
-		}
-	}
-
-	morsels := make([]parallel.Morsel, 9)
-	ran := make([]int, 3)
-	parallel.Strided(3, morsels, func(w int, _ parallel.Morsel) bool {
-		ran[w]++
-		return w != 1 // worker 1 gives up after its first morsel
-	})
-	if ran[0] != 3 || ran[1] != 1 || ran[2] != 3 {
-		t.Errorf("morsels run per worker = %v, want [3 1 3]", ran)
-	}
 }

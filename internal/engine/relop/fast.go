@@ -54,11 +54,13 @@ type rangeSelKernel func(lo, hi int32, out []int32) []int32
 
 // FastPlan is a pipeline compiled for probe-free execution, its join
 // build sides indexed. It is immutable after CompileFast and safe for
-// any number of concurrent Execute calls; workers (selection vectors,
-// value buffers, group tables) are pooled and reset between
+// any number of concurrent Execute or Run calls; workers (selection
+// vectors, value buffers, group tables) are pooled and reset between
 // executions.
 type FastPlan struct {
-	pl       *Pipeline
+	pl *Pipeline
+	// rows is the driver rows the plan scans: zero when the filter is
+	// proven empty.
 	rows     int
 	grouped  bool
 	nkeys    int
@@ -147,8 +149,8 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 	switch {
 	case never:
 		// Some conjunct excludes every present value: nothing matches,
-		// whatever the other conjuncts say.
-		p.filter0 = neverMatch
+		// whatever the other conjuncts say, so there is nothing to scan.
+		p.rows = 0
 	case p.codes != nil && len(rest) == 0 && len(p.joins) == 0:
 		p.codes.chunked, p.codes.conds = true, conds
 	default:
@@ -170,69 +172,53 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 	return p, nil
 }
 
-// Execute runs the plan on up to threads workers over contiguous row
-// ranges and returns the finalized result plus the worker count used.
-// Any partitioning yields the identical Result (see the file comment),
-// so the thread count is purely a latency knob.
+// Execute runs the plan on up to threads workers, each scanning its
+// morsels back to back (Dedicated), and returns the finalized result
+// plus the worker count used. Any partitioning yields the identical
+// Result (see the file comment), so the thread count is purely a
+// latency knob.
 func (p *FastPlan) Execute(threads int) (engine.Result, int) {
-	maxw := (p.rows + fastChunk - 1) / fastChunk
-	if threads > maxw {
-		threads = maxw
-	}
-	if threads < 1 {
-		threads = 1
-	}
+	res, used, _ := p.Run(threads, Dedicated)
+	return res, used
+}
+
+// Run is the plan's morsel driver, shaped like parallel.Run: Morsels
+// on fastChunk boundaries, one worker per thread (none for a plan
+// proven empty, which has no morsels), the caller's scan step under
+// parallel.Run's contract, then the partials finalized. After a scan
+// error — cancellation, a deadline, a recovered panic — the workers
+// are dropped, not pooled: their state is mid-scan or suspect.
+func (p *FastPlan) Run(threads int, scan func(workers []Worker, morsels []Morsel) error) (engine.Result, int, error) {
+	threads = max(threads, 1)
+	morsels := Morsels(p.rows, fastChunk, threads)
+	threads = min(threads, len(morsels))
 	pooled := p.ran.Swap(true)
-	workers := make([]*fastWorker, threads)
-	if threads == 1 {
-		workers[0] = p.worker(pooled)
-		workers[0].run(0, p.rows)
-	} else {
-		per := (p.rows + threads - 1) / threads
-		// Panicking workers stay out of the pool — their state is suspect.
-		Fleet(threads, func(t int) {
-			lo := t * per
-			hi := min(lo+per, p.rows)
-			if lo >= hi {
-				return
-			}
-			w := p.worker(pooled)
-			w.run(lo, hi)
-			workers[t] = w
-		})
+	workers := make([]Worker, threads)
+	for t := range workers {
+		workers[t] = p.worker(pooled)
+	}
+	if err := scan(workers, morsels); err != nil {
+		return engine.Result{}, 0, err
 	}
 	res := FinalizeProbed(nil, p.pl, p.partials(workers))
-	for _, w := range workers {
-		if w != nil && pooled {
+	if pooled {
+		for _, w := range workers {
 			p.pool.Put(w)
 		}
 	}
-	return res, threads
+	return res, threads, nil
 }
 
 // partials exposes the workers' state in the form FinalizeProbed
 // merges: a direct-coded plan's tables merged into one partial, or one
-// partial per worker. Hashed partials alias their workers, so Execute
-// returns workers to the pool only after finalize has consumed them.
-func (p *FastPlan) partials(ws []*fastWorker) []*Partial {
+// partial per worker.
+func (p *FastPlan) partials(ws []Worker) []*Partial {
 	if p.codes != nil {
 		return []*Partial{p.codePartial(ws)}
 	}
 	parts := make([]*Partial, len(ws))
 	for t, w := range ws {
-		if w == nil {
-			continue
-		}
-		if !p.grouped {
-			parts[t] = &Partial{Scalar: append([]int64(nil), w.scalar...), Matched: w.matched}
-			continue
-		}
-		g := &w.groups
-		tuples := make([][]int64, g.n)
-		for i := range tuples {
-			tuples[i] = g.tuples[i*g.width : (i+1)*g.width]
-		}
-		parts[t] = &Partial{Tuples: tuples, Aggs: g.acc, Matched: w.matched}
+		parts[t] = w.Partial()
 	}
 	return parts
 }
@@ -310,6 +296,26 @@ type fastWorker struct {
 	rv [][]int32
 }
 
+// Partial is the worker's state as FinalizeProbed merges it. A hashed
+// partial aliases the worker, so Run pools workers only after finalize
+// has consumed them; a direct-coded one is merged out of the code
+// tables, which codePartial leaves reset.
+func (w *fastWorker) Partial() *Partial {
+	p := w.p
+	switch {
+	case p.codes != nil:
+		return p.codePartial([]Worker{w})
+	case !p.grouped:
+		return &Partial{Scalar: append([]int64(nil), w.scalar...), Matched: w.matched}
+	}
+	g := &w.groups
+	tuples := make([][]int64, g.n)
+	for i := range tuples {
+		tuples[i] = g.tuples[i*g.width : (i+1)*g.width]
+	}
+	return &Partial{Tuples: tuples, Aggs: g.acc, Matched: w.matched}
+}
+
 func (w *fastWorker) reset() {
 	w.matched = 0
 	w.resetScalars()
@@ -324,9 +330,9 @@ func (w *fastWorker) resetScalars() {
 	}
 }
 
-// run scans driver rows [start, end) chunk by chunk: filter to a
+// RunMorsel scans driver rows [start, end) chunk by chunk: filter to a
 // selection vector, probe the joins, then fold the survivors.
-func (w *fastWorker) run(start, end int) {
+func (w *fastWorker) RunMorsel(start, end int) {
 	p := w.p
 	if p.codes != nil && p.codes.chunked {
 		w.runCoded(start, end)

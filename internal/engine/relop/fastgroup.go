@@ -293,13 +293,11 @@ func foldCodes[T int64 | byte](kind AggKind, acc []int64, codes []int32, v []T) 
 // reached are dropped, and the rest decode back into key tuples. It
 // then resets every slot it read and the discard slots, so the workers
 // go back to the pool clean.
-func (p *FastPlan) codePartial(ws []*fastWorker) *Partial {
+func (p *FastPlan) codePartial(ws []Worker) *Partial {
 	g := p.codes
-	var live []*fastWorker
-	for _, w := range ws {
-		if w != nil {
-			live = append(live, w)
-		}
+	live := make([]*fastWorker, len(ws))
+	for t, w := range ws {
+		live[t] = w.(*fastWorker)
 	}
 	lanes := int(g.lanes) + 1
 	shift := bits.TrailingZeros(uint(lanes))

@@ -35,32 +35,104 @@ type Worker interface {
 	Partial() *Partial
 }
 
-// Fleet runs body(0) .. body(n-1), each on its own goroutine, and
-// returns when all have. A worker panic must surface on the caller's
-// goroutine, not kill the process from a frame nothing can recover:
-// the first one is captured and re-panicked after the fleet drains,
-// where the caller's own recover barrier (the server's execute frame,
-// a test harness) can convert it into a per-query error.
-func Fleet(n int, body func(t int)) {
+// Morsel is one contiguous slice of the driver table's rows.
+type Morsel struct {
+	Start, End int
+}
+
+// DefaultMorselRows keeps a morsel's per-column footprint around
+// 128 KB of 8-byte values: big enough to amortize per-morsel setup,
+// small enough that the interleave stays balanced.
+const DefaultMorselRows = 16384
+
+// Morsels partitions rows into morsels of roughly DefaultMorselRows
+// rows for threads >= 1 workers. Boundaries land on align-multiples
+// (align >= 1) so every worker's chunks coincide with the serial
+// execution's, the morsel count is rounded up to a multiple of threads
+// so the even split has no remainder, and sizes are interleaved within
+// one align unit of each other — the simulated cores are symmetric, so
+// balance, not stealing, determines the parallel phase's span. A driver
+// with fewer align-units than that rounded count gets one morsel per
+// unit instead (some workers then stay idle).
+func Morsels(rows, align, threads int) []Morsel {
+	if rows <= 0 {
+		return nil
+	}
+	units := (rows + align - 1) / align
+	count := (rows + DefaultMorselRows - 1) / DefaultMorselRows
+	count = (count + threads - 1) / threads * threads
+	if count > units {
+		count = units
+	}
+	out := make([]Morsel, 0, count)
+	start := 0
+	for i := 0; i < count; i++ {
+		// Bresenham split: morsel i spans units (i*units/count,
+		// (i+1)*units/count], spreading the remainder evenly.
+		end := (i + 1) * units / count * align
+		if end > rows {
+			end = rows
+		}
+		out = append(out, Morsel{Start: start, End: end})
+		start = end
+	}
+	return out
+}
+
+// Strided is the one worker fleet every scan runs on, measured or
+// fast: worker t of threads visits morsels t, t+T, t+2T, ... in order,
+// handing each to step, and Strided returns when every worker has. A
+// false return from step stops that worker — the hook the server uses
+// for cancellation, deadlines and per-query abort; the others run on
+// until their own step says otherwise. One worker runs inline on the
+// caller's goroutine; more run one goroutine each. A worker panic must
+// surface on the caller's goroutine, not kill the process from a frame
+// nothing can recover: the first one is captured and re-panicked after
+// the fleet drains, where the caller's own recover barrier (the
+// server's execute frame, a test harness) can convert it into a
+// per-query error.
+func Strided(threads int, morsels []Morsel, step func(t int, m Morsel) bool) {
+	visit := func(t int) {
+		for i := t; i < len(morsels); i += threads {
+			if !step(t, morsels[i]) {
+				return
+			}
+		}
+	}
+	if threads == 1 {
+		visit(0)
+		return
+	}
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked any
-	wg.Add(n)
-	for t := 0; t < n; t++ {
-		go func(t int) {
+	wg.Add(threads)
+	for t := 0; t < threads; t++ {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicOnce.Do(func() { panicked = r })
 				}
 			}()
-			body(t)
-		}(t)
+			visit(t)
+		}()
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// Dedicated is the scan step of a run that owns its workers end to
+// end: every worker runs its morsels back to back until the scan
+// drains.
+func Dedicated(workers []Worker, morsels []Morsel) error {
+	Strided(len(workers), morsels, func(t int, m Morsel) bool {
+		workers[t].RunMorsel(m.Start, m.End)
+		return true
+	})
+	return nil
 }
 
 // BuildState is one join's shared, read-only build result: the hash

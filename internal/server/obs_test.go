@@ -120,38 +120,46 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 
 // TestQuerySpanTree pins the per-query trace: queue-wait, plan
 // (annotated with the cache outcome), build, execute with one
-// aggregated span per scan worker, and finalize, all under one root.
+// aggregated span per scan worker, and finalize, all under one root. A
+// fast submission scans on the same driver, so its execute span has
+// the same worker children.
 func TestQuerySpanTree(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueryThreads: 2})
-	resp, err := s.Submit(context.Background(), testQueries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace == nil {
-		t.Fatal("response carries no trace")
-	}
-	for _, name := range []string{"queue-wait", "plan", "build", "execute", "worker[0]", "worker[1]", "finalize"} {
-		if resp.Trace.Find(name) == nil {
-			t.Errorf("trace missing span %q:\n%s", name, resp.Trace.Render())
+	for _, in := range []struct {
+		opts  []SubmitOption
+		spans []string
+		cache string
+	}{
+		{nil, []string{"queue-wait", "plan", "build", "execute", "finalize"}, "cache=false"},
+		{[]SubmitOption{WithFast()}, []string{"queue-wait", "plan", "execute"}, "cache=true"},
+	} {
+		resp, err := s.Submit(context.Background(), testQueries[0], in.opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	text := resp.Trace.Render()
-	if !strings.Contains(text, "cache=false") {
-		t.Errorf("first run's plan span should note the cache miss:\n%s", text)
-	}
-	if !strings.Contains(text, "morsels=") {
-		t.Errorf("worker spans should note their morsel counts:\n%s", text)
-	}
-	// The compile spans hang under the plan span on a miss.
-	if resp.Trace.Find("bind+plan") == nil {
-		t.Errorf("trace missing the adopted compile spans:\n%s", text)
-	}
-	resp2, err := s.Submit(context.Background(), testQueries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp2.Trace.Render(), "cache=true") {
-		t.Errorf("repeat run's plan span should note the cache hit:\n%s", resp2.Trace.Render())
+		if resp.Trace == nil {
+			t.Fatal("response carries no trace")
+		}
+		text := resp.Trace.Render()
+		for _, name := range in.spans {
+			if resp.Trace.Find(name) == nil {
+				t.Errorf("fast=%v: trace missing span %q:\n%s", resp.Fast, name, text)
+			}
+		}
+		if exec := resp.Trace.Find("execute"); exec != nil {
+			for _, name := range []string{"worker[0]", "worker[1]"} {
+				if w := exec.Find(name); w == nil || !strings.Contains(w.Render(), "morsels=") {
+					t.Errorf("fast=%v: execute span has no %s noting its morsel count:\n%s", resp.Fast, name, text)
+				}
+			}
+		}
+		if !strings.Contains(text, in.cache) {
+			t.Errorf("fast=%v: plan span should note %s:\n%s", resp.Fast, in.cache, text)
+		}
+		// The compile spans hang under the plan span on a miss.
+		if miss := in.cache == "cache=false"; miss != (resp.Trace.Find("bind+plan") != nil) {
+			t.Errorf("fast=%v: adopted compile spans present=%v on a miss=%v:\n%s", resp.Fast, !miss, miss, text)
+		}
 	}
 }
 

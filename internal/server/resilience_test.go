@@ -66,9 +66,9 @@ func TestPanicIsolationPoolWorker(t *testing.T) {
 	checkStatsInvariant(t, st)
 }
 
-// The same fault on the profile-free fast path is recovered by the
-// execute barrier (the fast executor's worker goroutines repropagate
-// onto the submission frame).
+// The same fault on the profile-free fast path is recovered the same
+// way: fast plans scan their morsels through the measured path's
+// runMorsel barrier, so the panic is a scan worker's.
 func TestPanicIsolationFastPath(t *testing.T) {
 	inj := faults.New(2)
 	inj.Enable(faults.WorkerPanic, 1, 0)
@@ -80,8 +80,8 @@ func TestPanicIsolationFastPath(t *testing.T) {
 	if !errors.As(err, &perr) {
 		t.Fatalf("faulted fast query: want *PanicError, got %v", err)
 	}
-	if perr.Op != "execute" {
-		t.Errorf("panic op = %q, want execute", perr.Op)
+	if perr.Op != "scan-worker" {
+		t.Errorf("panic op = %q, want scan-worker", perr.Op)
 	}
 	if resp, err := s.Submit(context.Background(), q, WithFast()); err != nil || resp.Result.Rows == 0 {
 		t.Fatalf("fast path must survive a panic: %v %v", resp, err)
@@ -150,6 +150,45 @@ func TestQueryDeadlines(t *testing.T) {
 		t.Errorf("outcomes canceled=%d completed=%d, want 2 and 2", st.Canceled, st.Completed)
 	}
 	checkStatsInvariant(t, st)
+}
+
+// A fast plan's deadline is checked at every morsel boundary, like a
+// measured scan's: a morsel stalled past the submission's timeout
+// fails it with context.DeadlineExceeded and counts it, and the same
+// statement unfaulted returns the bit-identical answer.
+func TestFastDeadlineAtMorselBoundary(t *testing.T) {
+	inj := faults.New(4)
+	inj.Enable(faults.SlowMorsel, 1, 0) // every text, once each
+	s := newTestServer(t, Config{Workers: 2, QueryThreads: 2, Faults: inj})
+	ctx := context.Background()
+	q := testQueries[0]
+	// Another spelling of q compiles the shared plan and takes that
+	// spelling's stall, so the timed submission below is a cache hit
+	// whose first morsel stalls.
+	primed, err := s.Submit(ctx, strings.ToUpper(q), WithFast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(ctx, q, WithFast(), WithTimeout(injectedSlowMorselDelay/4)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fast scan past its deadline: want DeadlineExceeded, got %v", err)
+	}
+	if st := s.Stats(); st.DeadlineExceeded != 1 || st.Canceled != 1 {
+		t.Errorf("deadlines=%d canceled=%d, want 1 and 1", st.DeadlineExceeded, st.Canceled)
+	}
+
+	d, m := testDB()
+	_, serial, err := sql.Run(d, m, q, sql.Options{Engine: "typer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Submit(ctx, q, WithFast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Result.Equal(serial.Result) || !primed.Result.Equal(serial.Result) {
+		t.Errorf("fast results %v (unfaulted) and %v (stalled) differ from serial %v", resp.Result, primed.Result, serial.Result)
+	}
+	checkStatsInvariant(t, s.Stats())
 }
 
 // Overload rejections carry a computed retry-after hint and still

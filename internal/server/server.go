@@ -1,10 +1,10 @@
 // Package server is the concurrent query service above internal/sql:
 // many in-flight SQL statements compile through the planner (an LRU
 // plan cache deduplicates identical plans), then each runs its workers
-// as goroutines — internal/engine/parallel's strided fleet — under two
+// as goroutines — relop.Strided, the one worker fleet — under two
 // budgets: admission control bounds both the executing and the waiting
 // query count, and a Workers-sized slot semaphore bounds how many
-// morsels execute at once; the Go scheduler does the interleaving.
+// engine morsels execute at once; the Go scheduler interleaves them.
 // Every query is cancelable through its context, and because each
 // query's morsels are partitioned exactly as a dedicated parallel run
 // would partition them, every result — and every per-query
@@ -238,12 +238,13 @@ func withPrepared(id *sql.Identity, args []int64) SubmitOption {
 	return func(c *submitConfig) { c.id, c.args, c.hasArgs = id, args, true }
 }
 
-// WithFast runs this submission in profile-free fast mode: the real
-// computation, morsel partition and merge are exactly the measured
-// path's — the Result is bit-identical — but no probes attach, so no
+// WithFast runs this submission in profile-free fast mode on the
+// statement's relop.FastPlan: no probes attach, so no
 // micro-architectural events are simulated and the Response carries no
-// Profile. EXPLAIN and EXPLAIN ANALYZE statements ignore the flag:
-// they exist to show plans and profiles.
+// Profile. Its morsels run on the measured path's scan step but take no
+// scan slot; the Result is bit-identical to a measured run's. EXPLAIN
+// and EXPLAIN ANALYZE statements ignore the flag: they exist to show
+// plans and profiles.
 func WithFast() SubmitOption {
 	return func(c *submitConfig) { c.fast = true }
 }
@@ -325,6 +326,8 @@ type Server struct {
 
 	nextID atomic.Uint64
 	tel    *Telemetry
+	// workerSpans names a query's (at most Workers) worker spans.
+	workerSpans []string
 }
 
 // New returns a server ready to admit queries. It starts nothing
@@ -335,13 +338,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		plans:   newPlanCache(cfg.PlanCache),
-		brk:     newBreaker(),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		queue:   make(chan struct{}, cfg.MaxQueue),
-		slots:   make(chan struct{}, cfg.Workers),
-		pending: make(map[uint64]*Ticket),
+		cfg:         cfg,
+		plans:       newPlanCache(cfg.PlanCache),
+		brk:         newBreaker(),
+		sem:         make(chan struct{}, cfg.MaxInFlight),
+		queue:       make(chan struct{}, cfg.MaxQueue),
+		slots:       make(chan struct{}, cfg.Workers),
+		pending:     make(map[uint64]*Ticket),
+		workerSpans: make([]string, cfg.Workers),
+	}
+	for w := range s.workerSpans {
+		s.workerSpans[w] = fmt.Sprintf("worker[%d]", w)
 	}
 	s.tel = newTelemetry(s)
 	return s, nil
@@ -640,11 +647,10 @@ func (s *Server) run(t *Ticket, text string) {
 }
 
 // safeExecute isolates panics in one query's compile and execution:
-// a panic in the planner, the fast-path executor's kernels (their
-// worker goroutines repropagate onto this frame), the build phase or
-// the finalize merge becomes that query's error, with the stack
-// captured in the PanicError. runMorsel's own recovery covers the scan
-// phase, whose panics surface as runScan errors, not panics, and so
+// a panic in the planner, the build phase or the finalize merge
+// becomes that query's error, with the stack captured in the
+// PanicError. runMorsel's own recovery covers the scan phase of both
+// modes, whose panics surface as runScan errors, not panics, and so
 // arrive here as plain errors.
 func (s *Server) safeExecute(t *Ticket, text string, root *obs.Span) (resp *Response, err error) {
 	defer func() {
@@ -776,25 +782,21 @@ func (s *Server) execute(t *Ticket, text string, root *obs.Span) (*Response, err
 		// the Compiled, which the plan cache shares across sessions —
 		// repeated EXECUTEs of one template skip planning, engine
 		// construction and join builds and run the compiled kernels
-		// directly. Fast plans take no scan slot (measured: rotating them
-		// through a shared scheduler cost fast_frame 6% qps and fast_scan
-		// 23%, see README "Serving concurrent queries"); the admission
-		// ticket already bounds how many execute at once. Having no
-		// morsel boundaries, they are cancelled only before they start.
+		// directly. Its morsels go through runScan but take no scan slot
+		// (measured: rotating fast plans through a shared scheduler cost
+		// fast_frame 6% qps and fast_scan 23%, see README "Serving
+		// concurrent queries"); the admission ticket bounds them.
 		fp, err := c.Fast()
 		if err != nil {
 			return nil, err
 		}
-		if err := t.ctx.Err(); err != nil {
+		merged, used, err := fp.Run(sc.threads, func(workers []relop.Worker, morsels []relop.Morsel) error {
+			resp.Morsels = len(morsels)
+			return s.runScan(t, text, root, nil, workers, morsels)
+		})
+		if err != nil {
 			return nil, err
 		}
-		if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.WorkerPanic, text) {
-			panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: text})
-		}
-		exec := root.Child("execute")
-		merged, used := fp.Execute(sc.threads)
-		exec.End()
-		s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
 		resp.Executed = true
 		resp.Fast = true
 		resp.Result = merged
@@ -811,10 +813,9 @@ func (s *Server) execute(t *Ticket, text string, root *obs.Span) (*Response, err
 		Pipeline: c.Pipeline,
 		Prepare:  c.Prepare,
 		Threads:  sc.threads,
-		Name:     fmt.Sprintf("server.q%d.w", t.ID),
 		Trace:    root,
-	}, func(workers []relop.Worker, morsels []parallel.Morsel) error {
-		return s.runScan(t, text, root, workers, morsels)
+	}, func(workers []relop.Worker, morsels []relop.Morsel) error {
+		return s.runScan(t, text, root, s.slots, workers, morsels)
 	})
 	if err != nil {
 		return nil, err
@@ -828,16 +829,17 @@ func (s *Server) execute(t *Ticket, text string, root *obs.Span) (*Response, err
 	return resp, nil
 }
 
-// runScan is the scan step the server hands parallel.Run: the query's
-// workers are goroutines of the one strided fleet, and a worker holds a
-// scan slot for exactly one morsel at a time — all queries together
-// execute at most Workers morsels at once, and a long scan cannot keep
-// the budget from its neighbours. Every morsel boundary checks the
-// query's context and abort flag: cancellation, a deadline or a sibling
-// worker's panic stops the scan there. A panic recovered on one of the
-// query's morsels surfaces as the query's error; other queries and
-// their spans are untouched.
-func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop.Worker, morsels []parallel.Morsel) error {
+// runScan is the scan step the server hands both morsel drivers
+// (parallel.Run, relop.FastPlan.Run) on the one strided fleet. A
+// measured scan passes the server's slots: a worker holds one for
+// exactly one morsel at a time, so all measured queries together
+// execute at most Workers morsels at once and a long scan cannot keep
+// the budget from its neighbours. A fast plan passes nil. Every morsel
+// boundary checks the query's context and abort flag: cancellation, a
+// deadline or a sibling worker's panic stops the scan there. A panic
+// recovered on one of the query's morsels surfaces as the query's
+// error; other queries and their spans are untouched.
+func (s *Server) runScan(t *Ticket, text string, root *obs.Span, slots chan struct{}, workers []relop.Worker, morsels []relop.Morsel) error {
 	threads := len(workers)
 	exec := root.Child("execute")
 	if len(morsels) > 0 {
@@ -846,13 +848,15 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop
 		busyNs := make([]int64, threads)
 		ran := make([]int, threads)
 		var panicked atomic.Pointer[PanicError] // first panic wins; non-nil aborts the siblings
-		parallel.Strided(threads, morsels, func(w int, m parallel.Morsel) bool {
-			select {
-			case s.slots <- struct{}{}:
-			case <-t.ctx.Done():
-				return false
+		relop.Strided(threads, morsels, func(w int, m relop.Morsel) bool {
+			if slots != nil {
+				select {
+				case slots <- struct{}{}:
+				case <-t.ctx.Done():
+					return false
+				}
+				defer func() { <-slots }()
 			}
-			defer func() { <-s.slots }()
 			if t.ctx.Err() != nil || panicked.Load() != nil {
 				return false
 			}
@@ -868,7 +872,7 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, workers []relop
 		// One aggregated span per worker: the sum of its morsel
 		// runtimes (not a contiguous interval).
 		for wi := 0; wi < threads; wi++ {
-			ws := exec.Child(fmt.Sprintf("worker[%d]", wi))
+			ws := exec.Child(s.workerSpans[wi])
 			ws.SetDuration(time.Duration(busyNs[wi]))
 			ws.Annotate("morsels=%d", ran[wi])
 		}
@@ -894,7 +898,7 @@ const injectedSlowMorselDelay = 2 * time.Millisecond
 // The fault hooks sit here, between slot and execution: both fire at
 // most once per query, and with a nil injector the hot path pays one
 // pointer comparison.
-func (s *Server) runMorsel(w relop.Worker, m parallel.Morsel, faultKey string) (perr *PanicError) {
+func (s *Server) runMorsel(w relop.Worker, m relop.Morsel, faultKey string) (perr *PanicError) {
 	defer func() {
 		if r := recover(); r != nil {
 			perr = newPanicError("scan-worker", r)

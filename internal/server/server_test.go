@@ -405,8 +405,8 @@ func TestServerConfigDefaults(t *testing.T) {
 }
 
 // The cache-hit frame's allocation budget, per fast submission of a
-// statement whose kernel does nothing (no order matches a negative
-// price). It pins the front end's shape: a literal text is lexed once,
+// statement compilation proves empty (no order matches a negative
+// price), so it scans no morsels and needs no workers. It pins the front end's shape: a literal text is lexed once,
 // an explicit template once, a prepared handle not at all — the parent
 // of this gate read 111 / 86 with three / two lexer passes, so each
 // ceiling sits at least 40 below that and a reintroduced pass (about
@@ -426,9 +426,9 @@ func TestSubmitAllocsGate(t *testing.T) {
 		opts    []SubmitOption
 		ceiling float64
 	}{
-		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 29},
-		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 28},
-		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 23},
+		{"text", "select count(*) from orders where o_totalprice < 0", []SubmitOption{WithFast()}, 15},
+		{"WithArgs", template, []SubmitOption{WithFast(), WithArgs([]int64{0})}, 14},
+		{"prepared", template, []SubmitOption{WithFast(), withPrepared(&handle, []int64{0})}, 9},
 	} {
 		submit := func() {
 			resp, err := s.Submit(ctx, form.text, form.opts...)

@@ -44,14 +44,13 @@ type chaosSchedule struct {
 	p    faults.Point
 	// mod/rem select which statement texts fire (hash%mod == rem).
 	mod, rem uint64
-	// measuredOnly pins every submission to the measured path (the
-	// scan-slot faults never trigger on fast vectorized queries).
-	measuredOnly bool
 	// breaks reports whether a faulted query is expected to fail; slow
 	// morsels and eviction storms must be invisible in results.
 	breaks bool
 	// exactCount asserts the fire count equals the predicted distinct
-	// faulted-text count (true when every submission reaches the site).
+	// faulted-text count (true when every submission reaches the site;
+	// a fast plan whose filter compiles to never-match scans no morsel,
+	// and the default corpus faults no such submission).
 	exactCount bool
 }
 
@@ -85,13 +84,13 @@ func TestChaosDifferentialStreams(t *testing.T) {
 		// submission that owns the flight (and any waiter sharing it) with
 		// a PanicError, trips no breaker and strands no key.
 		{name: "compile-panic", p: faults.CompilePanic, mod: 4, rem: 3, breaks: true},
-		// A panic mid-execution — on a scan slot's morsel for measured
-		// queries, in the fast plan otherwise, joins included — becomes
-		// that one query's PanicError and nothing else's.
+		// A panic on a scan worker's morsel — measured or fast, joins
+		// included — becomes that one query's PanicError and nothing
+		// else's.
 		{name: "worker-panic", p: faults.WorkerPanic, mod: 4, rem: 2, breaks: true, exactCount: true},
-		// A stalled morsel reorders scan-slot scheduling but must never
+		// A stalled morsel reorders the scan's interleaving but must never
 		// reorder arithmetic: zero failures, all results exact.
-		{name: "slow-morsel", p: faults.SlowMorsel, mod: 3, rem: 0, measuredOnly: true},
+		{name: "slow-morsel", p: faults.SlowMorsel, mod: 3, rem: 0},
 		// Purging the whole plan cache ahead of ~a third of lookups
 		// forces worst-case recompiles; correctness must not notice.
 		{name: "eviction-storm", p: faults.EvictionStorm, mod: 3, rem: 1, exactCount: true},
@@ -157,10 +156,9 @@ func runChaosPass(t *testing.T, corpus []chaosEntry, sch chaosSchedule, predicte
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < len(corpus); i += streams {
-				// Alternate measured and profile-free fast submissions
-				// unless the schedule's fault lives on the scan-slot path.
+				// Alternate measured and profile-free fast submissions.
 				var opts []server.SubmitOption
-				fast := !sch.measuredOnly && i%2 == 1
+				fast := i%2 == 1
 				if fast {
 					opts = append(opts, server.WithFast())
 				}
@@ -244,10 +242,9 @@ func judgeChaosFailure(fail func(int, string, ...any), i int, text string, err e
 			fail(i, "unattributable failure under %s: %v", sch.name, err)
 			return
 		}
-		// Fast plans — joins included — panic on the submission frame,
-		// measured scans on a scan slot's morsel.
-		if want := map[bool]string{true: "execute", false: "scan-worker"}[fast]; perr.Op != want {
-			fail(i, "worker panic surfaced as %q, want %q (fast=%v): %v", perr.Op, want, fast, err)
+		// Fast and measured scans alike panic on a scan worker's morsel.
+		if perr.Op != "scan-worker" {
+			fail(i, "worker panic surfaced as %q, want scan-worker (fast=%v): %v", perr.Op, fast, err)
 		}
 	case faults.CompilePanic:
 		// The flight's owner is the faulted text, recovered on its own

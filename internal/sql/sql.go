@@ -419,8 +419,7 @@ func (c *Compiled) runMorsels(threads int) (*parallel.Result, error) {
 		Pipeline: c.Pipeline,
 		Prepare:  c.Prepare,
 		Threads:  threads,
-		Name:     "parallel.worker",
-	}, parallel.Dedicated)
+	}, relop.Dedicated)
 }
 
 // serialRun is the statement's serial measured run on one fresh
