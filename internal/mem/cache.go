@@ -35,6 +35,7 @@ type Cache struct {
 	pf    []PfClass // how the line was installed (cleared on demand hit)
 	lru   []uint32
 	tick  uint32
+	mask  uint64 // sets-1 when sets is a power of two above 1, else 0
 }
 
 // NewCache builds a cache from a geometry description.
@@ -51,61 +52,66 @@ func NewCache(g hw.CacheGeometry) *Cache {
 		pf:    make([]PfClass, sets*uint64(g.Ways)),
 		lru:   make([]uint32, sets*uint64(g.Ways)),
 	}
+	if sets&(sets-1) == 0 {
+		c.mask = sets - 1
+	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	return c
 }
 
+// set returns the index of the first way of line's set. A power-of-two
+// set count (L1D and L2 on both machines) takes the mask, not a 64-bit
+// division.
+func (c *Cache) set(line uint64) int {
+	if c.mask != 0 {
+		return int(line&c.mask) * c.ways
+	}
+	return int(line%c.sets) * c.ways
+}
+
+// find is the one set scan: the index of line's way, or -1.
+func (c *Cache) find(line uint64) int {
+	base := c.set(line)
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			return base + w
+		}
+	}
+	return -1
+}
+
 // Lookup probes the cache for a line address. On a hit it refreshes
 // LRU state, clears the prefetched tag, and reports how the line was
 // originally installed.
 func (c *Cache) Lookup(line uint64) (hit bool, was PfClass) {
-	set := line % c.sets
-	base := set * uint64(c.ways)
 	c.tick++
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == line {
-			c.lru[i] = c.tick
-			was = c.pf[i]
-			c.pf[i] = PfNone
-			return true, was
-		}
+	i := c.find(line)
+	if i < 0 {
+		return false, PfNone
 	}
-	return false, PfNone
+	c.lru[i] = c.tick
+	was, c.pf[i] = c.pf[i], PfNone
+	return true, was
 }
 
 // Contains reports presence without touching LRU or prefetch state.
-func (c *Cache) Contains(line uint64) bool {
-	set := line % c.sets
-	base := set * uint64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+uint64(w)] == line {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(line uint64) bool { return c.find(line) >= 0 }
 
 // Insert installs a line, evicting the LRU victim of its set.
 // It returns the evicted line address and whether it was dirty;
 // evictedValid is false when an invalid way was used.
 func (c *Cache) Insert(line uint64, asPrefetch PfClass, dirty bool) (evicted uint64, evictedDirty, evictedValid bool) {
-	set := line % c.sets
-	base := set * uint64(c.ways)
-	victim := base
-	oldest := c.lru[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == invalidTag {
-			victim = i
-			oldest = 0
+	base := c.set(line)
+	victim, oldest := base, c.lru[base]
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == invalidTag {
+			victim = base + w
 			break
 		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
+		if c.lru[base+w] < oldest {
+			victim, oldest = base+w, c.lru[base+w]
 		}
 	}
 	if c.tags[victim] != invalidTag {
@@ -121,17 +127,14 @@ func (c *Cache) Insert(line uint64, asPrefetch PfClass, dirty bool) (evicted uin
 	return evicted, evictedDirty, evictedValid
 }
 
-// MarkDirty sets the dirty bit of a resident line (no-op on absence).
-func (c *Cache) MarkDirty(line uint64) {
-	set := line % c.sets
-	base := set * uint64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == line {
-			c.dirty[i] = true
-			return
-		}
+// MarkDirty sets the dirty bit of a resident line and reports whether
+// the line was resident; an absent line is left absent.
+func (c *Cache) MarkDirty(line uint64) bool {
+	i := c.find(line)
+	if i >= 0 {
+		c.dirty[i] = true
 	}
+	return i >= 0
 }
 
 // Reset empties the cache.

@@ -57,7 +57,12 @@ func TestCacheDirtyEviction(t *testing.T) {
 func TestCacheMarkDirty(t *testing.T) {
 	c := NewCache(smallGeometry())
 	c.Insert(7, PfNone, false)
-	c.MarkDirty(7)
+	if !c.MarkDirty(7) {
+		t.Fatal("MarkDirty must report a resident line")
+	}
+	if c.MarkDirty(3) || c.Contains(3) {
+		t.Fatal("MarkDirty must report an absent line and leave it absent")
+	}
 	c.Insert(11, PfNone, false)
 	ev, wasDirty, _ := c.Insert(15, PfNone, false) // evicts line 7 (LRU)
 	if ev != 7 || !wasDirty {

@@ -110,12 +110,9 @@ func (s *Stats) Accesses() uint64 { return s.Loads + s.Stores }
 // L1D and L2, a shared (but per-run exclusive) L3, the four hardware
 // prefetchers, and DRAM-traffic accounting.
 type Hierarchy struct {
-	Machine *hw.Machine
-	Config  PrefetcherConfig
+	Config PrefetcherConfig
 
-	l1d *Cache
-	l2  *Cache
-	l3  *Cache
+	levels [3]*Cache // L1D, L2, L3: level i misses into level i+1, L3 into DRAM
 
 	l1Stream   streamDetector // drives the L1 streamer
 	l2Stream   streamDetector // drives the L2 streamer
@@ -128,19 +125,16 @@ type Hierarchy struct {
 // prefetcher configuration.
 func NewHierarchy(m *hw.Machine, cfg PrefetcherConfig) *Hierarchy {
 	return &Hierarchy{
-		Machine: m,
-		Config:  cfg,
-		l1d:     NewCache(m.L1D),
-		l2:      NewCache(m.L2),
-		l3:      NewCache(m.L3),
+		Config: cfg,
+		levels: [3]*Cache{NewCache(m.L1D), NewCache(m.L2), NewCache(m.L3)},
 	}
 }
 
 // Reset clears all cache contents, detectors and statistics.
 func (h *Hierarchy) Reset() {
-	h.l1d.Reset()
-	h.l2.Reset()
-	h.l3.Reset()
+	for _, c := range h.levels {
+		c.Reset()
+	}
 	h.l1Stream.reset()
 	h.l2Stream.reset()
 	h.classifier.reset()
@@ -155,55 +149,27 @@ const lineShift = 6 // 64-byte lines on both machines
 
 // Load performs a demand load of size bytes at addr, touching every
 // spanned cache line.
-func (h *Hierarchy) Load(addr, size uint64) {
-	first := addr >> lineShift
-	last := (addr + size - 1) >> lineShift
-	for line := first; line <= last; line++ {
-		h.access(line, false, false)
-	}
-}
+func (h *Hierarchy) Load(addr, size uint64) { h.span(addr, size, false, false) }
 
 // LoadIndep performs a demand load whose address does not depend on a
 // prior load (a sparse filtered column read): DRAM misses it causes
 // are accounted with the deeper independent-load MLP.
-func (h *Hierarchy) LoadIndep(addr, size uint64) {
-	first := addr >> lineShift
-	last := (addr + size - 1) >> lineShift
-	for line := first; line <= last; line++ {
-		h.access(line, false, true)
-	}
-}
+func (h *Hierarchy) LoadIndep(addr, size uint64) { h.span(addr, size, false, true) }
 
 // Store performs a demand store of size bytes at addr (write-allocate).
-func (h *Hierarchy) Store(addr, size uint64) {
-	first := addr >> lineShift
+func (h *Hierarchy) Store(addr, size uint64) { h.span(addr, size, true, false) }
+
+// span runs one demand access per cache line of [addr, addr+size).
+func (h *Hierarchy) span(addr, size uint64, store, indep bool) {
 	last := (addr + size - 1) >> lineShift
-	for line := first; line <= last; line++ {
-		h.access(line, true, false)
+	for line := addr >> lineShift; line <= last; line++ {
+		h.access(line, store, indep)
 	}
 }
 
-// LoadRange streams a large sequential region through the hierarchy.
-// It is equivalent to Load but avoids re-touching a line per element.
-func (h *Hierarchy) LoadRange(addr, size uint64) { h.Load(addr, size) }
-
-// countPfHit attributes a demand hit on a prefetched line.
-func (h *Hierarchy) countPfHit(level int, class PfClass) {
-	if class == PfNextLine {
-		h.Stats.NLPfHits++
-		return
-	}
-	switch level {
-	case 1:
-		h.Stats.L1PfHits++
-	case 2:
-		h.Stats.L2PfHits++
-	case 3:
-		h.Stats.L3PfHits++
-	}
-}
-
-// access is the demand path: L1D -> L2 -> L3 -> DRAM, then prefetchers.
+// access is the demand path: the first level that hits (L1D, L2, L3,
+// else DRAM) serves the line, every nearer level is filled from it,
+// outermost first, and then the prefetchers observe the access.
 func (h *Hierarchy) access(line uint64, store, indep bool) {
 	if store {
 		h.Stats.Stores++
@@ -215,121 +181,99 @@ func (h *Hierarchy) access(line uint64, store, indep bool) {
 	seqDepth, _ := h.classifier.observe(line, 16)
 	isSeq := seqDepth > 0
 
-	if hit, pf := h.l1d.Lookup(line); hit {
-		h.Stats.L1Hits++
-		if pf != PfNone {
-			h.countPfHit(1, pf)
+	level := 0
+	for ; level < len(h.levels); level++ {
+		if hit, pf := h.levels[level].Lookup(line); hit {
+			h.countHit(level, pf)
+			break
 		}
-		if store {
-			h.l1d.MarkDirty(line)
-		}
-		h.runL1Prefetchers(line, false, isSeq)
-		return
 	}
-
-	// L1 miss -> L2.
-	if hit, pf := h.l2.Lookup(line); hit {
-		h.Stats.L2Hits++
-		if pf != PfNone {
-			h.countPfHit(2, pf)
-		}
-		h.fillL1(line, store)
-		h.runL1Prefetchers(line, true, isSeq)
-		h.runL2Prefetchers(line, false, isSeq)
-		return
-	}
-
-	// L2 miss -> L3.
-	if hit, pf := h.l3.Lookup(line); hit {
-		h.Stats.L3Hits++
-		if pf != PfNone {
-			h.countPfHit(3, pf)
-		}
-		h.fillL2(line, PfNone)
-		h.fillL1(line, store)
-		h.runL1Prefetchers(line, true, isSeq)
-		h.runL2Prefetchers(line, true, isSeq)
-		return
-	}
-
-	// DRAM.
-	h.Stats.MemAccesses++
-	h.Stats.BytesFromMem += hw.Line
 	switch {
-	case isSeq:
-		h.Stats.SeqMemLines++
-	case indep:
-		h.Stats.IndepMemLines++
-	default:
-		h.Stats.RandMemLines++
-	}
-	h.fillL3(line)
-	h.fillL2(line, PfNone)
-	h.fillL1(line, store)
-	h.runL1Prefetchers(line, true, isSeq)
-	h.runL2Prefetchers(line, true, isSeq)
-}
-
-// fillL1 installs a line into L1D, handling the dirty eviction path.
-func (h *Hierarchy) fillL1(line uint64, dirty bool) {
-	ev, evDirty, ok := h.l1d.Insert(line, PfNone, dirty)
-	if ok && evDirty {
-		if h.l2.Contains(ev) {
-			h.l2.MarkDirty(ev)
-		} else {
-			h.l2.Insert(ev, PfNone, true)
+	case level == 0:
+		if store {
+			h.levels[0].MarkDirty(line)
+		}
+	case level == len(h.levels):
+		h.Stats.MemAccesses++
+		h.Stats.BytesFromMem += hw.Line
+		switch {
+		case isSeq:
+			h.Stats.SeqMemLines++
+		case indep:
+			h.Stats.IndepMemLines++
+		default:
+			h.Stats.RandMemLines++
 		}
 	}
-}
-
-func (h *Hierarchy) fillL2(line uint64, asPf PfClass) {
-	ev, evDirty, ok := h.l2.Insert(line, asPf, false)
-	if ok && evDirty {
-		if h.l3.Contains(ev) {
-			h.l3.MarkDirty(ev)
-		} else {
-			h.l3.Insert(ev, PfNone, true)
-		}
+	for i := level - 1; i >= 0; i-- {
+		h.fill(i, line, PfNone, store && i == 0)
+	}
+	h.runL1Prefetchers(line, level > 0, isSeq)
+	if level > 0 {
+		h.runL2Prefetchers(line, level > 1, isSeq)
 	}
 }
 
-func (h *Hierarchy) fillL3(line uint64) {
-	_, evDirty, ok := h.l3.Insert(line, PfNone, false)
-	if ok && evDirty {
+// countHit attributes a demand hit at a level (0 is L1D) and, for a
+// prefetched line, to the prefetch context that installed it.
+func (h *Hierarchy) countHit(level int, class PfClass) {
+	s := &h.Stats
+	hits, pfHits := &s.L1Hits, &s.L1PfHits
+	switch level {
+	case 1:
+		hits, pfHits = &s.L2Hits, &s.L2PfHits
+	case 2:
+		hits, pfHits = &s.L3Hits, &s.L3PfHits
+	}
+	*hits++
+	switch class {
+	case PfStream:
+		*pfHits++
+	case PfNextLine:
+		s.NLPfHits++
+	}
+}
+
+// fill installs a line into a level. A dirty victim of L3 is written to
+// DRAM; a dirty victim of L1D or L2 is written back into the next level,
+// where it is marked dirty if resident and installed otherwise. That
+// install's own victim is dropped, so a dirty line it evicts never
+// reaches BytesToMem; in the paper's experiments this loses well under
+// 1 % of write-backs, and counting it would move every figure.
+func (h *Hierarchy) fill(level int, line uint64, class PfClass, dirty bool) {
+	ev, evDirty, ok := h.levels[level].Insert(line, class, dirty)
+	if !ok || !evDirty {
+		return
+	}
+	if level == len(h.levels)-1 {
 		h.Stats.BytesToMem += hw.Line
+		return
+	}
+	if next := h.levels[level+1]; !next.MarkDirty(ev) {
+		next.Insert(ev, PfNone, true)
 	}
 }
 
-// prefetchInto brings a line into the given level (1 or 2) as a
-// prefetch of the given class, accounting DRAM traffic if no on-chip
-// level has it.
-func (h *Hierarchy) prefetchInto(level int, line uint64, class PfClass) {
-	onChip := h.l1d.Contains(line) || h.l2.Contains(line) || h.l3.Contains(line)
-	if !onChip {
+// prefetchInto brings a line into the target level (0 is L1D, 1 is L2)
+// as a prefetch of the given class. A line no level holds is fetched
+// from DRAM into L3 first. The levels are not inclusive, so a line
+// held only by a level nearer than the target is still installed there.
+func (h *Hierarchy) prefetchInto(target int, line uint64, class PfClass) {
+	near := 0
+	for near < len(h.levels) && !h.levels[near].Contains(line) {
+		near++
+	}
+	if near == len(h.levels) {
 		h.Stats.BytesFromMem += hw.Line
 		if class == PfStream {
 			h.Stats.PfFillsStream++
 		} else {
 			h.Stats.PfFillsNL++
 		}
-		h.fillL3(line)
+		h.fill(near-1, line, PfNone, false)
 	}
-	switch level {
-	case 1:
-		if !h.l1d.Contains(line) {
-			ev, evDirty, ok := h.l1d.Insert(line, class, false)
-			if ok && evDirty {
-				if h.l2.Contains(ev) {
-					h.l2.MarkDirty(ev)
-				} else {
-					h.l2.Insert(ev, PfNone, true)
-				}
-			}
-		}
-	case 2:
-		if !h.l2.Contains(line) {
-			h.fillL2(line, class)
-		}
+	if near > target || (near < target && !h.levels[target].Contains(line)) {
+		h.fill(target, line, class, false)
 	}
 }
 
@@ -341,13 +285,13 @@ func (h *Hierarchy) prefetchInto(level int, line uint64, class PfClass) {
 func (h *Hierarchy) runL1Prefetchers(line uint64, missed, isSeq bool) {
 	if h.Config.L1NextLine && missed && isSeq {
 		h.Stats.PfIssuedL1NL++
-		h.prefetchInto(1, line+1, PfStream)
+		h.prefetchInto(0, line+1, PfStream)
 	}
 	if h.Config.L1Streamer {
 		depth, dir := h.l1Stream.observe(line, 4)
 		for d := 1; d <= depth; d++ {
 			h.Stats.PfIssuedL1St++
-			h.prefetchInto(1, uint64(int64(line)+dir*int64(d)), PfStream)
+			h.prefetchInto(0, uint64(int64(line)+dir*int64(d)), PfStream)
 		}
 	}
 }
@@ -360,13 +304,13 @@ func (h *Hierarchy) runL1Prefetchers(line uint64, missed, isSeq bool) {
 func (h *Hierarchy) runL2Prefetchers(line uint64, l2Missed, isSeq bool) {
 	if h.Config.L2NextLine && l2Missed && isSeq {
 		h.Stats.PfIssuedL2NL++
-		h.prefetchInto(2, line^1, PfStream)
+		h.prefetchInto(1, line^1, PfStream)
 	}
 	if h.Config.L2Streamer {
 		depth, dir := h.l2Stream.observe(line, 16)
 		for d := 1; d <= depth; d++ {
 			h.Stats.PfIssuedL2St++
-			h.prefetchInto(2, uint64(int64(line)+dir*int64(d)), PfStream)
+			h.prefetchInto(1, uint64(int64(line)+dir*int64(d)), PfStream)
 		}
 	}
 }

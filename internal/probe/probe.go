@@ -88,7 +88,7 @@ func (p *Probe) SeqLoad(base, totalBytes, elemSize uint64) {
 		elemSize = 8
 	}
 	p.Ops.N[cpu.OpLoad] += totalBytes / elemSize
-	p.Mem.LoadRange(base, totalBytes)
+	p.Mem.Load(base, totalBytes)
 }
 
 // SeqStore streams totalBytes of stores from base (one store uop per

@@ -116,8 +116,10 @@ const (
 	// breakerCooldown submissions are rejected outright while open;
 	// the next one after that is the half-open probe.
 	breakerCooldown = 16
-	// breakerMaxTemplates bounds the tracked-template map; beyond it,
-	// templates with no failures are forgotten first.
+	// breakerMaxTemplates bounds the tracked-template map. Only
+	// failing templates are tracked (a success forgets one), so once
+	// the map is full a new failing template is not tracked and never
+	// trips; the tracked ones keep their breakers.
 	breakerMaxTemplates = 1024
 )
 
@@ -170,15 +172,7 @@ func (b *breaker) onCompile(template string, err error) (tripped bool) {
 	st := b.templates[template]
 	if st == nil {
 		if len(b.templates) >= breakerMaxTemplates {
-			for k, s := range b.templates { //olap:allow detrange evicting any one zero-fail template; choice never reaches a result
-				if s.fails == 0 {
-					delete(b.templates, k)
-					break
-				}
-			}
-			if len(b.templates) >= breakerMaxTemplates {
-				return false // full of failing templates; stop tracking new ones
-			}
+			return false
 		}
 		st = &breakerState{}
 		b.templates[template] = st

@@ -291,6 +291,36 @@ func TestBreakerResetsOnSuccess(t *testing.T) {
 	}
 }
 
+// The tracked-template map is bounded: once breakerMaxTemplates
+// failing templates are tracked, a new failing template is not tracked
+// and never trips, while a tracked one still does.
+func TestBreakerBoundsTrackedTemplates(t *testing.T) {
+	b := newBreaker()
+	boom := errors.New("boom")
+	for i := 0; i < breakerMaxTemplates; i++ {
+		b.onCompile(fmt.Sprintf("select %d from t", i), boom)
+	}
+	for i := 0; i < 2*breakerThreshold; i++ {
+		if b.onCompile("select untracked from t", boom) {
+			t.Fatal("a template beyond the bound tripped")
+		}
+	}
+	if err := b.admit("select untracked from t"); err != nil {
+		t.Fatalf("an untracked template was rejected: %v", err)
+	}
+	if got := len(b.templates); got != breakerMaxTemplates {
+		t.Fatalf("tracking %d templates, want %d", got, breakerMaxTemplates)
+	}
+	tracked := "select 0 from t"
+	tripped := false
+	for i := 1; i < breakerThreshold; i++ {
+		tripped = b.onCompile(tracked, boom)
+	}
+	if !tripped || !errors.Is(b.admit(tracked), ErrBreakerOpen) {
+		t.Fatal("a tracked template did not trip at the threshold")
+	}
+}
+
 // Shutdown with an expired context cancels the stragglers but still
 // drains them before returning; the server is cleanly closed
 // afterwards.

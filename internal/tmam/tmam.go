@@ -140,18 +140,9 @@ type Inputs struct {
 	RandMLPBoost float64
 }
 
-// InputsFrom snapshots a probe.
-func InputsFrom(p *probe.Probe) Inputs {
-	return Inputs{
-		Machine:      p.Machine,
-		Ops:          p.Ops,
-		Mispredicts:  p.Branch.Mispredicts,
-		Frontend:     p.Frontend,
-		MemStats:     p.Mem.Stats,
-		PfDist:       p.Mem.EffectivePrefetchDistance(),
-		RandMLPBoost: p.RandMLPBoost,
-	}
-}
+// InputsFrom snapshots a probe: a whole run is the section of all its
+// counters.
+func InputsFrom(p *probe.Probe) Inputs { return InputsFromCounters(p, p.Counters()) }
 
 // InputsFromCounters builds accounting inputs for one named section
 // of a sectioned run: the section's extensive counter deltas paired
