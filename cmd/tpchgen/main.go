@@ -41,38 +41,38 @@ func main() {
 		fmt.Printf("wrote %s (%d rows)\n", name, rows)
 	}
 
-	write("nation.tbl", len(d.Nation.NationKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%s|%d|\n", d.Nation.NationKey[i], d.Nation.Name[i], d.Nation.RegionKey[i])
+	write("nation.tbl", d.Nation.NationKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%s|%d|\n", d.Nation.NationKey.At(i), d.Nation.Name[i], d.Nation.RegionKey.At(i))
 	})
-	write("region.tbl", len(d.Region.RegionKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%s|\n", d.Region.RegionKey[i], d.Region.Name[i])
+	write("region.tbl", d.Region.RegionKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%s|\n", d.Region.RegionKey.At(i), d.Region.Name[i])
 	})
-	write("supplier.tbl", len(d.Supplier.SuppKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%s|%d|%d.%02d|\n", d.Supplier.SuppKey[i], d.Supplier.Name[i],
-			d.Supplier.NationKey[i], d.Supplier.AcctBal[i]/100, abs(d.Supplier.AcctBal[i]%100))
+	write("supplier.tbl", d.Supplier.SuppKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%s|%d|%d.%02d|\n", d.Supplier.SuppKey.At(i), d.Supplier.Name[i],
+			d.Supplier.NationKey.At(i), d.Supplier.AcctBal.At(i)/100, abs(d.Supplier.AcctBal.At(i)%100))
 	})
-	write("customer.tbl", len(d.Customer.CustKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%s|%d|\n", d.Customer.CustKey[i], d.Customer.Name[i], d.Customer.NationKey[i])
+	write("customer.tbl", d.Customer.CustKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%s|%d|\n", d.Customer.CustKey.At(i), d.Customer.Name[i], d.Customer.NationKey.At(i))
 	})
-	write("part.tbl", len(d.Part.PartKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%s|%d.%02d|\n", d.Part.PartKey[i], d.Part.Name[i],
-			d.Part.RetailPrice[i]/100, d.Part.RetailPrice[i]%100)
+	write("part.tbl", d.Part.PartKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%s|%d.%02d|\n", d.Part.PartKey.At(i), d.Part.Name[i],
+			d.Part.RetailPrice.At(i)/100, d.Part.RetailPrice.At(i)%100)
 	})
-	write("partsupp.tbl", len(d.PartSupp.PartKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%d|%d|%d.%02d|\n", d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i],
-			d.PartSupp.AvailQty[i], d.PartSupp.SupplyCost[i]/100, d.PartSupp.SupplyCost[i]%100)
+	write("partsupp.tbl", d.PartSupp.PartKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%d|%d|%d.%02d|\n", d.PartSupp.PartKey.At(i), d.PartSupp.SuppKey.At(i),
+			d.PartSupp.AvailQty.At(i), d.PartSupp.SupplyCost.At(i)/100, d.PartSupp.SupplyCost.At(i)%100)
 	})
-	write("orders.tbl", len(d.Orders.OrderKey), func(w *bufio.Writer, i int) {
-		fmt.Fprintf(w, "%d|%d|%d|%d.%02d|\n", d.Orders.OrderKey[i], d.Orders.CustKey[i],
-			d.Orders.OrderDate[i], d.Orders.TotalPrice[i]/100, d.Orders.TotalPrice[i]%100)
+	write("orders.tbl", d.Orders.OrderKey.Len(), func(w *bufio.Writer, i int) {
+		fmt.Fprintf(w, "%d|%d|%d|%d.%02d|\n", d.Orders.OrderKey.At(i), d.Orders.CustKey.At(i),
+			d.Orders.OrderDate.At(i), d.Orders.TotalPrice.At(i)/100, d.Orders.TotalPrice.At(i)%100)
 	})
 	l := &d.Lineitem
 	write("lineitem.tbl", l.Rows(), func(w *bufio.Writer, i int) {
 		fmt.Fprintf(w, "%d|%d|%d|%d|%d.%02d|0.%02d|0.%02d|%c|%c|%d|%d|%d|\n",
-			l.OrderKey[i], l.PartKey[i], l.SuppKey[i], l.Quantity[i],
-			l.ExtendedPrice[i]/100, l.ExtendedPrice[i]%100,
-			l.Discount[i], l.Tax[i], l.ReturnFlag[i], l.LineStatus[i],
-			l.ShipDate[i], l.CommitDate[i], l.ReceiptDate[i])
+			l.OrderKey.At(i), l.PartKey.At(i), l.SuppKey.At(i), l.Quantity.At(i),
+			l.ExtendedPrice.At(i)/100, l.ExtendedPrice.At(i)%100,
+			l.Discount.At(i), l.Tax.At(i), l.ReturnFlag.At(i), l.LineStatus.At(i),
+			l.ShipDate.At(i), l.CommitDate.At(i), l.ReceiptDate.At(i))
 	})
 }
 

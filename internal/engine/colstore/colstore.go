@@ -43,23 +43,23 @@ type Engine struct {
 func New(d *tpch.Data, as *probe.AddrSpace) *Engine {
 	e := &Engine{d: d, costs: engine.DefaultColStoreCosts()}
 	l := &d.Lineitem
-	e.li.orderKey = storage.NewColI64(as, "c.l_orderkey", l.OrderKey)
-	e.li.quantity = storage.NewColI64(as, "c.l_quantity", l.Quantity)
-	e.li.extendedPrice = storage.NewColI64(as, "c.l_extendedprice", l.ExtendedPrice)
-	e.li.discount = storage.NewColI64(as, "c.l_discount", l.Discount)
-	e.li.tax = storage.NewColI64(as, "c.l_tax", l.Tax)
-	e.li.shipDate = storage.NewColI64(as, "c.l_shipdate", l.ShipDate)
-	e.li.commitDate = storage.NewColI64(as, "c.l_commitdate", l.CommitDate)
-	e.li.receiptDate = storage.NewColI64(as, "c.l_receiptdate", l.ReceiptDate)
-	e.ord.orderKey = storage.NewColI64(as, "c.o_orderkey", d.Orders.OrderKey)
-	e.supp.suppKey = storage.NewColI64(as, "c.s_suppkey", d.Supplier.SuppKey)
-	e.supp.nationKey = storage.NewColI64(as, "c.s_nationkey", d.Supplier.NationKey)
-	e.supp.acctBal = storage.NewColI64(as, "c.s_acctbal", d.Supplier.AcctBal)
-	e.nat.nationKey = storage.NewColI64(as, "c.n_nationkey", d.Nation.NationKey)
-	e.ps.partKey = storage.NewColI64(as, "c.ps_partkey", d.PartSupp.PartKey)
-	e.ps.suppKey = storage.NewColI64(as, "c.ps_suppkey", d.PartSupp.SuppKey)
-	e.ps.availQty = storage.NewColI64(as, "c.ps_availqty", d.PartSupp.AvailQty)
-	e.ps.supplyCost = storage.NewColI64(as, "c.ps_supplycost", d.PartSupp.SupplyCost)
+	e.li.orderKey = storage.NewColI64(as, "c.l_orderkey", &l.OrderKey)
+	e.li.quantity = storage.NewColI64(as, "c.l_quantity", &l.Quantity)
+	e.li.extendedPrice = storage.NewColI64(as, "c.l_extendedprice", &l.ExtendedPrice)
+	e.li.discount = storage.NewColI64(as, "c.l_discount", &l.Discount)
+	e.li.tax = storage.NewColI64(as, "c.l_tax", &l.Tax)
+	e.li.shipDate = storage.NewColI64(as, "c.l_shipdate", &l.ShipDate)
+	e.li.commitDate = storage.NewColI64(as, "c.l_commitdate", &l.CommitDate)
+	e.li.receiptDate = storage.NewColI64(as, "c.l_receiptdate", &l.ReceiptDate)
+	e.ord.orderKey = storage.NewColI64(as, "c.o_orderkey", &d.Orders.OrderKey)
+	e.supp.suppKey = storage.NewColI64(as, "c.s_suppkey", &d.Supplier.SuppKey)
+	e.supp.nationKey = storage.NewColI64(as, "c.s_nationkey", &d.Supplier.NationKey)
+	e.supp.acctBal = storage.NewColI64(as, "c.s_acctbal", &d.Supplier.AcctBal)
+	e.nat.nationKey = storage.NewColI64(as, "c.n_nationkey", &d.Nation.NationKey)
+	e.ps.partKey = storage.NewColI64(as, "c.ps_partkey", &d.PartSupp.PartKey)
+	e.ps.suppKey = storage.NewColI64(as, "c.ps_suppkey", &d.PartSupp.SuppKey)
+	e.ps.availQty = storage.NewColI64(as, "c.ps_availqty", &d.PartSupp.AvailQty)
+	e.ps.supplyCost = storage.NewColI64(as, "c.ps_supplycost", &d.PartSupp.SupplyCost)
 	return e
 }
 
@@ -118,7 +118,7 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 		for c := 0; c < degree; c++ {
 			p.SeqLoad(cols[c].Addr(start), cn*8, 8)
 			for i := start; i < end; i++ {
-				sum += cols[c].V[i]
+				sum += cols[c].V.At(i)
 			}
 		}
 		p.Dep(cn)
@@ -137,19 +137,19 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, _ bool) 
 		cn := uint64(end - start)
 		p.SeqLoad(e.li.shipDate.Addr(start), cn*8, 8)
 		for i := start; i < end; i++ {
-			pass1 := l.ShipDate[i] < cut.ShipDate
+			pass1 := l.ShipDate.At(i) < cut.ShipDate
 			p.BranchOp(siteSelPred1, pass1)
 			if !pass1 {
 				continue
 			}
 			p.SparseLoad(e.li.commitDate.Addr(i), 8)
-			pass2 := l.CommitDate[i] < cut.CommitDate
+			pass2 := l.CommitDate.At(i) < cut.CommitDate
 			p.BranchOp(siteSelPred2, pass2)
 			if !pass2 {
 				continue
 			}
 			p.SparseLoad(e.li.receiptDate.Addr(i), 8)
-			pass3 := l.ReceiptDate[i] < cut.ReceiptDate
+			pass3 := l.ReceiptDate.At(i) < cut.ReceiptDate
 			p.BranchOp(siteSelPred3, pass3)
 			if !pass3 {
 				continue
@@ -159,7 +159,7 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, _ bool) 
 			p.SparseLoad(e.li.tax.Addr(i), 8)
 			p.SparseLoad(e.li.quantity.Addr(i), 8)
 			p.ALU(4 + e.costs.PerValue) // projection work for survivors
-			sum += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+			sum += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 		}
 	})
 	return engine.Result{Sum: sum, Rows: 1}
@@ -171,52 +171,52 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 	d := e.d
 	switch size {
 	case engine.JoinSmall:
-		ht := join.New(as, "c.join.nation", len(d.Nation.NationKey))
-		for _, k := range d.Nation.NationKey {
-			ht.InsertProbed(p, k)
+		ht := join.New(as, "c.join.nation", d.Nation.NationKey.Len())
+		for i := range d.Nation.NationKey.Len() {
+			ht.InsertProbed(p, d.Nation.NationKey.At(i))
 		}
-		e.blockOverhead(p, uint64(len(d.Nation.NationKey)), 1)
+		e.blockOverhead(p, uint64(d.Nation.NationKey.Len()), 1)
 		var sum int64
-		n := len(d.Supplier.SuppKey)
+		n := d.Supplier.SuppKey.Len()
 		e.blocks(p, n, 3, func(start, end int) {
 			cn := uint64(end - start)
 			p.SeqLoad(e.supp.nationKey.Addr(start), cn*8, 8)
 			for i := start; i < end; i++ {
 				e.rowEngineJoinTuple(p)
-				if ht.LookupProbed(p, siteJoinMatch, d.Supplier.NationKey[i]) >= 0 {
+				if ht.LookupProbed(p, siteJoinMatch, d.Supplier.NationKey.At(i)) >= 0 {
 					p.SparseLoad(e.supp.acctBal.Addr(i), 8)
 					p.SparseLoad(e.supp.suppKey.Addr(i), 8)
 					p.ALU(2)
-					sum += d.Supplier.AcctBal[i] + d.Supplier.SuppKey[i]
+					sum += d.Supplier.AcctBal.At(i) + d.Supplier.SuppKey.At(i)
 				}
 			}
 		})
 		return engine.Result{Sum: sum, Rows: 1}
 	case engine.JoinMedium:
-		ht := join.New(as, "c.join.supplier", len(d.Supplier.SuppKey))
-		for _, k := range d.Supplier.SuppKey {
-			ht.InsertProbed(p, k)
+		ht := join.New(as, "c.join.supplier", d.Supplier.SuppKey.Len())
+		for i := range d.Supplier.SuppKey.Len() {
+			ht.InsertProbed(p, d.Supplier.SuppKey.At(i))
 		}
-		e.blockOverhead(p, uint64(len(d.Supplier.SuppKey)), 1)
+		e.blockOverhead(p, uint64(d.Supplier.SuppKey.Len()), 1)
 		var sum int64
-		n := len(d.PartSupp.PartKey)
+		n := d.PartSupp.PartKey.Len()
 		e.blocks(p, n, 3, func(start, end int) {
 			cn := uint64(end - start)
 			p.SeqLoad(e.ps.suppKey.Addr(start), cn*8, 8)
 			for i := start; i < end; i++ {
 				e.rowEngineJoinTuple(p)
-				if ht.LookupProbed(p, siteJoinMatch, d.PartSupp.SuppKey[i]) >= 0 {
+				if ht.LookupProbed(p, siteJoinMatch, d.PartSupp.SuppKey.At(i)) >= 0 {
 					p.SparseLoad(e.ps.availQty.Addr(i), 8)
 					p.SparseLoad(e.ps.supplyCost.Addr(i), 8)
 					p.ALU(2)
-					sum += d.PartSupp.AvailQty[i] + d.PartSupp.SupplyCost[i]
+					sum += d.PartSupp.AvailQty.At(i) + d.PartSupp.SupplyCost.At(i)
 				}
 			}
 		})
 		return engine.Result{Sum: sum, Rows: 1}
 	default:
-		ht := join.New(as, "c.join.orders", len(d.Orders.OrderKey))
-		nO := len(d.Orders.OrderKey)
+		ht := join.New(as, "c.join.orders", d.Orders.OrderKey.Len())
+		nO := d.Orders.OrderKey.Len()
 		for start := 0; start < nO; start += e.costs.BlockSize {
 			end := start + e.costs.BlockSize
 			if end > nO {
@@ -224,7 +224,7 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 			}
 			p.SeqLoad(e.ord.orderKey.Addr(start), uint64(end-start)*8, 8)
 			for i := start; i < end; i++ {
-				ht.InsertProbed(p, d.Orders.OrderKey[i])
+				ht.InsertProbed(p, d.Orders.OrderKey.At(i))
 			}
 			e.blockOverhead(p, uint64(end-start), 1)
 		}
@@ -235,13 +235,13 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 			p.SeqLoad(e.li.orderKey.Addr(start), cn*8, 8)
 			for i := start; i < end; i++ {
 				e.rowEngineJoinTuple(p)
-				if ht.LookupProbed(p, siteJoinMatch, l.OrderKey[i]) >= 0 {
+				if ht.LookupProbed(p, siteJoinMatch, l.OrderKey.At(i)) >= 0 {
 					p.Load(e.li.extendedPrice.Addr(i), 8)
 					p.Load(e.li.discount.Addr(i), 8)
 					p.Load(e.li.tax.Addr(i), 8)
 					p.Load(e.li.quantity.Addr(i), 8)
 					p.ALU(4)
-					sum += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+					sum += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 				}
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"olapmicro/internal/hw"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
+	"olapmicro/internal/storage"
 	"olapmicro/internal/tpch"
 )
 
@@ -22,11 +23,11 @@ func newEnv() (*Engine, *probe.Probe, *probe.AddrSpace) {
 func TestProjectionMatchesBruteForce(t *testing.T) {
 	l := &testData.Lineitem
 	for d := 1; d <= 4; d++ {
-		cols := [4][]int64{l.ExtendedPrice, l.Discount, l.Tax, l.Quantity}
+		cols := [4]*storage.Ints{&l.ExtendedPrice, &l.Discount, &l.Tax, &l.Quantity}
 		var want int64
 		for i := 0; i < l.Rows(); i++ {
 			for c := 0; c < d; c++ {
-				want += cols[c][i]
+				want += cols[c].At(i)
 			}
 		}
 		e, p, _ := newEnv()
@@ -68,15 +69,15 @@ func TestFootprintExceedsL1I(t *testing.T) {
 func TestSelectionMatchesBruteForce(t *testing.T) {
 	cut := engine.SelectionCutoffs{
 		Selectivity: 0.1,
-		ShipDate:    tpch.Quantile(testData.Lineitem.ShipDate, 0.1),
-		CommitDate:  tpch.Quantile(testData.Lineitem.CommitDate, 0.1),
-		ReceiptDate: tpch.Quantile(testData.Lineitem.ReceiptDate, 0.1),
+		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, 0.1),
+		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, 0.1),
+		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, 0.1),
 	}
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] < cut.ShipDate && l.CommitDate[i] < cut.CommitDate && l.ReceiptDate[i] < cut.ReceiptDate {
-			want += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		if l.ShipDate.At(i) < cut.ShipDate && l.CommitDate.At(i) < cut.CommitDate && l.ReceiptDate.At(i) < cut.ReceiptDate {
+			want += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 		}
 	}
 	e, p, _ := newEnv()
@@ -87,8 +88,8 @@ func TestSelectionMatchesBruteForce(t *testing.T) {
 
 func TestJoinThroughRowEngineCostsMore(t *testing.T) {
 	var want int64
-	for i := range testData.PartSupp.PartKey {
-		want += testData.PartSupp.AvailQty[i] + testData.PartSupp.SupplyCost[i]
+	for i := range testData.PartSupp.PartKey.Len() {
+		want += testData.PartSupp.AvailQty.At(i) + testData.PartSupp.SupplyCost.At(i)
 	}
 	e, p, as := newEnv()
 	if got := e.Join(p, as, engine.JoinMedium); got.Sum != want {
@@ -97,7 +98,7 @@ func TestJoinThroughRowEngineCostsMore(t *testing.T) {
 	// The join path pays the row-engine conversion per tuple: uops per
 	// probed tuple must approach DBMS R territory (the paper measures
 	// DBMS C slower than DBMS R on joins).
-	perTuple := float64(p.Ops.Uops()) / float64(len(testData.PartSupp.PartKey))
+	perTuple := float64(p.Ops.Uops()) / float64(testData.PartSupp.PartKey.Len())
 	if perTuple < 500 {
 		t.Fatalf("DBMS C join retires %.0f uops/tuple, expected interpretation-heavy", perTuple)
 	}

@@ -1,6 +1,10 @@
 package relop
 
-import "fmt"
+import (
+	"fmt"
+
+	"olapmicro/internal/storage"
+)
 
 // GroupPath names the grouping a compiled plan runs: "hashed", or
 // "direct" with how rejected rows leave the fold — "discard" (the
@@ -19,3 +23,6 @@ func (p *FastPlan) GroupPath() string {
 	}
 	return fmt.Sprintf("direct/%s/%d codes/%d lanes", how, g.codes, g.lanes+1)
 }
+
+// IntsOf builds a column's host values from v.
+func IntsOf(v []int64) *storage.Ints { return intsOf(v) }

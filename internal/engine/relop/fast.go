@@ -27,7 +27,7 @@ import (
 	"sync/atomic"
 
 	"olapmicro/internal/engine"
-	"olapmicro/internal/tpch"
+	"olapmicro/internal/storage"
 )
 
 // fastChunk is the scan granularity: per-chunk buffers stay resident in
@@ -82,6 +82,9 @@ type FastPlan struct {
 	// driver column with a small proven range (fastgroup.go); nil plans
 	// hash.
 	codes *codeGroups
+	// foldRuns is set for a scalar plan with no filter and no join: its
+	// chunks fold contiguous rows with no selection vector (foldRun).
+	foldRuns bool
 }
 
 // fastAgg is one compiled aggregate: COUNT ignores its argument (the
@@ -90,8 +93,7 @@ type FastPlan struct {
 type fastAgg struct {
 	kind AggKind
 	arg  vecKernel
-	i64  []int64
-	i8   []byte
+	v    intCol
 	seed int64
 }
 
@@ -139,8 +141,7 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 		}
 		if a.Kind != AggCount {
 			fe := fc.expr(a.Arg)
-			fa.i64, fa.i8 = fe.i64, fe.i8
-			if fa.i64 == nil && fa.i8 == nil {
+			if fa.v = fe.v; fa.v == nil {
 				fa.arg = fc.kernel(fe)
 			}
 		}
@@ -155,6 +156,7 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 		p.codes.chunked, p.codes.conds = true, conds
 	default:
 		p.filter0, p.filter = stageSpans(conds, rest)
+		p.foldRuns = p.filter0 == nil && p.filter == nil && p.joins == nil && !p.grouped
 	}
 	p.nbufs = fc.nbufs
 	// Size the group table from the planner estimate, capped so a wild
@@ -339,6 +341,10 @@ func (w *fastWorker) RunMorsel(start, end int) {
 		return
 	}
 	for lo := start; lo < end; lo += fastChunk {
+		if p.foldRuns {
+			w.foldRun(lo, min(lo+fastChunk, end))
+			continue
+		}
 		sel := w.selectChunk(p.filter0, p.filter, lo, min(lo+fastChunk, end))
 		switch {
 		case len(sel) == 0:
@@ -392,16 +398,47 @@ func (w *fastWorker) foldScalar(sel []int32) {
 		switch {
 		case a.kind == AggCount:
 			w.scalar[ai] += int64(n)
-		case a.i64 != nil:
-			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i64, sel)
-		case a.i8 != nil:
-			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i8, sel)
+		case a.v != nil:
+			w.scalar[ai] = a.v.foldSel(a.kind, w.scalar[ai], sel)
 		default:
 			vals := w.val[:n]
 			a.arg(w, sel, vals)
 			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], vals)
 		}
 	}
+}
+
+// foldRun accumulates the contiguous rows [lo, hi) of a plan with no
+// filter and no join into the scalar aggregates: a bare column folds
+// its slice directly, with no selection vector to gather through.
+func (w *fastWorker) foldRun(lo, hi int) {
+	w.matched += int64(hi - lo)
+	for ai := range w.p.aggs {
+		a := &w.p.aggs[ai]
+		switch {
+		case a.kind == AggCount:
+			w.scalar[ai] += int64(hi - lo)
+		case a.v != nil:
+			w.scalar[ai] = a.v.foldRun(a.kind, w.scalar[ai], lo, hi)
+		default:
+			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], w.runVals(a.arg, lo, hi))
+		}
+	}
+}
+
+// runVals evaluates a computed kernel over the contiguous rows
+// [lo, hi) into the worker's value buffer; bare column leaves slice
+// their run instead of gathering it.
+func (w *fastWorker) runVals(arg vecKernel, lo, hi int) []int64 {
+	rows := w.selBuf[:hi-lo]
+	for i := range rows {
+		rows[i] = int32(lo + i)
+	}
+	vals := w.val[:hi-lo]
+	w.contig = true
+	arg(w, rows, vals)
+	w.contig = false
+	return vals
 }
 
 // foldGroups resolves one chunk's selected rows to group slots — code
@@ -457,10 +494,8 @@ func (w *fastWorker) foldGroupAggs(sel, slots []int32, accs [][]int64) {
 			for _, s := range slots {
 				acc[s]++
 			}
-		case a.i64 != nil:
-			foldGroupDirect(a.kind, acc, a.i64, sel, slots)
-		case a.i8 != nil:
-			foldGroupDirect(a.kind, acc, a.i8, sel, slots)
+		case a.v != nil:
+			a.v.foldGroup(a.kind, acc, sel, slots)
 		default:
 			vals := w.val[:n]
 			a.arg(w, sel, vals)
@@ -582,16 +617,56 @@ func (fc *fastCompiler) buf() int {
 }
 
 // fexpr is a compiled expression with its specialization facets: a
-// constant, a bare column (either width), or a general kernel. Parents
-// fuse on the facets so the common shapes — column-op-constant,
+// constant, a bare column (at its host width), or a general kernel.
+// Parents fuse on the facets so the common shapes — column-op-constant,
 // column-op-column — evaluate in one pass with no scratch.
 type fexpr struct {
 	eval vecKernel
 	con  bool
 	conV int64
-	i64  []int64
-	i8   []byte
+	v    intCol
 	col  int // a bare column's index in the compiler's table
+}
+
+// hostInt lists the widths storage.Ints holds column values at.
+type hostInt interface {
+	uint8 | uint16 | uint32 | int64
+}
+
+// hostCol is a bare column's values at their host width. Every kernel
+// that reads a column directly is one of its methods: one source,
+// instantiated once per width.
+type hostCol[T hostInt] []T
+
+// intCol is a bare column's kernels, chosen for its width once, when
+// the plan compiles (bareCol); no kernel reads through Ints.At.
+type intCol interface {
+	load() vecKernel
+	gatherVia(t int) vecKernel
+	colCol(op ExprOp, r intCol) vecKernel
+	fuse1(c spanCond) rangeSelKernel
+	gatherSpan(c spanCond) selKernel
+	foldSel(kind AggKind, acc int64, sel []int32) int64
+	foldRun(kind AggKind, acc int64, lo, hi int) int64
+	foldGroup(kind AggKind, acc []int64, sel, slots []int32)
+	keyCodes(codes []int32, lo, hi int, k codeKey, lanes int32)
+	discardRejected(codes []int32, lo, hi int, c spanCond, discard int32)
+	foldCodes(kind AggKind, acc []int64, codes []int32, lo, hi int)
+	gatherCodes(slots, sel []int32, k codeKey)
+}
+
+// bareCol dispatches a column on its host width.
+func bareCol(v *storage.Ints) intCol {
+	switch s := v.Host().(type) {
+	case []uint8:
+		return hostCol[uint8](s)
+	case []uint16:
+		return hostCol[uint16](s)
+	case []uint32:
+		return hostCol[uint32](s)
+	default:
+		return hostCol[int64](s.([]int64))
+	}
 }
 
 // kernel materializes an fexpr into a plain evaluation kernel.
@@ -604,34 +679,28 @@ func (fc *fastCompiler) kernel(e fexpr) vecKernel {
 				out[i] = c
 			}
 		}
-	case e.i64 != nil:
-		v := e.i64
-		return func(w *fastWorker, rows []int32, out []int64) {
-			if w.contig && len(rows) > 0 {
-				copy(out, v[rows[0]:int(rows[0])+len(rows)])
-				return
-			}
-			for i, r := range rows {
-				out[i] = v[r]
-			}
-		}
-	case e.i8 != nil:
-		v := e.i8
-		return func(w *fastWorker, rows []int32, out []int64) {
-			if w.contig && len(rows) > 0 {
-				run := v[rows[0] : int(rows[0])+len(rows)]
-				out = out[:len(run)]
-				for i, x := range run {
-					out[i] = int64(x)
-				}
-				return
-			}
-			for i, r := range rows {
-				out[i] = int64(v[r])
-			}
-		}
+	case e.v != nil:
+		return e.v.load()
 	}
 	return e.eval
+}
+
+// load widens the listed rows into out; rows the chunked folds hand
+// over as one ascending run (contig) are sliced, not gathered.
+func (v hostCol[T]) load() vecKernel {
+	return func(w *fastWorker, rows []int32, out []int64) {
+		if w.contig && len(rows) > 0 {
+			run := v[rows[0] : int(rows[0])+len(rows)]
+			out = out[:len(run)]
+			for i, x := range run {
+				out[i] = int64(x)
+			}
+			return
+		}
+		for i, r := range rows {
+			out[i] = int64(v[r])
+		}
+	}
 }
 
 func (fc *fastCompiler) expr(e *Expr) fexpr {
@@ -639,17 +708,11 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 	case OpConst:
 		return fexpr{con: true, conV: e.Val}
 	case OpCol:
-		c := fc.b.Tables[e.Tab][e.Col]
+		v := bareCol(fc.b.Tables[e.Tab][e.Col].V)
 		if e.Tab != fc.tab {
-			if c.Kind == I8 {
-				return fexpr{eval: gatherCol(e.Tab, c.I8.V)}
-			}
-			return fexpr{eval: gatherCol(e.Tab, c.I64.V)}
+			return fexpr{eval: v.gatherVia(e.Tab)}
 		}
-		if c.Kind == I8 {
-			return fexpr{i8: c.I8.V, col: e.Col}
-		}
-		return fexpr{i64: c.I64.V, col: e.Col}
+		return fexpr{v: v, col: e.Col}
 	}
 	l, r := fc.expr(e.L), fc.expr(e.R)
 	if l.con && r.con {
@@ -665,29 +728,30 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 	if l.con {
 		return fexpr{eval: opConstLeft(e.Op, l.conV, fc.kernel(r))}
 	}
-	if (l.i64 != nil || l.i8 != nil) && (r.i64 != nil || r.i8 != nil) {
-		return fexpr{eval: colColKernel(e.Op, l, r)}
+	if l.v != nil && r.v != nil {
+		return fexpr{eval: l.v.colCol(e.Op, r.v)}
 	}
 	return fexpr{eval: opGeneral(e.Op, fc.kernel(l), fc.kernel(r), fc.buf())}
 }
 
-// colColKernel fuses <column> op <column>: the two gathers and the
-// arithmetic run in one pass with no scratch buffer.
-func colColKernel(op ExprOp, l, r fexpr) vecKernel {
-	switch {
-	case l.i64 != nil && r.i64 != nil:
-		return opColCol(op, l.i64, r.i64)
-	case l.i64 != nil:
-		return opColCol(op, l.i64, r.i8)
-	case r.i64 != nil:
-		return opColCol(op, l.i8, r.i64)
+// colCol fuses <column> op <column>: the two gathers and the
+// arithmetic run in one pass with no scratch buffer, specialized for
+// both columns' widths.
+func (v hostCol[T]) colCol(op ExprOp, r intCol) vecKernel {
+	switch rv := r.(type) {
+	case hostCol[uint8]:
+		return opColCol(op, v, rv)
+	case hostCol[uint16]:
+		return opColCol(op, v, rv)
+	case hostCol[uint32]:
+		return opColCol(op, v, rv)
 	default:
-		return opColCol(op, l.i8, r.i8)
+		return opColCol(op, v, rv.(hostCol[int64]))
 	}
 }
 
 // opColCol is the width-specialized fused column-pair kernel.
-func opColCol[TL int64 | byte, TR int64 | byte](op ExprOp, lv []TL, rv []TR) vecKernel {
+func opColCol[TL, TR hostInt](op ExprOp, lv hostCol[TL], rv hostCol[TR]) vecKernel {
 	switch op {
 	case OpAdd:
 		return func(w *fastWorker, rows []int32, out []int64) {
@@ -942,8 +1006,7 @@ func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 // is why the scan tests are phrased this way. neg is 1 for Ne (keep
 // rows outside the point range).
 type spanCond struct {
-	v64  []int64
-	v8   []byte
+	v    intCol
 	base uint64 // uint64(cmin), the rebasing offset
 	a    uint64 // lower bound, rebased
 	s1   uint64 // upper bound + 1, rebased
@@ -966,19 +1029,10 @@ const (
 
 // colRange reports the extreme values present in the bare column x:
 // the rebased range tests and the group codes are only valid against a
-// column's true extremes. They are a fact of the immutable database,
-// which remembers them (tpch.Data.Extremes); only a column it does not
-// know — a Bound assembled by hand — is scanned here.
+// column's true extremes. The column recorded them as it was built
+// (storage.Ints), so nothing is scanned here.
 func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
-	if d := fc.b.Data; d != nil {
-		if mn, mx, ok := d.Extremes(fc.pl.Tables[fc.tab].Cols[x.col].Name); ok {
-			return mn, mx, true
-		}
-	}
-	if x.i8 != nil {
-		return tpch.MinMax(x.i8)
-	}
-	return tpch.MinMax(x.i64)
+	return fc.b.Tables[fc.tab][x.col].V.Extremes()
 }
 
 // spanCond normalizes a conjunct into a spanCond when it compares one
@@ -998,7 +1052,7 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 			a, b = b, a
 			op = mirrorCmp(op)
 		}
-		if !b.con || (a.i64 == nil && a.i8 == nil) {
+		if !b.con || a.v == nil {
 			return spanCond{}, condNo
 		}
 		x = a
@@ -1013,20 +1067,16 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 		}
 	case PredBetween:
 		xe, l, h := fc.expr(p.A), fc.expr(p.B), fc.expr(p.C)
-		if !l.con || !h.con || (xe.i64 == nil && xe.i8 == nil) {
+		if !l.con || !h.con || xe.v == nil {
 			return spanCond{}, condNo
 		}
 		x, lo, hi = xe, l.conV, h.conV
 	default:
 		return spanCond{}, condNo
 	}
-	cmin, cmax := int64(0), int64(255)
-	if x.i64 != nil {
-		var ok bool
-		cmin, cmax, ok = fc.colRange(x)
-		if !ok {
-			return spanCond{}, condNever // empty column: no row to match
-		}
+	cmin, cmax, ok := fc.colRange(x)
+	if !ok {
+		return spanCond{}, condNever // empty column: no row to match
 	}
 	if uint64(cmax)-uint64(cmin) >= 1<<62 {
 		return spanCond{}, condNo // rebased domain too wide for shift tests
@@ -1055,7 +1105,7 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 		est = 1 - est
 	}
 	return spanCond{
-		v64: x.i64, v8: x.i8, base: base,
+		v: x.v, base: base,
 		a: uint64(lo) - base, s1: uint64(hi) - base + 1, neg: neg,
 		est: est,
 	}, condYes
@@ -1097,18 +1147,10 @@ func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel
 	}
 	kernels := make([]selKernel, 0, len(conds)-1+len(rest))
 	for _, c := range conds[1:] {
-		if c.v64 != nil {
-			kernels = append(kernels, gatherSpan(c.v64, c))
-		} else {
-			kernels = append(kernels, gatherSpan(c.v8, c))
-		}
+		kernels = append(kernels, c.v.gatherSpan(c))
 	}
 	kernels = append(kernels, rest...)
-	c := conds[0]
-	if c.v64 != nil {
-		return fuse1(c.v64, c), kernels
-	}
-	return fuse1(c.v8, c), kernels
+	return conds[0].v.fuse1(conds[0]), kernels
 }
 
 // neverMatch is the range kernel of an unsatisfiable filter.
@@ -1117,7 +1159,7 @@ func neverMatch(lo, hi int32, out []int32) []int32 { return out[:0] }
 // fuse1 scans one condition with branchless compaction. The common
 // lower-unbounded shape (a == 0 after clamping) drops its redundant
 // lower test: d >= 0 holds by construction.
-func fuse1[T int64 | byte](v []T, c spanCond) rangeSelKernel {
+func (v hostCol[T]) fuse1(c spanCond) rangeSelKernel {
 	base, a, s1, neg := c.base, c.a, c.s1, c.neg
 	if a == 0 {
 		return func(lo, hi int32, out []int32) []int32 {
@@ -1143,7 +1185,7 @@ func fuse1[T int64 | byte](v []T, c spanCond) rangeSelKernel {
 // gatherSpan refines an existing selection against one condition: a
 // gathered load and the same shift tests as fuse1, priced only on the
 // rows earlier stages kept.
-func gatherSpan[T int64 | byte](v []T, c spanCond) selKernel {
+func (v hostCol[T]) gatherSpan(c spanCond) selKernel {
 	base, a, s1, neg := c.base, c.a, c.s1, c.neg
 	if a == 0 {
 		return func(w *fastWorker, rows []int32) []int32 {
@@ -1264,9 +1306,9 @@ func cmpRange(op CmpOp, c int64) (lo, hi int64, ok bool) {
 	}
 }
 
-// foldDirect folds a bare column's selected rows into a scalar
+// foldSel folds a bare column's selected rows into a scalar
 // accumulator (COUNT handled by the caller).
-func foldDirect[T int64 | byte](kind AggKind, acc int64, v []T, sel []int32) int64 {
+func (v hostCol[T]) foldSel(kind AggKind, acc int64, sel []int32) int64 {
 	switch kind {
 	case AggSum:
 		for _, r := range sel {
@@ -1288,31 +1330,48 @@ func foldDirect[T int64 | byte](kind AggKind, acc int64, v []T, sel []int32) int
 	return acc
 }
 
-// foldVals folds evaluated values into a scalar accumulator.
-func foldVals(kind AggKind, acc int64, vals []int64) int64 {
+// foldRun folds a bare column's rows [lo, hi) into a scalar
+// accumulator.
+func (v hostCol[T]) foldRun(kind AggKind, acc int64, lo, hi int) int64 {
+	return foldVals(kind, acc, v[lo:hi])
+}
+
+// foldVals folds contiguous values into a scalar accumulator. MIN and
+// MAX keep four accumulators: the compiler turns each compare into a
+// conditional move, and one accumulator would chain every row's move
+// on the one before it.
+func foldVals[T hostInt](kind AggKind, acc int64, vals []T) int64 {
 	switch kind {
 	case AggSum:
 		for _, x := range vals {
-			acc += x
+			acc += int64(x)
 		}
 	case AggMin:
-		for _, x := range vals {
-			if x < acc {
-				acc = x
-			}
+		a0, a1, a2, a3 := acc, acc, acc, acc
+		for ; len(vals) >= 4; vals = vals[4:] {
+			a0, a1 = min(a0, int64(vals[0])), min(a1, int64(vals[1]))
+			a2, a3 = min(a2, int64(vals[2])), min(a3, int64(vals[3]))
 		}
+		for _, x := range vals {
+			a0 = min(a0, int64(x))
+		}
+		acc = min(a0, a1, a2, a3)
 	case AggMax:
-		for _, x := range vals {
-			if x > acc {
-				acc = x
-			}
+		a0, a1, a2, a3 := acc, acc, acc, acc
+		for ; len(vals) >= 4; vals = vals[4:] {
+			a0, a1 = max(a0, int64(vals[0])), max(a1, int64(vals[1]))
+			a2, a3 = max(a2, int64(vals[2])), max(a3, int64(vals[3]))
 		}
+		for _, x := range vals {
+			a0 = max(a0, int64(x))
+		}
+		acc = max(a0, a1, a2, a3)
 	}
 	return acc
 }
 
-// foldGroupDirect folds a bare column into per-group accumulators.
-func foldGroupDirect[T int64 | byte](kind AggKind, acc []int64, v []T, sel, slots []int32) {
+// foldGroup folds a bare column into per-group accumulators.
+func (v hostCol[T]) foldGroup(kind AggKind, acc []int64, sel, slots []int32) {
 	switch kind {
 	case AggSum:
 		for i, s := range slots {

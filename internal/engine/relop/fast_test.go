@@ -17,6 +17,15 @@ type fastCol struct {
 	i8   []byte
 }
 
+// intsOf builds a column's host values from v.
+func intsOf[T int64 | byte](v []T) *storage.Ints {
+	c := storage.MakeInts(len(v))
+	for _, x := range v {
+		c.Append(int64(x))
+	}
+	return &c
+}
+
 // tableFixture binds one synthetic table over the columns.
 func tableFixture(name string, rows int, cols ...fastCol) (TableRef, []Col) {
 	as := probe.NewAddrSpace()
@@ -25,10 +34,12 @@ func tableFixture(name string, rows int, cols ...fastCol) (TableRef, []Col) {
 	for _, c := range cols {
 		if c.i64 != nil {
 			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I64})
-			bound = append(bound, Col{Kind: I64, I64: storage.NewColI64(as, name+"."+c.name, c.i64)})
+			col := storage.NewColI64(as, name+"."+c.name, intsOf(c.i64))
+			bound = append(bound, Col{Kind: I64, V: col.V, R: col.R})
 		} else {
 			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I8})
-			bound = append(bound, Col{Kind: I8, I8: storage.NewColI8(as, name+"."+c.name, c.i8)})
+			col := storage.NewColI8(as, name+"."+c.name, intsOf(c.i8))
+			bound = append(bound, Col{Kind: I8, V: col.V, R: col.R})
 		}
 	}
 	return tr, bound
@@ -192,6 +203,12 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 			Filter: &Pred{Op: PredBetween, A: ColExpr(0, colA), B: ConstExpr(-10), C: ConstExpr(20)},
 			Aggs: []Agg{sumA, count,
 				{Kind: AggMin, Arg: ColExpr(0, colB)}, {Kind: AggMax, Arg: ColExpr(0, colB)}},
+		}},
+		{name: "scalar without filter folds contiguous runs at every width", pl: &Pipeline{
+			Aggs: []Agg{count, sumA,
+				{Kind: AggMin, Arg: ColExpr(0, colK)}, {Kind: AggMax, Arg: ColExpr(0, colK)},
+				{Kind: AggMin, Arg: ColExpr(0, colF)}, {Kind: AggMax, Arg: ColExpr(0, colG)},
+				{Kind: AggSum, Arg: Bin(OpMul, ColExpr(0, colA), ColExpr(0, colK))}},
 		}},
 		{name: "computed conjunct stays behind span stages", pl: &Pipeline{
 			Filter: and(&Pred{Op: PredCmp, Cmp: Lt,

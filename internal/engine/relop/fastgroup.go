@@ -39,8 +39,7 @@ const (
 
 // codeKey is one key column of a direct-coded grouping.
 type codeKey struct {
-	i64    []int64
-	i8     []byte
+	v      intCol
 	base   uint64 // uint64(min): the rebasing offset
 	span   int64  // max − min + 1
 	stride int32  // slot stride, lanes included
@@ -81,7 +80,7 @@ func (fc *fastCompiler) codeGroups() *codeGroups {
 		if span >= codeSpace {
 			return nil
 		}
-		g.keys = append(g.keys, codeKey{i64: x.i64, i8: x.i8, base: uint64(mn),
+		g.keys = append(g.keys, codeKey{v: x.v, base: uint64(mn),
 			span: int64(span + 1), stride: int32(product)})
 		product *= span + 1 // both factors < 2^17: no overflow
 		if product >= codeSpace {
@@ -133,36 +132,34 @@ func (w *fastWorker) runCoded(start, end int) {
 		hi := min(lo+fastChunk, end)
 		codes := w.slots[:hi-lo]
 		keys := g.keys
-		if len(keys) == 2 && keys[0].i8 != nil && keys[1].i8 != nil {
+		if len(keys) == 2 {
 			// Two byte keys, the common flag/status grouping: one pass.
-			keyCodes2(codes, keys[0].i8[lo:hi], keys[1].i8[lo:hi], keys[0], keys[1], g.lanes)
-			keys = nil
+			k0, ok0 := keys[0].v.(hostCol[uint8])
+			k1, ok1 := keys[1].v.(hostCol[uint8])
+			if ok0 && ok1 {
+				keyCodes2(codes, k0[lo:hi], k1[lo:hi], keys[0], keys[1], g.lanes)
+				keys = nil
+			}
 		}
 		for ki, k := range keys {
 			lanes := int32(-1) // every key after the first adds to the codes
 			if ki == 0 {
 				lanes = g.lanes
 			}
-			if k.i64 != nil {
-				keyCodes(codes, k.i64[lo:hi], k, lanes)
-			} else {
-				keyCodes(codes, k.i8[lo:hi], k, lanes)
-			}
+			k.v.keyCodes(codes, lo, hi, k, lanes)
 		}
 		for _, c := range g.conds {
-			if c.v64 != nil {
-				discardRejected(codes, c.v64[lo:hi], c, g.discard)
-			} else {
-				discardRejected(codes, c.v8[lo:hi], c, g.discard)
-			}
+			c.v.discardRejected(codes, lo, hi, c, g.discard)
 		}
 		w.foldCoded(codes, lo, hi)
 	}
 }
 
-// keyCodes adds one key column's contribution to a chunk's codes; with
-// lanes ≥ 0 (the first key) it sets them instead, lane bits included.
-func keyCodes[T int64 | byte](codes []int32, v []T, k codeKey, lanes int32) {
+// keyCodes adds rows [lo, hi) of one key column to a chunk's codes;
+// with lanes ≥ 0 (the first key) it sets them instead, lane bits
+// included.
+func (c hostCol[T]) keyCodes(codes []int32, lo, hi int, k codeKey, lanes int32) {
+	v := c[lo:hi]
 	codes = codes[:len(v)]
 	base, stride := k.base, k.stride
 	if lanes >= 0 {
@@ -187,9 +184,10 @@ func keyCodes2(codes []int32, v0, v1 []byte, k0, k1 codeKey, lanes int32) {
 	}
 }
 
-// discardRejected sends every row the span test rejects to a discard
-// slot, with the shift tests of fuse1.
-func discardRejected[T int64 | byte](codes []int32, v []T, c spanCond, discard int32) {
+// discardRejected sends every row of [lo, hi) the span test rejects to
+// a discard slot, with the shift tests of fuse1.
+func (col hostCol[T]) discardRejected(codes []int32, lo, hi int, c spanCond, discard int32) {
+	v := col[lo:hi]
 	codes = codes[:len(v)]
 	base, a, s1, neg := c.base, c.a, c.s1, uint64(c.neg)
 	for i, x := range v {
@@ -202,27 +200,14 @@ func discardRejected[T int64 | byte](codes []int32, v []T, c spanCond, discard i
 // foldCoded folds one chunk's rows [lo, hi) into the code tables.
 func (w *fastWorker) foldCoded(codes []int32, lo, hi int) {
 	countCodes(w.cnt, codes)
-	var rows []int32
 	for ai := range w.p.aggs {
 		a := &w.p.aggs[ai]
 		switch {
 		case a.kind == AggCount:
-		case a.i64 != nil:
-			foldCodes(a.kind, w.acc[ai], codes, a.i64[lo:hi])
-		case a.i8 != nil:
-			foldCodes(a.kind, w.acc[ai], codes, a.i8[lo:hi])
+		case a.v != nil:
+			a.v.foldCodes(a.kind, w.acc[ai], codes, lo, hi)
 		default:
-			if rows == nil {
-				rows = w.selBuf[:hi-lo]
-				for i := range rows {
-					rows[i] = int32(lo + i)
-				}
-			}
-			vals := w.val[:hi-lo]
-			w.contig = true
-			a.arg(w, rows, vals)
-			w.contig = false
-			foldCodes(a.kind, w.acc[ai], codes, vals)
+			foldCodes(a.kind, w.acc[ai], codes, w.runVals(a.arg, lo, hi))
 		}
 	}
 }
@@ -234,15 +219,11 @@ func (g *codeGroups) codeSlots(sel, slots []int32) {
 		slots[i] = int32(i) & g.lanes
 	}
 	for _, k := range g.keys {
-		if k.i64 != nil {
-			gatherCodes(slots, k.i64, sel, k)
-		} else {
-			gatherCodes(slots, k.i8, sel, k)
-		}
+		k.v.gatherCodes(slots, sel, k)
 	}
 }
 
-func gatherCodes[T int64 | byte](slots []int32, v []T, sel []int32, k codeKey) {
+func (v hostCol[T]) gatherCodes(slots, sel []int32, k codeKey) {
 	slots = slots[:len(sel)]
 	base, stride := k.base, k.stride
 	for i, r := range sel {
@@ -262,9 +243,15 @@ func countCodes(cnt []int64, codes []int32) {
 	}
 }
 
+// foldCodes folds a bare column's rows [lo, hi) into a code-indexed
+// table.
+func (v hostCol[T]) foldCodes(kind AggKind, acc []int64, codes []int32, lo, hi int) {
+	foldCodes(kind, acc, codes, v[lo:hi])
+}
+
 // foldCodes folds contiguous values into a code-indexed table (COUNT
 // reads the row counts instead).
-func foldCodes[T int64 | byte](kind AggKind, acc []int64, codes []int32, v []T) {
+func foldCodes[T hostInt](kind AggKind, acc []int64, codes []int32, v []T) {
 	if len(acc) == 0 {
 		return
 	}

@@ -18,22 +18,24 @@ import (
 // aggregates run, with computed arguments that divide by zero and wrap.
 // A table under one chunk runs on one worker whatever the thread count;
 // shape bit 16 draws two to six chunks, so the workers' partial tables
-// are merged.
+// are merged. widths draws the host width of the int64-kinded columns
+// a, b and v, two bits each (see fitWidth), so every width's kernel
+// instantiations — mixed pairs included — run against the reference.
 func FuzzFastGroup(f *testing.F) {
 	for _, s := range []struct {
-		seed                      int64
-		keys, domain, shape, aggs uint8
+		seed                              int64
+		keys, domain, shape, aggs, widths uint8
 	}{
-		{1, 2, 0, 1, 0x03}, {2, 3, 6, 0, 0xff}, {3, 3, 7, 1, 0x0f}, {4, 0, 4, 2, 0x1d},
-		{5, 0, 5, 5, 0x42}, {6, 2, 1, 9, 0x8c}, {7, 3, 2, 1, 0x31}, {8, 1, 19, 2, 0x7e},
-		{9, 1, 8, 3, 0x01}, {10, 2, 11, 1, 0x24},
-		{11, 3, 6, 17, 0xff}, {12, 1, 0, 20, 0x7e}, {13, 2, 1, 18, 0x2d}, {14, 0, 5, 17, 0x0f},
-		{15, 3, 0, 25, 0xe3}, {16, 0, 2, 16, 0x5a},
+		{1, 2, 0, 1, 0x03, 0}, {2, 3, 6, 0, 0xff, 0}, {3, 3, 7, 1, 0x0f, 0}, {4, 0, 4, 2, 0x1d, 0},
+		{5, 0, 5, 5, 0x42, 0}, {6, 2, 1, 9, 0x8c, 0}, {7, 3, 2, 1, 0x31, 0}, {8, 1, 19, 2, 0x7e, 0},
+		{9, 1, 8, 3, 0x01, 0}, {10, 2, 11, 1, 0x24, 0},
+		{11, 3, 6, 17, 0xff, 0}, {12, 1, 0, 20, 0x7e, 0}, {13, 2, 1, 18, 0x2d, 0}, {14, 0, 5, 17, 0x0f, 0},
+		{15, 3, 0, 25, 0xe3, 0}, {16, 0, 2, 16, 0x5a, 0},
 	} {
-		f.Add(s.seed, s.keys, s.domain, s.shape, s.aggs)
+		f.Add(s.seed, s.keys, s.domain, s.shape, s.aggs, s.widths)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, keys, domain, shape, aggs uint8) {
-		pl, b := fuzzGroupPipeline(seed, keys, domain, shape, aggs)
+	f.Fuzz(func(t *testing.T, seed int64, keys, domain, shape, aggs, widths uint8) {
+		pl, b := fuzzGroupPipeline(seed, keys, domain, shape, aggs, widths)
 		p, err := CompileFast(pl, b)
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +49,25 @@ func FuzzFastGroup(f *testing.F) {
 	})
 }
 
+// fitWidth bounds a column's values to the host width code w draws:
+// 0 keeps them as drawn (whatever width they need, 8 bytes for any
+// negative value), 1, 2 and 3 fit them in one, two and four bytes.
+// A fitted value keeps its low bits below the width's top bit and sets
+// that bit, so the column takes exactly that width; the map is a
+// function of the value, so equal values stay equal.
+func fitWidth(w uint8) func(int64) int64 {
+	bits := [...]uint{0, 8, 16, 32}[w&3]
+	if bits == 0 {
+		return func(x int64) int64 { return x }
+	}
+	top := int64(1) << (bits - 1)
+	return func(x int64) int64 { return x&(top-1) | top }
+}
+
 // fuzzGroupPipeline decodes one fuzz input (see FuzzFastGroup). The
 // table's columns are a and b (int64 keys), f (byte key), v (int64
 // value) and w (byte value, 0 a third of the time).
-func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs uint8) (*Pipeline, *Bound) {
+func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs, widths uint8) (*Pipeline, *Bound) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := rng.Intn(400)
 	if shape&16 != 0 {
@@ -88,16 +105,18 @@ func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs uint8) (*Pipeline, 
 		}
 		return d.lo + rng.Int63n(d.span)
 	}
+	fa, fb, fv := fitWidth(widths), fitWidth(widths>>2), fitWidth(widths>>4)
 	flo := int(domain>>3&1) * 252
 	a, bk, v := make([]int64, rows), make([]int64, rows), make([]int64, rows)
 	f, w := make([]byte, rows), make([]byte, rows)
 	for i := 0; i < rows; i++ {
-		a[i], bk[i] = draw(da, i), draw(db, i)
+		a[i], bk[i] = fa(draw(da, i)), fb(draw(db, i))
 		f[i], w[i] = byte(flo+rng.Intn(4)), byte(rng.Intn(3))
 		v[i] = rng.Int63n(2001) - 1000
 		if domain&16 != 0 {
 			v[i] = rng.Int63() - rng.Int63() // sums and products wrap
 		}
+		v[i] = fv(v[i])
 	}
 	tr, bound := fastFixture(rows,
 		fastCol{name: "a", i64: a}, fastCol{name: "b", i64: bk}, fastCol{name: "f", i8: f},
@@ -117,9 +136,9 @@ func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs uint8) (*Pipeline, 
 	}
 	switch shape % 4 {
 	case 1:
-		pl.Filter = and(cmp(Lt, colV, 500), and(cmp(Ne, colF, int64(flo+1)), cmp(Ge, colA, da.lo+1)))
+		pl.Filter = and(cmp(Lt, colV, fv(500)), and(cmp(Ne, colF, int64(flo+1)), cmp(Ge, colA, fa(da.lo+1))))
 	case 2:
-		pl.Filter = and(cmp(Ge, colV, -800),
+		pl.Filter = and(cmp(Ge, colV, fv(-800)),
 			&Pred{Op: PredCmp, Cmp: Gt, A: Bin(OpAdd, col(colV), col(colW)), B: ConstExpr(-200)})
 	case 3:
 		pl.Filter = cmp(Gt, colW, 200) // no row has w > 2: an empty result

@@ -1,8 +1,9 @@
 package relop
 
 import (
+	"slices"
+
 	"olapmicro/internal/join"
-	"olapmicro/internal/tpch"
 )
 
 // The fast plan's join stage. CompileFast filters every build side and
@@ -11,8 +12,8 @@ import (
 // indexes. Per chunk, after the driver's staged filters, each join
 // evaluates its probe-key kernel over the tuples so far and emits one
 // row vector per table for its matches; a joined table's column leaf
-// gathers through its table's vector (gatherCol), and the grouping and
-// fold kernels run unchanged on the result.
+// gathers through its table's vector (hostCol.gatherVia), and the
+// grouping and fold kernels run unchanged on the result.
 //
 // An index is an immutable CSR: slot s owns the build rows
 // rows[start[s]:start[s+1]], so duplicate keys are runs and a 1:N join
@@ -58,7 +59,8 @@ func (x *joinIndex) slot(k int64) (uint64, bool) {
 func newJoinIndex(ids []int32, keys []int64) *joinIndex {
 	n := uint64(len(ids))
 	x := &joinIndex{}
-	if lo, hi, ok := tpch.MinMax(keys); ok {
+	if len(keys) > 0 {
+		lo, hi := slices.Min(keys), slices.Max(keys)
 		if span := uint64(hi) - uint64(lo); span < denseSpan*n {
 			x.lo, x.slots = lo, span+1
 		} else {
@@ -237,9 +239,9 @@ func (w *fastWorker) probe(ji, n int) {
 	}
 }
 
-// gatherCol reads a joined table's column through that table's row
+// gatherVia reads a joined table's column through that table's row
 // vector: tuple i of the batch reads row w.rv[t][i].
-func gatherCol[T int64 | byte](t int, v []T) vecKernel {
+func (v hostCol[T]) gatherVia(t int) vecKernel {
 	return func(w *fastWorker, rows []int32, out []int64) {
 		for i, r := range w.rv[t][:len(rows)] {
 			out[i] = int64(v[r])

@@ -273,18 +273,19 @@ func TestFastJoinConcurrentExecute(t *testing.T) {
 // ranges full of duplicates and misses (the direct index), sparse wide
 // ones, int64 extremes, negative ranges, and dense ranges at either end
 // of int64 — shape the table count, chain, grouping and output
-// operators, and exprs which keys and build filters are computed.
+// operators, exprs which keys and build filters are computed, and
+// widths the columns' host widths.
 func FuzzFastJoin(f *testing.F) {
 	for _, s := range []struct {
-		seed               int64
-		shape, keys, exprs uint8
+		seed                       int64
+		shape, keys, exprs, widths uint8
 	}{
-		{1, 0, 0, 0}, {2, 1, 1, 0x1f}, {3, 7, 2, 0xff}, {4, 27, 3, 0x5a}, {5, 9, 4, 0x21}, {6, 19, 5, 0x96},
+		{1, 0, 0, 0, 0}, {2, 1, 1, 0x1f, 0}, {3, 7, 2, 0xff, 0}, {4, 27, 3, 0x5a, 0}, {5, 9, 4, 0x21, 0}, {6, 19, 5, 0x96, 0},
 	} {
-		f.Add(s.seed, s.shape, s.keys, s.exprs)
+		f.Add(s.seed, s.shape, s.keys, s.exprs, s.widths)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shape, keys, exprs uint8) {
-		pl, b := fuzzJoinPipeline(seed, shape, keys, exprs)
+	f.Fuzz(func(t *testing.T, seed int64, shape, keys, exprs, widths uint8) {
+		pl, b := fuzzJoinPipeline(seed, shape, keys, exprs, widths)
 		p, err := CompileFast(pl, b)
 		if err != nil {
 			t.Fatal(err)
@@ -299,8 +300,10 @@ func FuzzFastJoin(f *testing.F) {
 }
 
 // fuzzJoinPipeline decodes one fuzz input (see FuzzFastJoin). Every
-// table has columns k (the key domain), v and a byte flag f.
-func fuzzJoinPipeline(seed int64, shape, keys, exprs uint8) (*Pipeline, *Bound) {
+// table has columns k (the key domain), v and a byte flag f. widths
+// draws host widths (see fitWidth): bits 0–1 for every table's k, so
+// keys stay comparable across tables, and two bits per table for its v.
+func fuzzJoinPipeline(seed int64, shape, keys, exprs, widths uint8) (*Pipeline, *Bound) {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() int64 {
 		switch keys % 6 {
@@ -326,12 +329,14 @@ func fuzzJoinPipeline(seed int64, shape, keys, exprs uint8) (*Pipeline, *Bound) 
 		if t > 0 {
 			rows = rng.Intn(50) // build sides may be empty
 		}
+		fk, fv := fitWidth(widths), fitWidth(widths>>(2+2*t))
 		k, v, f := make([]int64, rows), make([]int64, rows), make([]byte, rows)
 		for i := range k {
 			k[i], v[i], f[i] = key(), rng.Int63n(2001)-1000, byte(rng.Intn(4))
 			if keys%6 == 2 {
 				v[i] = key() // sums and products wrap
 			}
+			k[i], v[i] = fk(k[i]), fv(v[i])
 		}
 		ref, cols := tableFixture(string(rune('a'+t)), rows,
 			fastCol{name: "k", i64: k}, fastCol{name: "v", i64: v}, fastCol{name: "f", i8: f})

@@ -6,7 +6,6 @@ import (
 
 	"olapmicro/internal/engine/relop"
 	"olapmicro/internal/sql"
-	"olapmicro/internal/storage"
 	"olapmicro/internal/tpch"
 )
 
@@ -78,7 +77,7 @@ func TestFastGroupPathSelection(t *testing.T) {
 			Aggs:    []relop.Agg{{Kind: relop.AggCount}},
 		}
 		bound := &relop.Bound{Tables: [][]relop.Col{{
-			{Kind: relop.I64, I64: storage.ColI64{V: a}}, {Kind: relop.I64, I64: storage.ColI64{V: b}}}}}
+			{Kind: relop.I64, V: relop.IntsOf(a)}, {Kind: relop.I64, V: relop.IntsOf(b)}}}}
 		p, err := relop.CompileFast(pl, bound)
 		if err != nil {
 			t.Fatal(err)

@@ -60,18 +60,13 @@ func tupleEq(a, b []int64) bool {
 // sampler and the vectorized fast plan. The planner only emits tables
 // and columns of the catalog, so every ColSpec resolves.
 func BindData(pl *Pipeline, d *tpch.Data) *Bound {
-	b := &Bound{Tables: make([][]Col, len(pl.Tables)), Data: d}
+	b := &Bound{Tables: make([][]Col, len(pl.Tables))}
 	for ti, t := range pl.Tables {
 		meta, _ := tpch.SchemaTable(t.Name)
 		cols := make([]Col, len(t.Cols))
 		for ci, cs := range t.Cols {
 			cm, _ := meta.Column(cs.Name)
-			switch cs.Kind {
-			case I64:
-				cols[ci] = Col{Kind: I64, I64: storage.ColI64{V: cm.I64(d)}}
-			case I8:
-				cols[ci] = Col{Kind: I8, I8: storage.ColI8{V: cm.I8(d)}}
-			}
+			cols[ci] = Col{Kind: cs.Kind, V: cm.Ints(d)}
 		}
 		b.Tables[ti] = cols
 	}
@@ -92,9 +87,9 @@ func BindCatalog(as *probe.AddrSpace, prefix string, d *tpch.Data) (
 		for _, c := range t.Cols {
 			switch c.Kind {
 			case tpch.KindI64:
-				i64[c.Name] = storage.NewColI64(as, prefix+c.Name, c.I64(d))
+				i64[c.Name] = storage.NewColI64(as, prefix+c.Name, c.Ints(d))
 			case tpch.KindI8:
-				i8[c.Name] = storage.NewColI8(as, prefix+c.Name, c.I8(d))
+				i8[c.Name] = storage.NewColI8(as, prefix+c.Name, c.Ints(d))
 			case tpch.KindStr:
 				str[c.Name] = storage.NewColStr(as, prefix+c.Name, c.Str(d))
 			}

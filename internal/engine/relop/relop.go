@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"strings"
 
+	"olapmicro/internal/probe"
 	"olapmicro/internal/storage"
-	"olapmicro/internal/tpch"
 )
 
 // Kind is a column's physical representation.
@@ -41,39 +41,26 @@ type TableRef struct {
 	Rows int
 }
 
-// Col is a ColSpec resolved against one engine's bindings: data plus
-// the simulated address region.
+// Col is a ColSpec resolved against one engine's bindings: host
+// values plus the simulated address region. The region's element
+// width is the column's Kind (8 bytes, or 1 for I8) whatever width the
+// host values take.
 type Col struct {
 	Kind Kind
-	I64  storage.ColI64
-	I8   storage.ColI8
+	V    *storage.Ints
+	R    probe.Region
 }
 
 // Val reads element i as an int64.
-func (c Col) Val(i int) int64 {
-	if c.Kind == I8 {
-		return int64(c.I8.V[i])
-	}
-	return c.I64.V[i]
-}
+func (c Col) Val(i int) int64 { return c.V.At(i) }
 
 // Addr is the simulated address of element i.
-func (c Col) Addr(i int) uint64 {
-	if c.Kind == I8 {
-		return c.I8.Addr(i)
-	}
-	return c.I64.Addr(i)
-}
+func (c Col) Addr(i int) uint64 { return c.R.Base + uint64(i)*c.ElemBytes() }
 
 // Base is the column region's base address.
-func (c Col) Base() uint64 {
-	if c.Kind == I8 {
-		return c.I8.R.Base
-	}
-	return c.I64.R.Base
-}
+func (c Col) Base() uint64 { return c.R.Base }
 
-// ElemBytes is the element width.
+// ElemBytes is the simulated element width.
 func (c Col) ElemBytes() uint64 {
 	if c.Kind == I8 {
 		return 1
@@ -85,10 +72,6 @@ func (c Col) ElemBytes() uint64 {
 // ColSpec c of pipeline table t.
 type Bound struct {
 	Tables [][]Col
-	// Data is the database the columns belong to when BindData resolved
-	// them (nil otherwise): the owner of per-column facts a compile
-	// would otherwise re-derive by scanning.
-	Data *tpch.Data
 }
 
 // ExprOp is an expression node operator.
@@ -759,13 +742,13 @@ func Resolve(pl *Pipeline, i64 map[string]storage.ColI64, i8 map[string]storage.
 				if !ok {
 					return nil, fmt.Errorf("relop: engine has no int64 binding for column %q", cs.Name)
 				}
-				cols[ci] = Col{Kind: I64, I64: c}
+				cols[ci] = Col{Kind: I64, V: c.V, R: c.R}
 			case I8:
 				c, ok := i8[cs.Name]
 				if !ok {
 					return nil, fmt.Errorf("relop: engine has no int8 binding for column %q", cs.Name)
 				}
-				cols[ci] = Col{Kind: I8, I8: c}
+				cols[ci] = Col{Kind: I8, V: c.V, R: c.R}
 			}
 		}
 		b.Tables[ti] = cols

@@ -57,10 +57,10 @@ func New(d *tpch.Data, as *probe.AddrSpace) *Engine {
 		d:        d,
 		costs:    engine.DefaultRowStoreCosts(),
 		liHeap:   storage.NewRowHeap(as, "r.lineitem", d.Lineitem.Rows(), lineitemRowBytes),
-		ordHeap:  storage.NewRowHeap(as, "r.orders", len(d.Orders.OrderKey), ordersRowBytes),
-		suppHeap: storage.NewRowHeap(as, "r.supplier", len(d.Supplier.SuppKey), supplierRowBytes),
-		natHeap:  storage.NewRowHeap(as, "r.nation", len(d.Nation.NationKey), nationRowBytes),
-		psHeap:   storage.NewRowHeap(as, "r.partsupp", len(d.PartSupp.PartKey), partsuppRowBytes),
+		ordHeap:  storage.NewRowHeap(as, "r.orders", d.Orders.OrderKey.Len(), ordersRowBytes),
+		suppHeap: storage.NewRowHeap(as, "r.supplier", d.Supplier.SuppKey.Len(), supplierRowBytes),
+		natHeap:  storage.NewRowHeap(as, "r.nation", d.Nation.NationKey.Len(), nationRowBytes),
+		psHeap:   storage.NewRowHeap(as, "r.partsupp", d.PartSupp.PartKey.Len(), partsuppRowBytes),
 		meta:     as.Alloc("r.meta", metaBytes),
 	}
 }
@@ -120,13 +120,13 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 	n := l.Rows()
 	p.SetFootprint(e.costs.Footprint, 1)
 
-	cols := [4][]int64{l.ExtendedPrice, l.Discount, l.Tax, l.Quantity}
+	cols := [4]*storage.Ints{&l.ExtendedPrice, &l.Discount, &l.Tax, &l.Quantity}
 	var sum int64
 	for i := 0; i < n; i++ {
 		p.Load(e.liHeap.Addr(i), lineitemRowBytes)
 		e.interpret(p, i, degree)
 		for c := 0; c < degree; c++ {
-			sum += cols[c][i]
+			sum += cols[c].At(i)
 		}
 	}
 	e.decodeTail(p, uint64(n))
@@ -144,25 +144,25 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, _ bool) 
 	for i := 0; i < n; i++ {
 		p.Load(e.liHeap.Addr(i), lineitemRowBytes)
 		e.interpret(p, i, 3)
-		pass1 := l.ShipDate[i] < cut.ShipDate
+		pass1 := l.ShipDate.At(i) < cut.ShipDate
 		p.BranchOp(siteSelPred1, pass1)
 		if !pass1 {
 			continue
 		}
 		p.ALU(e.costs.PerColumn)
-		pass2 := l.CommitDate[i] < cut.CommitDate
+		pass2 := l.CommitDate.At(i) < cut.CommitDate
 		p.BranchOp(siteSelPred2, pass2)
 		if !pass2 {
 			continue
 		}
 		p.ALU(e.costs.PerColumn)
-		pass3 := l.ReceiptDate[i] < cut.ReceiptDate
+		pass3 := l.ReceiptDate.At(i) < cut.ReceiptDate
 		p.BranchOp(siteSelPred3, pass3)
 		if !pass3 {
 			continue
 		}
 		p.ALU(4 * e.costs.PerColumn)
-		sum += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		sum += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 	}
 	e.decodeTail(p, uint64(n))
 	return engine.Result{Sum: sum, Rows: 1}
@@ -176,56 +176,56 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 	d := e.d
 	switch size {
 	case engine.JoinSmall:
-		ht := join.New(as, "r.join.nation", len(d.Nation.NationKey))
-		for i, k := range d.Nation.NationKey {
+		ht := join.New(as, "r.join.nation", d.Nation.NationKey.Len())
+		for i := range d.Nation.NationKey.Len() {
 			p.Load(e.natHeap.Addr(i), nationRowBytes)
 			e.interpretJoin(p, i)
-			ht.InsertProbed(p, k)
+			ht.InsertProbed(p, d.Nation.NationKey.At(i))
 		}
 		var sum int64
-		for i := range d.Supplier.SuppKey {
+		for i := range d.Supplier.SuppKey.Len() {
 			p.Load(e.suppHeap.Addr(i), supplierRowBytes)
 			e.interpretJoin(p, i)
-			if ht.LookupProbed(p, siteJoinMatch, d.Supplier.NationKey[i]) >= 0 {
+			if ht.LookupProbed(p, siteJoinMatch, d.Supplier.NationKey.At(i)) >= 0 {
 				p.ALU(2 * e.costs.PerColumn)
-				sum += d.Supplier.AcctBal[i] + d.Supplier.SuppKey[i]
+				sum += d.Supplier.AcctBal.At(i) + d.Supplier.SuppKey.At(i)
 			}
 		}
-		e.decodeTail(p, uint64(len(d.Supplier.SuppKey)))
+		e.decodeTail(p, uint64(d.Supplier.SuppKey.Len()))
 		return engine.Result{Sum: sum, Rows: 1}
 	case engine.JoinMedium:
-		ht := join.New(as, "r.join.supplier", len(d.Supplier.SuppKey))
-		for i, k := range d.Supplier.SuppKey {
+		ht := join.New(as, "r.join.supplier", d.Supplier.SuppKey.Len())
+		for i := range d.Supplier.SuppKey.Len() {
 			p.Load(e.suppHeap.Addr(i), supplierRowBytes)
 			e.interpretJoin(p, i)
-			ht.InsertProbed(p, k)
+			ht.InsertProbed(p, d.Supplier.SuppKey.At(i))
 		}
 		var sum int64
-		for i := range d.PartSupp.PartKey {
+		for i := range d.PartSupp.PartKey.Len() {
 			p.Load(e.psHeap.Addr(i), partsuppRowBytes)
 			e.interpretJoin(p, i)
-			if ht.LookupProbed(p, siteJoinMatch, d.PartSupp.SuppKey[i]) >= 0 {
+			if ht.LookupProbed(p, siteJoinMatch, d.PartSupp.SuppKey.At(i)) >= 0 {
 				p.ALU(2 * e.costs.PerColumn)
-				sum += d.PartSupp.AvailQty[i] + d.PartSupp.SupplyCost[i]
+				sum += d.PartSupp.AvailQty.At(i) + d.PartSupp.SupplyCost.At(i)
 			}
 		}
-		e.decodeTail(p, uint64(len(d.PartSupp.PartKey)))
+		e.decodeTail(p, uint64(d.PartSupp.PartKey.Len()))
 		return engine.Result{Sum: sum, Rows: 1}
 	default:
-		ht := join.New(as, "r.join.orders", len(d.Orders.OrderKey))
-		for i, k := range d.Orders.OrderKey {
+		ht := join.New(as, "r.join.orders", d.Orders.OrderKey.Len())
+		for i := range d.Orders.OrderKey.Len() {
 			p.Load(e.ordHeap.Addr(i), ordersRowBytes)
 			e.interpretJoin(p, i)
-			ht.InsertProbed(p, k)
+			ht.InsertProbed(p, d.Orders.OrderKey.At(i))
 		}
 		l := &d.Lineitem
 		var sum int64
 		for i := 0; i < l.Rows(); i++ {
 			p.Load(e.liHeap.Addr(i), lineitemRowBytes)
 			e.interpretJoin(p, i)
-			if ht.LookupProbed(p, siteJoinMatch, l.OrderKey[i]) >= 0 {
+			if ht.LookupProbed(p, siteJoinMatch, l.OrderKey.At(i)) >= 0 {
 				p.ALU(4 * e.costs.PerColumn)
-				sum += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+				sum += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 			}
 		}
 		e.decodeTail(p, uint64(l.Rows()))

@@ -23,7 +23,7 @@ func TestProjectionMatchesBruteForce(t *testing.T) {
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		want += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		want += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 	}
 	e, p, _ := newEnv()
 	if got := e.Projection(p, 4); got.Sum != want {
@@ -64,15 +64,15 @@ func TestFootprintFitsL1I(t *testing.T) {
 func TestSelectionMatchesBruteForce(t *testing.T) {
 	cut := engine.SelectionCutoffs{
 		Selectivity: 0.5,
-		ShipDate:    tpch.Quantile(testData.Lineitem.ShipDate, 0.5),
-		CommitDate:  tpch.Quantile(testData.Lineitem.CommitDate, 0.5),
-		ReceiptDate: tpch.Quantile(testData.Lineitem.ReceiptDate, 0.5),
+		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, 0.5),
+		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, 0.5),
+		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, 0.5),
 	}
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] < cut.ShipDate && l.CommitDate[i] < cut.CommitDate && l.ReceiptDate[i] < cut.ReceiptDate {
-			want += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		if l.ShipDate.At(i) < cut.ShipDate && l.CommitDate.At(i) < cut.CommitDate && l.ReceiptDate.At(i) < cut.ReceiptDate {
+			want += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 		}
 	}
 	e, p, _ := newEnv()
@@ -83,11 +83,11 @@ func TestSelectionMatchesBruteForce(t *testing.T) {
 
 func TestJoinsMatchBruteForce(t *testing.T) {
 	var wantSm, wantMd int64
-	for i := range testData.Supplier.SuppKey {
-		wantSm += testData.Supplier.AcctBal[i] + testData.Supplier.SuppKey[i]
+	for i := range testData.Supplier.SuppKey.Len() {
+		wantSm += testData.Supplier.AcctBal.At(i) + testData.Supplier.SuppKey.At(i)
 	}
-	for i := range testData.PartSupp.PartKey {
-		wantMd += testData.PartSupp.AvailQty[i] + testData.PartSupp.SupplyCost[i]
+	for i := range testData.PartSupp.PartKey.Len() {
+		wantMd += testData.PartSupp.AvailQty.At(i) + testData.PartSupp.SupplyCost.At(i)
 	}
 	e, p, as := newEnv()
 	if got := e.Join(p, as, engine.JoinSmall); got.Sum != wantSm {

@@ -19,24 +19,22 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 	}
 	switch size {
 	case engine.JoinSmall:
-		ht := e.buildProbed(p, as, "tw.join.nation", e.nat.nationKey, e.d.Nation.NationKey)
-		return e.probeSum2(p, ht, e.supp.nationKey, e.d.Supplier.NationKey,
-			e.supp.acctBal, e.d.Supplier.AcctBal, e.supp.suppKey, e.d.Supplier.SuppKey)
+		ht := e.buildProbed(p, as, "tw.join.nation", e.nat.nationKey)
+		return e.probeSum2(p, ht, e.supp.nationKey, e.supp.acctBal, e.supp.suppKey)
 	case engine.JoinMedium:
-		ht := e.buildProbed(p, as, "tw.join.supplier", e.supp.suppKey, e.d.Supplier.SuppKey)
-		return e.probeSum2(p, ht, e.ps.suppKey, e.d.PartSupp.SuppKey,
-			e.ps.availQty, e.d.PartSupp.AvailQty, e.ps.supplyCost, e.d.PartSupp.SupplyCost)
+		ht := e.buildProbed(p, as, "tw.join.supplier", e.supp.suppKey)
+		return e.probeSum2(p, ht, e.ps.suppKey, e.ps.availQty, e.ps.supplyCost)
 	default:
-		ht := e.buildProbed(p, as, "tw.join.orders", e.ord.orderKey, e.d.Orders.OrderKey)
+		ht := e.buildProbed(p, as, "tw.join.orders", e.ord.orderKey)
 		return e.probeSum4(p, ht)
 	}
 }
 
 // buildProbed builds a hash table over keyCol with vectorized insert
 // primitives.
-func (e *Engine) buildProbed(p *probe.Probe, as *probe.AddrSpace, name string, keyCol storage.ColI64, keys []int64) *join.Table {
-	ht := join.New(as, name, len(keys))
-	n := len(keys)
+func (e *Engine) buildProbed(p *probe.Probe, as *probe.AddrSpace, name string, keyCol storage.ColI64) *join.Table {
+	n := keyCol.V.Len()
+	ht := join.New(as, name, n)
 	for start := 0; start < n; start += e.vec {
 		end := start + e.vec
 		if end > n {
@@ -46,7 +44,7 @@ func (e *Engine) buildProbed(p *probe.Probe, as *probe.AddrSpace, name string, k
 		e.vecLoad(p, keyCol.Addr(start), cn)
 		e.mulArith(p, cn*2) // vectorized hash
 		for i := start; i < end; i++ {
-			ht.InsertProbed(p, keys[i])
+			ht.InsertProbed(p, keyCol.V.At(i))
 		}
 		e.primOverhead(p, cn)
 	}
@@ -56,10 +54,9 @@ func (e *Engine) buildProbed(p *probe.Probe, as *probe.AddrSpace, name string, k
 // probeSum2 probes ht with probeCol and sums a+b over matches (the
 // small and medium join shapes).
 func (e *Engine) probeSum2(p *probe.Probe, ht *join.Table,
-	probeCol storage.ColI64, probeKeys []int64,
-	aCol storage.ColI64, a []int64, bCol storage.ColI64, b []int64) engine.Result {
+	probeCol, aCol, bCol storage.ColI64) engine.Result {
 
-	n := len(probeKeys)
+	n := probeCol.V.Len()
 	var sum int64
 	for start := 0; start < n; start += e.vec {
 		end := start + e.vec
@@ -71,10 +68,10 @@ func (e *Engine) probeSum2(p *probe.Probe, ht *join.Table,
 		e.mulArith(p, cn*2) // vectorized hash primitive
 		matches := 0
 		for i := start; i < end; i++ {
-			if ht.LookupProbed(p, siteJoinMatch, probeKeys[i]) >= 0 {
+			if ht.LookupProbed(p, siteJoinMatch, probeCol.V.At(i)) >= 0 {
 				p.SparseLoad(aCol.Addr(i), 8)
 				p.SparseLoad(bCol.Addr(i), 8)
-				sum += a[i] + b[i]
+				sum += aCol.V.At(i) + bCol.V.At(i)
 				matches++
 			}
 		}
@@ -103,11 +100,11 @@ func (e *Engine) probeSum4(p *probe.Probe, ht *join.Table) engine.Result {
 		e.mulArith(p, cn*2)
 		matches := 0
 		for i := start; i < end; i++ {
-			if ht.LookupProbed(p, siteJoinMatch, l.OrderKey[i]) >= 0 {
+			if ht.LookupProbed(p, siteJoinMatch, l.OrderKey.At(i)) >= 0 {
 				var v int64
 				for c := 0; c < 4; c++ {
 					p.SparseLoad(cols[c].Addr(i), 8)
-					v += cols[c].V[i]
+					v += cols[c].V.At(i)
 				}
 				sum += v
 				matches++
@@ -135,10 +132,10 @@ func (e *Engine) JoinProbeOnly(p *probe.Probe, ht *join.Table) engine.Result {
 // BuildLargeJoinTable builds the orders hash table without counting
 // events (setup for JoinProbeOnly).
 func (e *Engine) BuildLargeJoinTable(as *probe.AddrSpace) *join.Table {
-	keys := e.d.Orders.OrderKey
-	ht := join.New(as, "tw.join.orders.pre", len(keys))
-	for _, k := range keys {
-		ht.Insert(k)
+	keys := &e.d.Orders.OrderKey
+	ht := join.New(as, "tw.join.orders.pre", keys.Len())
+	for i := range keys.Len() {
+		ht.Insert(keys.At(i))
 	}
 	return ht
 }
@@ -152,7 +149,7 @@ func (e *Engine) GroupBy(p *probe.Probe, as *probe.AddrSpace) (engine.Result, *j
 	p.SetFootprint(e.costs.Footprint*2, uint64(n/e.vec+1))
 	// Sized from a (typically low) cardinality estimate, like the
 	// compiled engine's group-by; see the Section 6 chain analysis.
-	est := len(e.d.Part.PartKey) + 1
+	est := e.d.Part.PartKey.Len() + 1
 	ht := join.New(as, "tw.groupby", est)
 	aggR := as.Alloc("tw.groupby.agg", uint64(n/2+1)*8)
 	agg := make([]int64, 0, n/2+1)
@@ -168,12 +165,12 @@ func (e *Engine) GroupBy(p *probe.Probe, as *probe.AddrSpace) (engine.Result, *j
 		e.vecLoad(p, e.li.extendedPrice.Addr(start), cn)
 		e.mulArith(p, cn*2)
 		for i := start; i < end; i++ {
-			key := l.SuppKey[i]*1_000_003 + l.PartKey[i]
+			key := l.SuppKey.At(i)*1_000_003 + l.PartKey.At(i)
 			slot, inserted := ht.LookupOrInsertProbed(p, siteGroupBy, key)
 			if inserted {
 				agg = append(agg, 0)
 			}
-			agg[slot] += l.ExtendedPrice[i]
+			agg[slot] += l.ExtendedPrice.At(i)
 			p.Load(aggR.Base+uint64(slot)*8, 8)
 			p.Store(aggR.Base+uint64(slot)*8, 8)
 		}

@@ -256,7 +256,7 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 		} else {
 			// res = col0 + col1
 			for i := 0; i < int(cn); i++ {
-				res[i] = cols[0].V[start+i] + cols[1].V[start+i]
+				res[i] = cols[0].V.At(start+i) + cols[1].V.At(start+i)
 			}
 			e.vecLoad(p, cols[0].Addr(start), cn)
 			e.vecLoad(p, cols[1].Addr(start), cn)
@@ -267,7 +267,7 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 			// intermediate back, add the next column, materialize.
 			for c := 2; c < degree; c++ {
 				for i := 0; i < int(cn); i++ {
-					res[i] += cols[c].V[start+i]
+					res[i] += cols[c].V.At(start + i)
 				}
 				e.vecLoad(p, e.vecR[0].Base, cn)
 				e.vecLoad(p, cols[c].Addr(start), cn)
@@ -280,7 +280,7 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 		// Aggregation primitive over the final vector.
 		if degree == 1 {
 			for i := start; i < end; i++ {
-				sum += cols[0].V[i]
+				sum += cols[0].V.At(i)
 			}
 		} else {
 			e.vecLoad(p, e.vecR[0].Base, cn)
@@ -329,7 +329,7 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, predicat
 		e.vecLoad(p, e.li.shipDate.Addr(start), cn)
 		k1 := 0
 		for i := start; i < end; i++ {
-			pass := l.ShipDate[i] < cut.ShipDate
+			pass := l.ShipDate.At(i) < cut.ShipDate
 			if predicated {
 				// Branch-free: unconditionally write, advance by mask.
 				sel1[k1] = int32(i)
@@ -372,7 +372,7 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, predicat
 		}
 		for _, idx := range sel3[:k3] {
 			i := int(idx)
-			sum += cols[0].V[i] + cols[1].V[i] + cols[2].V[i] + cols[3].V[i]
+			sum += cols[0].V.At(i) + cols[1].V.At(i) + cols[2].V.At(i) + cols[3].V.At(i)
 		}
 		p.Dep(uint64(k3))
 	}
@@ -386,7 +386,7 @@ func (e *Engine) selPass(p *probe.Probe, site uint64, col storage.ColI64, in []i
 	k := 0
 	for _, idx := range in {
 		e.gather(p, col.Addr(int(idx)))
-		pass := col.V[idx] < cutoff
+		pass := col.V.At(int(idx)) < cutoff
 		if predicated {
 			out[k] = idx
 			if pass {

@@ -8,6 +8,7 @@ import (
 	"olapmicro/internal/hw"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
+	"olapmicro/internal/storage"
 	"olapmicro/internal/tpch"
 )
 
@@ -26,12 +27,12 @@ func newEnv(simd bool) (*Engine, *probe.Probe) {
 
 func TestProjectionMatchesBruteForce(t *testing.T) {
 	l := &testData.Lineitem
-	cols := [4][]int64{l.ExtendedPrice, l.Discount, l.Tax, l.Quantity}
+	cols := [4]*storage.Ints{&l.ExtendedPrice, &l.Discount, &l.Tax, &l.Quantity}
 	for d := 1; d <= 4; d++ {
 		var want int64
 		for i := 0; i < l.Rows(); i++ {
 			for c := 0; c < d; c++ {
-				want += cols[c][i]
+				want += cols[c].At(i)
 			}
 		}
 		e, p := newEnv(false)
@@ -75,15 +76,15 @@ func TestSIMDReducesUops(t *testing.T) {
 func TestSelectionSelectionVectors(t *testing.T) {
 	cut := engine.SelectionCutoffs{
 		Selectivity: 0.5,
-		ShipDate:    tpch.Quantile(testData.Lineitem.ShipDate, 0.5),
-		CommitDate:  tpch.Quantile(testData.Lineitem.CommitDate, 0.5),
-		ReceiptDate: tpch.Quantile(testData.Lineitem.ReceiptDate, 0.5),
+		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, 0.5),
+		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, 0.5),
+		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, 0.5),
 	}
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] < cut.ShipDate && l.CommitDate[i] < cut.CommitDate && l.ReceiptDate[i] < cut.ReceiptDate {
-			want += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		if l.ShipDate.At(i) < cut.ShipDate && l.CommitDate.At(i) < cut.CommitDate && l.ReceiptDate.At(i) < cut.ReceiptDate {
+			want += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 		}
 	}
 	for _, predicated := range []bool{false, true} {
@@ -97,8 +98,8 @@ func TestSelectionSelectionVectors(t *testing.T) {
 func TestJoinSizes(t *testing.T) {
 	// Medium join brute force.
 	var wantMd int64
-	for i := range testData.PartSupp.PartKey {
-		wantMd += testData.PartSupp.AvailQty[i] + testData.PartSupp.SupplyCost[i]
+	for i := range testData.PartSupp.PartKey.Len() {
+		wantMd += testData.PartSupp.AvailQty.At(i) + testData.PartSupp.SupplyCost.At(i)
 	}
 	e, p := newEnv(false)
 	as := probe.NewAddrSpace()

@@ -37,7 +37,7 @@ func (e *Engine) Q1(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.vecLoad(p, e.li.shipDate.Addr(start), cn)
 		k := 0
 		for i := start; i < end; i++ {
-			pass := l.ShipDate[i] <= cutoff
+			pass := l.ShipDate.At(i) <= cutoff
 			p.BranchOp(siteQ1Filter, pass)
 			if pass {
 				sel[k] = int32(i)
@@ -66,14 +66,14 @@ func (e *Engine) Q1(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.mulArith(p, uk*2)
 		for _, idx := range sel[:k] {
 			i := int(idx)
-			key := int64(l.ReturnFlag[i])<<8 | int64(l.LineStatus[i])
+			key := l.ReturnFlag.At(i)<<8 | l.LineStatus.At(i)
 			slot, _ := ht.LookupOrInsertProbed(p, siteQ1Filter+1, key)
 			a := &aggs[slot]
-			price := l.ExtendedPrice[i]
-			disc := l.Discount[i]
+			price := l.ExtendedPrice.At(i)
+			disc := l.Discount.At(i)
 			discPrice := price * (100 - disc) / 100
-			charge := discPrice * (100 + l.Tax[i]) / 100
-			a.sumQty += l.Quantity[i]
+			charge := discPrice * (100 + l.Tax.At(i)) / 100
+			a.sumQty += l.Quantity.At(i)
 			a.sumPrice += price
 			a.sumDisc += discPrice
 			a.sumCharge += charge
@@ -126,14 +126,14 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 		e.vecLoad(p, e.li.shipDate.Addr(start), cn)
 		k := 0
 		for i := start; i < end; i++ {
-			p1 := l.ShipDate[i] >= tpch.DateQ6Lo
+			p1 := l.ShipDate.At(i) >= tpch.DateQ6Lo
 			if !predicated {
 				p.BranchOp(siteQ6P1, p1)
 			}
 			if !p1 {
 				continue
 			}
-			p2 := l.ShipDate[i] < tpch.DateQ6Hi
+			p2 := l.ShipDate.At(i) < tpch.DateQ6Hi
 			if !predicated {
 				p.BranchOp(siteQ6P2, p2)
 			}
@@ -153,7 +153,7 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 		k2 := 0
 		for _, idx := range selA[:k] {
 			p.SparseLoad(e.li.discount.Addr(int(idx)), 8)
-			d := l.Discount[idx]
+			d := l.Discount.At(int(idx))
 			p3 := d >= 5
 			p4 := d <= 7
 			if !predicated {
@@ -178,7 +178,7 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 		k3 := 0
 		for _, idx := range selB[:k2] {
 			p.SparseLoad(e.li.quantity.Addr(int(idx)), 8)
-			p5 := l.Quantity[idx] < 24
+			p5 := l.Quantity.At(int(idx)) < 24
 			if !predicated {
 				p.BranchOp(siteQ6P5, p5)
 			}
@@ -198,7 +198,7 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 		for _, idx := range selA[:k3] {
 			i := int(idx)
 			p.SparseLoad(e.li.extendedPrice.Addr(i), 8)
-			revenue += l.ExtendedPrice[i] * l.Discount[i] / 100
+			revenue += l.ExtendedPrice.At(i) * l.Discount.At(i) / 100
 		}
 		e.mulArith(p, uint64(k3))
 		e.arith(p, uint64(k3))
@@ -215,7 +215,7 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	d := e.d
 	p.SetFootprint(e.costs.Footprint*3, 1)
 
-	nParts := len(d.Part.PartKey)
+	nParts := d.Part.PartKey.Len()
 	greenHT := join.New(as, "tw.q9.green", nParts/16+8)
 	for i := 0; i < nParts; i++ {
 		name := d.Part.Name[i]
@@ -224,12 +224,12 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		green := strings.Contains(name, "green")
 		p.BranchOp(siteQ9Green, green)
 		if green {
-			greenHT.InsertProbed(p, d.Part.PartKey[i])
+			greenHT.InsertProbed(p, d.Part.PartKey.At(i))
 		}
 	}
 	psHT := e.buildCompositePS(p, as)
-	suppHT := e.buildProbed(p, as, "tw.q9.supp", e.supp.suppKey, d.Supplier.SuppKey)
-	ordHT := e.buildProbed(p, as, "tw.q9.ord", e.ord.orderKey, d.Orders.OrderKey)
+	suppHT := e.buildProbed(p, as, "tw.q9.supp", e.supp.suppKey)
+	ordHT := e.buildProbed(p, as, "tw.q9.ord", e.ord.orderKey)
 
 	aggHT := join.New(as, "tw.q9.agg", 25*8)
 	aggR := as.Alloc("tw.q9.agg.sums", 25*8*8)
@@ -248,7 +248,7 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.mulArith(p, cn*2)
 		k := 0
 		for i := start; i < end; i++ {
-			if greenHT.LookupProbed(p, siteQ9Green+1, l.PartKey[i]) >= 0 {
+			if greenHT.LookupProbed(p, siteQ9Green+1, l.PartKey.At(i)) >= 0 {
 				sel[k] = int32(i)
 				k++
 			}
@@ -261,13 +261,13 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		for _, idx := range sel[:k] {
 			i := int(idx)
 			p.SparseLoad(e.li.suppKey.Addr(i), 8)
-			psSlot := psHT.LookupProbed(p, siteQ9PS, engine.Q9Key(l.PartKey[i], l.SuppKey[i]))
+			psSlot := psHT.LookupProbed(p, siteQ9PS, engine.Q9Key(l.PartKey.At(i), l.SuppKey.At(i)))
 			if psSlot < 0 {
 				continue
 			}
-			sSlot := suppHT.LookupProbed(p, siteQ9Supp, l.SuppKey[i])
+			sSlot := suppHT.LookupProbed(p, siteQ9Supp, l.SuppKey.At(i))
 			p.SparseLoad(e.li.orderKey.Addr(i), 8)
-			oSlot := ordHT.LookupProbed(p, siteQ9Ord, l.OrderKey[i])
+			oSlot := ordHT.LookupProbed(p, siteQ9Ord, l.OrderKey.At(i))
 			if sSlot < 0 || oSlot < 0 {
 				continue
 			}
@@ -278,9 +278,9 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 			p.Load(e.li.discount.Addr(i), 8)
 			p.Load(e.li.quantity.Addr(i), 8)
 
-			nation := d.Supplier.NationKey[sSlot]
-			year := int64(tpch.Year(d.Orders.OrderDate[oSlot]))
-			profit := l.ExtendedPrice[i]*(100-l.Discount[i])/100 - d.PartSupp.SupplyCost[psSlot]*l.Quantity[i]
+			nation := d.Supplier.NationKey.At(int(sSlot))
+			year := int64(tpch.Year(d.Orders.OrderDate.At(int(oSlot))))
+			profit := l.ExtendedPrice.At(i)*(100-l.Discount.At(i))/100 - d.PartSupp.SupplyCost.At(int(psSlot))*l.Quantity.At(i)
 			key := nation*10000 + year
 			slot, inserted := aggHT.LookupOrInsertProbed(p, siteQ9Ord+1, key)
 			if inserted {
@@ -308,7 +308,7 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 // buildCompositePS builds the (partkey,suppkey)-keyed partsupp table.
 func (e *Engine) buildCompositePS(p *probe.Probe, as *probe.AddrSpace) *join.Table {
 	d := e.d
-	nPS := len(d.PartSupp.PartKey)
+	nPS := d.PartSupp.PartKey.Len()
 	ht := join.New(as, "tw.q9.ps", nPS)
 	for start := 0; start < nPS; start += e.vec {
 		end := start + e.vec
@@ -321,7 +321,7 @@ func (e *Engine) buildCompositePS(p *probe.Probe, as *probe.AddrSpace) *join.Tab
 		e.mulArith(p, cn*2)
 		e.arith(p, cn)
 		for i := start; i < end; i++ {
-			ht.InsertProbed(p, engine.Q9Key(d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]))
+			ht.InsertProbed(p, engine.Q9Key(d.PartSupp.PartKey.At(i), d.PartSupp.SuppKey.At(i)))
 		}
 		e.primOverhead(p, cn)
 	}
@@ -340,7 +340,7 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	cutoff := tpch.DateQ3Cutoff
 
 	// Build: pre-cutoff orders keyed by orderkey, chunk at a time.
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	ordHT := join.New(as, "tw.q3.ord", nO)
 	ordRow := make([]int32, 0, nO)
 	for start := 0; start < nO; start += e.vec {
@@ -354,19 +354,19 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.mulArith(p, cn*2) // hash primitive
 		e.arith(p, cn)
 		for i := start; i < end; i++ {
-			pass := d.Orders.OrderDate[i] < cutoff
+			pass := d.Orders.OrderDate.At(i) < cutoff
 			p.BranchOp(siteQ3Ord, pass)
 			if !pass {
 				continue
 			}
-			ordHT.InsertProbed(p, d.Orders.OrderKey[i])
+			ordHT.InsertProbed(p, d.Orders.OrderKey.At(i))
 			ordRow = append(ordRow, int32(i))
 		}
 		e.primOverhead(p, cn)
 	}
 
 	// Build: BUILDING customers keyed by custkey.
-	nC := len(d.Customer.CustKey)
+	nC := d.Customer.CustKey.Len()
 	custHT := join.New(as, "tw.q3.cust", nC/4+8)
 	for start := 0; start < nC; start += e.vec {
 		end := start + e.vec
@@ -379,12 +379,12 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.mulArith(p, cn*2)
 		e.arith(p, cn)
 		for i := start; i < end; i++ {
-			pass := d.Customer.MktSegment[i] == tpch.MktSegBuilding
+			pass := d.Customer.MktSegment.At(i) == tpch.MktSegBuilding
 			p.BranchOp(siteQ3Seg, pass)
 			if !pass {
 				continue
 			}
-			custHT.InsertProbed(p, d.Customer.CustKey[i])
+			custHT.InsertProbed(p, d.Customer.CustKey.At(i))
 		}
 		e.primOverhead(p, cn)
 	}
@@ -408,7 +408,7 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.vecLoad(p, e.li.shipDate.Addr(start), cn)
 		k := 0
 		for i := start; i < end; i++ {
-			pass := l.ShipDate[i] > cutoff
+			pass := l.ShipDate.At(i) > cutoff
 			p.BranchOp(siteQ3Ship, pass)
 			if pass {
 				sel[k] = int32(i)
@@ -426,25 +426,25 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.mulArith(p, uk*2)
 		for pos := 0; pos < k; pos++ {
 			i := int(sel[pos])
-			oSlot := ordHT.LookupProbed(p, siteQ3Probe, l.OrderKey[i])
+			oSlot := ordHT.LookupProbed(p, siteQ3Probe, l.OrderKey.At(i))
 			if oSlot < 0 {
 				continue
 			}
 			oi := int(ordRow[oSlot])
 			p.Load(e.ord.custKey.Addr(oi), 8)
-			if custHT.LookupProbed(p, siteQ3Probe+2, d.Orders.CustKey[oi]) < 0 {
+			if custHT.LookupProbed(p, siteQ3Probe+2, d.Orders.CustKey.At(oi)) < 0 {
 				continue
 			}
 			e.gather(p, e.li.extendedPrice.Addr(i))
 			e.gather(p, e.li.discount.Addr(i))
-			revenue := l.ExtendedPrice[i] * (100 - l.Discount[i]) / 100
-			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ3Probe+3, l.OrderKey[i])
+			revenue := l.ExtendedPrice.At(i) * (100 - l.Discount.At(i)) / 100
+			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ3Probe+3, l.OrderKey.At(i))
 			if inserted {
 				revs = append(revs, 0)
 				p.Load(e.ord.orderDate.Addr(oi), 8)
 				p.Load(e.ord.shipPriority.Addr(oi), 8)
-				dates = append(dates, d.Orders.OrderDate[oi])
-				prios = append(prios, d.Orders.ShipPriority[oi])
+				dates = append(dates, d.Orders.OrderDate.At(oi))
+				prios = append(prios, d.Orders.ShipPriority.At(oi))
 			}
 			revs[slot] += revenue
 			p.Load(aggR.Base+uint64(slot)*8, 8)
@@ -481,7 +481,7 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	n := l.Rows()
 	p.SetFootprint(e.costs.Footprint*2, uint64(n/e.vec+1))
 
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	grpHT := join.New(as, "tw.q18t.grp", nO)
 	aggR := as.Alloc("tw.q18t.agg", uint64(nO)*8)
 	qty := make([]int64, 0, nO)
@@ -496,11 +496,11 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.vecLoad(p, e.li.quantity.Addr(start), cn)
 		e.mulArith(p, cn*2)
 		for i := start; i < end; i++ {
-			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18TopHaving, l.OrderKey[i])
+			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18TopHaving, l.OrderKey.At(i))
 			if inserted {
 				qty = append(qty, 0)
 			}
-			qty[slot] += l.Quantity[i]
+			qty[slot] += l.Quantity.At(i)
 			p.Load(aggR.Base+uint64(slot)*8, 8)
 			p.Store(aggR.Base+uint64(slot)*8, 8)
 		}
@@ -508,8 +508,8 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.primOverhead(p, cn)
 	}
 
-	ordHT := e.buildProbed(p, as, "tw.q18t.ord", e.ord.orderKey, d.Orders.OrderKey)
-	custHT := e.buildProbed(p, as, "tw.q18t.cust", e.cust.custKey, d.Customer.CustKey)
+	ordHT := e.buildProbed(p, as, "tw.q18t.ord", e.ord.orderKey)
+	custHT := e.buildProbed(p, as, "tw.q18t.cust", e.cust.custKey)
 	keys := grpHT.Keys()
 	var rows []engine.TopRow
 	for s := range qty {
@@ -524,13 +524,13 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 			continue
 		}
 		p.Load(e.ord.custKey.Addr(int(oSlot)), 8)
-		if custHT.LookupProbed(p, siteQ18TopHaving+3, d.Orders.CustKey[oSlot]) < 0 {
+		if custHT.LookupProbed(p, siteQ18TopHaving+3, d.Orders.CustKey.At(int(oSlot))) < 0 {
 			continue
 		}
 		p.Load(e.ord.orderDate.Addr(int(oSlot)), 8)
 		p.Load(e.ord.totalPrice.Addr(int(oSlot)), 8)
 		rows = append(rows, engine.TopRow{
-			Tuple: []int64{d.Orders.CustKey[oSlot], keys[s], d.Orders.OrderDate[oSlot], d.Orders.TotalPrice[oSlot]},
+			Tuple: []int64{d.Orders.CustKey.At(int(oSlot)), keys[s], d.Orders.OrderDate.At(int(oSlot)), d.Orders.TotalPrice.At(int(oSlot))},
 			Agg:   qty[s],
 		})
 	}
@@ -553,7 +553,7 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	n := l.Rows()
 	p.SetFootprint(e.costs.Footprint*2, uint64(n/e.vec+1))
 
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	grpHT := join.New(as, "tw.q18.grp", nO)
 	aggR := as.Alloc("tw.q18.agg", uint64(nO)*8)
 	qty := make([]int64, 0, nO)
@@ -568,11 +568,11 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.vecLoad(p, e.li.quantity.Addr(start), cn)
 		e.mulArith(p, cn*2)
 		for i := start; i < end; i++ {
-			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18Having, l.OrderKey[i])
+			slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18Having, l.OrderKey.At(i))
 			if inserted {
 				qty = append(qty, 0)
 			}
-			qty[slot] += l.Quantity[i]
+			qty[slot] += l.Quantity.At(i)
 			p.Load(aggR.Base+uint64(slot)*8, 8)
 			p.Store(aggR.Base+uint64(slot)*8, 8)
 		}
@@ -580,7 +580,7 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		e.primOverhead(p, cn)
 	}
 
-	ordHT := e.buildProbed(p, as, "tw.q18.ord", e.ord.orderKey, d.Orders.OrderKey)
+	ordHT := e.buildProbed(p, as, "tw.q18.ord", e.ord.orderKey)
 	var res engine.Result
 	keys := grpHT.Keys()
 	for s := range qty {
@@ -597,7 +597,7 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		p.Load(e.ord.custKey.Addr(int(oSlot)), 8)
 		p.Load(e.ord.totalPrice.Addr(int(oSlot)), 8)
 		res.Sum += qty[s]
-		res.AddRow(d.Orders.CustKey[oSlot], keys[s], d.Orders.TotalPrice[oSlot], qty[s])
+		res.AddRow(d.Orders.CustKey.At(int(oSlot)), keys[s], d.Orders.TotalPrice.At(int(oSlot)), qty[s])
 	}
 	e.arith(p, uint64(len(qty)))
 	return res

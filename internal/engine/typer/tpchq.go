@@ -39,19 +39,19 @@ func (e *Engine) Q1(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 
 	for i := 0; i < n; i++ {
 		p.ALU(1)
-		pass := l.ShipDate[i] <= cutoff
+		pass := l.ShipDate.At(i) <= cutoff
 		p.BranchOp(siteQ1Filter, pass)
 		if !pass {
 			continue
 		}
-		key := int64(l.ReturnFlag[i])<<8 | int64(l.LineStatus[i])
+		key := l.ReturnFlag.At(i)<<8 | l.LineStatus.At(i)
 		slot, _ := ht.LookupOrInsertProbed(p, siteQ1Filter+1, key)
 		a := &aggs[slot]
-		price := l.ExtendedPrice[i]
-		disc := l.Discount[i]
+		price := l.ExtendedPrice.At(i)
+		disc := l.Discount.At(i)
 		discPrice := price * (100 - disc) / 100
-		charge := discPrice * (100 + l.Tax[i]) / 100
-		a.sumQty += l.Quantity[i]
+		charge := discPrice * (100 + l.Tax.At(i)) / 100
+		a.sumQty += l.Quantity.At(i)
 		a.sumPrice += price
 		a.sumDisc += discPrice
 		a.sumCharge += charge
@@ -105,10 +105,10 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 	p.SeqLoad(e.li.quantity.R.Base, un*8, 8)
 	p.ALU(un * 7) // 5 compares + fused logic per tuple
 	for i := 0; i < n; i++ {
-		ship := l.ShipDate[i]
-		disc := l.Discount[i]
+		ship := l.ShipDate.At(i)
+		disc := l.Discount.At(i)
 		pass := ship >= tpch.DateQ6Lo && ship < tpch.DateQ6Hi &&
-			disc >= 5 && disc <= 7 && l.Quantity[i] < 24
+			disc >= 5 && disc <= 7 && l.Quantity.At(i) < 24
 		p.BranchOp(siteQ6Ship, pass)
 		if !pass {
 			continue
@@ -117,7 +117,7 @@ func (e *Engine) Q6(p *probe.Probe, predicated bool) engine.Result {
 		p.Mul(1)
 		p.ALU(1)
 		p.Dep(1)
-		revenue += l.ExtendedPrice[i] * disc / 100
+		revenue += l.ExtendedPrice.At(i) * disc / 100
 	}
 	e.loopTail(p, un)
 	return engine.Result{Sum: revenue, Rows: 1}
@@ -132,8 +132,8 @@ func (e *Engine) q6Predicated(p *probe.Probe) engine.Result {
 
 	var revenue int64
 	for i := 0; i < n; i++ {
-		ship := l.ShipDate[i]
-		disc := l.Discount[i]
+		ship := l.ShipDate.At(i)
+		disc := l.Discount.At(i)
 		pred := int64(1)
 		if ship < tpch.DateQ6Lo || ship >= tpch.DateQ6Hi {
 			pred = 0
@@ -141,10 +141,10 @@ func (e *Engine) q6Predicated(p *probe.Probe) engine.Result {
 		if disc < 5 || disc > 7 {
 			pred = 0
 		}
-		if l.Quantity[i] >= 24 {
+		if l.Quantity.At(i) >= 24 {
 			pred = 0
 		}
-		revenue += pred * (l.ExtendedPrice[i] * disc / 100)
+		revenue += pred * (l.ExtendedPrice.At(i) * disc / 100)
 	}
 	un := uint64(n)
 	p.SeqLoad(e.li.shipDate.R.Base, un*8, 8)
@@ -168,7 +168,7 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SetFootprint(e.costs.Footprint*4, 1)
 
 	// Build: green parts.
-	nParts := len(d.Part.PartKey)
+	nParts := d.Part.PartKey.Len()
 	greenHT := join.New(as, "ty.q9.green", nParts/16+8)
 	for i := 0; i < nParts; i++ {
 		name := d.Part.Name[i]
@@ -177,33 +177,33 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		green := strings.Contains(name, "green")
 		p.BranchOp(siteQ9Green, green)
 		if green {
-			greenHT.InsertProbed(p, d.Part.PartKey[i])
+			greenHT.InsertProbed(p, d.Part.PartKey.At(i))
 		}
 	}
 
 	// Build: partsupp keyed by (partkey, suppkey); slot = row index.
-	nPS := len(d.PartSupp.PartKey)
+	nPS := d.PartSupp.PartKey.Len()
 	psHT := join.New(as, "ty.q9.ps", nPS)
 	p.SeqLoad(e.ps.partKey.R.Base, uint64(nPS)*8, 8)
 	p.SeqLoad(e.ps.suppKey.R.Base, uint64(nPS)*8, 8)
 	for i := 0; i < nPS; i++ {
-		psHT.InsertProbed(p, engine.Q9Key(d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]))
+		psHT.InsertProbed(p, engine.Q9Key(d.PartSupp.PartKey.At(i), d.PartSupp.SuppKey.At(i)))
 	}
 
 	// Build: supplier keyed by suppkey; slot = row index.
-	nS := len(d.Supplier.SuppKey)
+	nS := d.Supplier.SuppKey.Len()
 	suppHT := join.New(as, "ty.q9.supp", nS)
 	p.SeqLoad(e.supp.suppKey.R.Base, uint64(nS)*8, 8)
 	for i := 0; i < nS; i++ {
-		suppHT.InsertProbed(p, d.Supplier.SuppKey[i])
+		suppHT.InsertProbed(p, d.Supplier.SuppKey.At(i))
 	}
 
 	// Build: orders keyed by orderkey; slot = row index.
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	ordHT := join.New(as, "ty.q9.ord", nO)
 	p.SeqLoad(e.ord.orderKey.R.Base, uint64(nO)*8, 8)
 	for i := 0; i < nO; i++ {
-		ordHT.InsertProbed(p, d.Orders.OrderKey[i])
+		ordHT.InsertProbed(p, d.Orders.OrderKey.At(i))
 	}
 
 	// Probe pass over lineitem.
@@ -216,17 +216,17 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	un := uint64(n)
 	p.SeqLoad(e.li.partKey.R.Base, un*8, 8)
 	for i := 0; i < n; i++ {
-		if greenHT.LookupProbed(p, siteQ9Green+1, l.PartKey[i]) < 0 {
+		if greenHT.LookupProbed(p, siteQ9Green+1, l.PartKey.At(i)) < 0 {
 			continue
 		}
 		p.SparseLoad(e.li.suppKey.Addr(i), 8)
-		psSlot := psHT.LookupProbed(p, siteQ9PS, engine.Q9Key(l.PartKey[i], l.SuppKey[i]))
+		psSlot := psHT.LookupProbed(p, siteQ9PS, engine.Q9Key(l.PartKey.At(i), l.SuppKey.At(i)))
 		if psSlot < 0 {
 			continue
 		}
-		sSlot := suppHT.LookupProbed(p, siteQ9Supp, l.SuppKey[i])
+		sSlot := suppHT.LookupProbed(p, siteQ9Supp, l.SuppKey.At(i))
 		p.SparseLoad(e.li.orderKey.Addr(i), 8)
-		oSlot := ordHT.LookupProbed(p, siteQ9Ord, l.OrderKey[i])
+		oSlot := ordHT.LookupProbed(p, siteQ9Ord, l.OrderKey.At(i))
 		if sSlot < 0 || oSlot < 0 {
 			continue
 		}
@@ -237,9 +237,9 @@ func (e *Engine) Q9(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		p.SparseLoad(e.li.discount.Addr(i), 8)
 		p.SparseLoad(e.li.quantity.Addr(i), 8)
 
-		nation := d.Supplier.NationKey[sSlot]
-		year := int64(tpch.Year(d.Orders.OrderDate[oSlot]))
-		profit := l.ExtendedPrice[i]*(100-l.Discount[i])/100 - d.PartSupp.SupplyCost[psSlot]*l.Quantity[i]
+		nation := d.Supplier.NationKey.At(int(sSlot))
+		year := int64(tpch.Year(d.Orders.OrderDate.At(int(oSlot))))
+		profit := l.ExtendedPrice.At(i)*(100-l.Discount.At(i))/100 - d.PartSupp.SupplyCost.At(int(psSlot))*l.Quantity.At(i)
 		key := nation*10000 + year
 		slot, inserted := aggHT.LookupOrInsertProbed(p, siteQ9Ord+1, key)
 		if inserted {
@@ -274,36 +274,36 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	cutoff := tpch.DateQ3Cutoff
 
 	// Build: orders placed before the cutoff, keyed by orderkey.
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	ordHT := join.New(as, "ty.q3.ord", nO)
 	ordRow := make([]int32, 0, nO)
 	p.SeqLoad(e.ord.orderKey.R.Base, uint64(nO)*8, 8)
 	p.SeqLoad(e.ord.orderDate.R.Base, uint64(nO)*8, 8)
 	for i := 0; i < nO; i++ {
 		p.ALU(1)
-		pass := d.Orders.OrderDate[i] < cutoff
+		pass := d.Orders.OrderDate.At(i) < cutoff
 		p.BranchOp(siteQ3Ord, pass)
 		if !pass {
 			continue
 		}
-		ordHT.InsertProbed(p, d.Orders.OrderKey[i])
+		ordHT.InsertProbed(p, d.Orders.OrderKey.At(i))
 		ordRow = append(ordRow, int32(i))
 	}
 	e.loopTail(p, uint64(nO))
 
 	// Build: customers in the BUILDING segment, keyed by custkey.
-	nC := len(d.Customer.CustKey)
+	nC := d.Customer.CustKey.Len()
 	custHT := join.New(as, "ty.q3.cust", nC/4+8)
 	p.SeqLoad(e.cust.custKey.R.Base, uint64(nC)*8, 8)
 	p.SeqLoad(e.cust.mktSegment.R.Base, uint64(nC), 1)
 	for i := 0; i < nC; i++ {
 		p.ALU(1)
-		pass := d.Customer.MktSegment[i] == tpch.MktSegBuilding
+		pass := d.Customer.MktSegment.At(i) == tpch.MktSegBuilding
 		p.BranchOp(siteQ3Seg, pass)
 		if !pass {
 			continue
 		}
-		custHT.InsertProbed(p, d.Customer.CustKey[i])
+		custHT.InsertProbed(p, d.Customer.CustKey.At(i))
 	}
 	e.loopTail(p, uint64(nC))
 
@@ -322,30 +322,30 @@ func (e *Engine) Q3(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SeqLoad(e.li.orderKey.R.Base, un*8, 8)
 	for i := 0; i < n; i++ {
 		p.ALU(1)
-		pass := l.ShipDate[i] > cutoff
+		pass := l.ShipDate.At(i) > cutoff
 		p.BranchOp(siteQ3Ship, pass)
 		if !pass {
 			continue
 		}
-		oSlot := ordHT.LookupProbed(p, siteQ3Probe, l.OrderKey[i])
+		oSlot := ordHT.LookupProbed(p, siteQ3Probe, l.OrderKey.At(i))
 		if oSlot < 0 {
 			continue
 		}
 		oi := int(ordRow[oSlot])
 		p.Load(e.ord.custKey.Addr(oi), 8)
-		if custHT.LookupProbed(p, siteQ3Probe+2, d.Orders.CustKey[oi]) < 0 {
+		if custHT.LookupProbed(p, siteQ3Probe+2, d.Orders.CustKey.At(oi)) < 0 {
 			continue
 		}
 		p.SparseLoad(e.li.extendedPrice.Addr(i), 8)
 		p.SparseLoad(e.li.discount.Addr(i), 8)
-		revenue := l.ExtendedPrice[i] * (100 - l.Discount[i]) / 100
-		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ3Probe+3, l.OrderKey[i])
+		revenue := l.ExtendedPrice.At(i) * (100 - l.Discount.At(i)) / 100
+		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ3Probe+3, l.OrderKey.At(i))
 		if inserted {
 			revs = append(revs, 0)
 			p.Load(e.ord.orderDate.Addr(oi), 8)
 			p.Load(e.ord.shipPriority.Addr(oi), 8)
-			dates = append(dates, d.Orders.OrderDate[oi])
-			prios = append(prios, d.Orders.ShipPriority[oi])
+			dates = append(dates, d.Orders.OrderDate.At(oi))
+			prios = append(prios, d.Orders.ShipPriority.At(oi))
 		}
 		revs[slot] += revenue
 		p.Load(aggR.Base+uint64(slot)*8, 8)
@@ -381,7 +381,7 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SetFootprint(e.costs.Footprint*3, 1)
 
 	// Phase 1: group lineitem by orderkey; the table exceeds the LLC.
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	grpHT := join.New(as, "ty.q18t.grp", nO)
 	aggR := as.Alloc("ty.q18t.agg", uint64(nO)*8)
 	qty := make([]int64, 0, nO)
@@ -390,11 +390,11 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SeqLoad(e.li.orderKey.R.Base, un*8, 8)
 	p.SeqLoad(e.li.quantity.R.Base, un*8, 8)
 	for i := 0; i < n; i++ {
-		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18TopHaving, l.OrderKey[i])
+		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18TopHaving, l.OrderKey.At(i))
 		if inserted {
 			qty = append(qty, 0)
 		}
-		qty[slot] += l.Quantity[i]
+		qty[slot] += l.Quantity.At(i)
 		p.Load(aggR.Base+uint64(slot)*8, 8)
 		p.Store(aggR.Base+uint64(slot)*8, 8)
 		p.ALU(2)
@@ -406,13 +406,13 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	ordHT := join.New(as, "ty.q18t.ord", nO)
 	p.SeqLoad(e.ord.orderKey.R.Base, uint64(nO)*8, 8)
 	for i := 0; i < nO; i++ {
-		ordHT.InsertProbed(p, d.Orders.OrderKey[i])
+		ordHT.InsertProbed(p, d.Orders.OrderKey.At(i))
 	}
-	nC := len(d.Customer.CustKey)
+	nC := d.Customer.CustKey.Len()
 	custHT := join.New(as, "ty.q18t.cust", nC)
 	p.SeqLoad(e.cust.custKey.R.Base, uint64(nC)*8, 8)
 	for i := 0; i < nC; i++ {
-		custHT.InsertProbed(p, d.Customer.CustKey[i])
+		custHT.InsertProbed(p, d.Customer.CustKey.At(i))
 	}
 	keys := grpHT.Keys()
 	var rows []engine.TopRow
@@ -429,13 +429,13 @@ func (e *Engine) Q18Top(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 			continue
 		}
 		p.Load(e.ord.custKey.Addr(int(oSlot)), 8)
-		if custHT.LookupProbed(p, siteQ18TopHaving+3, d.Orders.CustKey[oSlot]) < 0 {
+		if custHT.LookupProbed(p, siteQ18TopHaving+3, d.Orders.CustKey.At(int(oSlot))) < 0 {
 			continue
 		}
 		p.Load(e.ord.orderDate.Addr(int(oSlot)), 8)
 		p.Load(e.ord.totalPrice.Addr(int(oSlot)), 8)
 		rows = append(rows, engine.TopRow{
-			Tuple: []int64{d.Orders.CustKey[oSlot], keys[s], d.Orders.OrderDate[oSlot], d.Orders.TotalPrice[oSlot]},
+			Tuple: []int64{d.Orders.CustKey.At(int(oSlot)), keys[s], d.Orders.OrderDate.At(int(oSlot)), d.Orders.TotalPrice.At(int(oSlot))},
 			Agg:   qty[s],
 		})
 	}
@@ -459,7 +459,7 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SetFootprint(e.costs.Footprint*3, 1)
 
 	// Phase 1: group lineitem by orderkey; the table exceeds the LLC.
-	nO := len(d.Orders.OrderKey)
+	nO := d.Orders.OrderKey.Len()
 	grpHT := join.New(as, "ty.q18.grp", nO)
 	aggR := as.Alloc("ty.q18.agg", uint64(nO)*8)
 	qty := make([]int64, 0, nO)
@@ -468,11 +468,11 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SeqLoad(e.li.orderKey.R.Base, un*8, 8)
 	p.SeqLoad(e.li.quantity.R.Base, un*8, 8)
 	for i := 0; i < n; i++ {
-		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18Having, l.OrderKey[i])
+		slot, inserted := grpHT.LookupOrInsertProbed(p, siteQ18Having, l.OrderKey.At(i))
 		if inserted {
 			qty = append(qty, 0)
 		}
-		qty[slot] += l.Quantity[i]
+		qty[slot] += l.Quantity.At(i)
 		p.Load(aggR.Base+uint64(slot)*8, 8)
 		p.Store(aggR.Base+uint64(slot)*8, 8)
 		p.ALU(2)
@@ -483,7 +483,7 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	ordHT := join.New(as, "ty.q18.ord", nO)
 	p.SeqLoad(e.ord.orderKey.R.Base, uint64(nO)*8, 8)
 	for i := 0; i < nO; i++ {
-		ordHT.InsertProbed(p, d.Orders.OrderKey[i])
+		ordHT.InsertProbed(p, d.Orders.OrderKey.At(i))
 	}
 	// HAVING sum(quantity) > 300 over the group table, joining the rare
 	// survivors against orders (native Q18 keeps the orderkey next to
@@ -505,9 +505,9 @@ func (e *Engine) Q18(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 		}
 		p.Load(e.ord.custKey.Addr(int(oSlot)), 8)
 		p.Load(e.ord.totalPrice.Addr(int(oSlot)), 8)
-		cust := d.Orders.CustKey[oSlot]
+		cust := d.Orders.CustKey.At(int(oSlot))
 		res.Sum += qty[s]
-		res.AddRow(cust, ok, d.Orders.TotalPrice[oSlot], qty[s])
+		res.AddRow(cust, ok, d.Orders.TotalPrice.At(int(oSlot)), qty[s])
 	}
 	return res
 }

@@ -142,19 +142,19 @@ func (e *Engine) Projection(p *probe.Probe, degree int) engine.Result {
 	switch degree {
 	case 1:
 		for i := 0; i < n; i++ {
-			sum += cols[0].V[i]
+			sum += cols[0].V.At(i)
 		}
 	case 2:
 		for i := 0; i < n; i++ {
-			sum += cols[0].V[i] + cols[1].V[i]
+			sum += cols[0].V.At(i) + cols[1].V.At(i)
 		}
 	case 3:
 		for i := 0; i < n; i++ {
-			sum += cols[0].V[i] + cols[1].V[i] + cols[2].V[i]
+			sum += cols[0].V.At(i) + cols[1].V.At(i) + cols[2].V.At(i)
 		}
 	default:
 		for i := 0; i < n; i++ {
-			sum += cols[0].V[i] + cols[1].V[i] + cols[2].V[i] + cols[3].V[i]
+			sum += cols[0].V.At(i) + cols[1].V.At(i) + cols[2].V.At(i) + cols[3].V.At(i)
 		}
 	}
 
@@ -198,14 +198,14 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, predicat
 	p.SeqLoad(e.li.commitDate.R.Base, uint64(n)*8, 8)
 	for i := 0; i < n; i++ {
 		p.ALU(4)
-		pass12 := l.ShipDate[i] < cut.ShipDate && l.CommitDate[i] < cut.CommitDate
+		pass12 := l.ShipDate.At(i) < cut.ShipDate && l.CommitDate.At(i) < cut.CommitDate
 		p.BranchOp(siteSelPred1, pass12)
 		if !pass12 {
 			continue
 		}
 		p.SparseLoad(e.li.receiptDate.Addr(i), 8)
 		p.ALU(2)
-		pass3 := l.ReceiptDate[i] < cut.ReceiptDate
+		pass3 := l.ReceiptDate.At(i) < cut.ReceiptDate
 		p.BranchOp(siteSelPred3, pass3)
 		if !pass3 {
 			continue
@@ -213,7 +213,7 @@ func (e *Engine) Selection(p *probe.Probe, cut engine.SelectionCutoffs, predicat
 		var v int64
 		for c := 0; c < 4; c++ {
 			p.SparseLoad(cols[c].Addr(i), 8)
-			v += cols[c].V[i]
+			v += cols[c].V.At(i)
 		}
 		p.ALU(4)
 		p.Dep(1)
@@ -238,16 +238,16 @@ func (e *Engine) selectionPredicated(p *probe.Probe, cut engine.SelectionCutoffs
 	var sum int64
 	for i := 0; i < n; i++ {
 		pred := int64(1)
-		if l.ShipDate[i] >= cut.ShipDate {
+		if l.ShipDate.At(i) >= cut.ShipDate {
 			pred = 0
 		}
-		if l.CommitDate[i] >= cut.CommitDate {
+		if l.CommitDate.At(i) >= cut.CommitDate {
 			pred = 0
 		}
-		if l.ReceiptDate[i] >= cut.ReceiptDate {
+		if l.ReceiptDate.At(i) >= cut.ReceiptDate {
 			pred = 0
 		}
-		v := cols[0].V[i] + cols[1].V[i] + cols[2].V[i] + cols[3].V[i]
+		v := cols[0].V.At(i) + cols[1].V.At(i) + cols[2].V.At(i) + cols[3].V.At(i)
 		sum += pred * v
 	}
 	un := uint64(n)
@@ -283,22 +283,22 @@ func (e *Engine) Join(p *probe.Probe, as *probe.AddrSpace, size engine.JoinSize)
 // s_acctbal + s_suppkey for matches.
 func (e *Engine) joinSmall(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	nat := e.d.Nation
-	ht := join.New(as, "ty.join.nation", len(nat.NationKey))
-	p.SeqLoad(e.nat.nationKey.R.Base, uint64(len(nat.NationKey))*8, 8)
-	for _, k := range nat.NationKey {
-		ht.InsertProbed(p, k)
+	ht := join.New(as, "ty.join.nation", nat.NationKey.Len())
+	p.SeqLoad(e.nat.nationKey.R.Base, uint64(nat.NationKey.Len())*8, 8)
+	for i := range nat.NationKey.Len() {
+		ht.InsertProbed(p, nat.NationKey.At(i))
 	}
 	s := e.d.Supplier
-	n := len(s.SuppKey)
+	n := s.SuppKey.Len()
 	p.SeqLoad(e.supp.nationKey.R.Base, uint64(n)*8, 8)
 	var sum int64
 	for i := 0; i < n; i++ {
-		if ht.LookupProbed(p, siteJoinMatch, s.NationKey[i]) >= 0 {
+		if ht.LookupProbed(p, siteJoinMatch, s.NationKey.At(i)) >= 0 {
 			p.SparseLoad(e.supp.acctBal.Addr(i), 8)
 			p.SparseLoad(e.supp.suppKey.Addr(i), 8)
 			p.ALU(2)
 			p.Dep(1)
-			sum += s.AcctBal[i] + s.SuppKey[i]
+			sum += s.AcctBal.At(i) + s.SuppKey.At(i)
 		}
 	}
 	e.loopTail(p, uint64(n))
@@ -309,22 +309,22 @@ func (e *Engine) joinSmall(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 // ps_availqty + ps_supplycost.
 func (e *Engine) joinMedium(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	s := e.d.Supplier
-	ht := join.New(as, "ty.join.supplier", len(s.SuppKey))
-	p.SeqLoad(e.supp.suppKey.R.Base, uint64(len(s.SuppKey))*8, 8)
-	for _, k := range s.SuppKey {
-		ht.InsertProbed(p, k)
+	ht := join.New(as, "ty.join.supplier", s.SuppKey.Len())
+	p.SeqLoad(e.supp.suppKey.R.Base, uint64(s.SuppKey.Len())*8, 8)
+	for i := range s.SuppKey.Len() {
+		ht.InsertProbed(p, s.SuppKey.At(i))
 	}
 	ps := e.d.PartSupp
-	n := len(ps.PartKey)
+	n := ps.PartKey.Len()
 	p.SeqLoad(e.ps.suppKey.R.Base, uint64(n)*8, 8)
 	var sum int64
 	for i := 0; i < n; i++ {
-		if ht.LookupProbed(p, siteJoinMatch, ps.SuppKey[i]) >= 0 {
+		if ht.LookupProbed(p, siteJoinMatch, ps.SuppKey.At(i)) >= 0 {
 			p.SparseLoad(e.ps.availQty.Addr(i), 8)
 			p.SparseLoad(e.ps.supplyCost.Addr(i), 8)
 			p.ALU(2)
 			p.Dep(1)
-			sum += ps.AvailQty[i] + ps.SupplyCost[i]
+			sum += ps.AvailQty.At(i) + ps.SupplyCost.At(i)
 		}
 	}
 	e.loopTail(p, uint64(n))
@@ -335,10 +335,10 @@ func (e *Engine) joinMedium(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 // projection columns for matches.
 func (e *Engine) joinLarge(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	o := e.d.Orders
-	ht := join.New(as, "ty.join.orders", len(o.OrderKey))
-	p.SeqLoad(e.ord.orderKey.R.Base, uint64(len(o.OrderKey))*8, 8)
-	for _, k := range o.OrderKey {
-		ht.InsertProbed(p, k)
+	ht := join.New(as, "ty.join.orders", o.OrderKey.Len())
+	p.SeqLoad(e.ord.orderKey.R.Base, uint64(o.OrderKey.Len())*8, 8)
+	for i := range o.OrderKey.Len() {
+		ht.InsertProbed(p, o.OrderKey.At(i))
 	}
 	l := &e.d.Lineitem
 	n := l.Rows()
@@ -346,11 +346,11 @@ func (e *Engine) joinLarge(p *probe.Probe, as *probe.AddrSpace) engine.Result {
 	p.SeqLoad(e.li.orderKey.R.Base, uint64(n)*8, 8)
 	var sum int64
 	for i := 0; i < n; i++ {
-		if ht.LookupProbed(p, siteJoinMatch, l.OrderKey[i]) >= 0 {
+		if ht.LookupProbed(p, siteJoinMatch, l.OrderKey.At(i)) >= 0 {
 			var v int64
 			for c := 0; c < 4; c++ {
 				p.SparseLoad(cols[c].Addr(i), 8)
-				v += cols[c].V[i]
+				v += cols[c].V.At(i)
 			}
 			p.ALU(4)
 			p.Dep(1)
@@ -374,7 +374,7 @@ func (e *Engine) GroupBy(p *probe.Probe, as *probe.AddrSpace) (engine.Result, *j
 	// — which is why group-by hash tables end up more loaded and more
 	// irregular than join tables built at the exact build-side size
 	// (the Section 6 chain-length comparison).
-	est := len(e.d.Part.PartKey) + 1
+	est := e.d.Part.PartKey.Len() + 1
 	ht := join.New(as, "ty.groupby", est)
 	aggR := as.Alloc("ty.groupby.agg", uint64(n/2+1)*8)
 	agg := make([]int64, 0, n/2+1)
@@ -385,14 +385,14 @@ func (e *Engine) GroupBy(p *probe.Probe, as *probe.AddrSpace) (engine.Result, *j
 	for i := 0; i < n; i++ {
 		// Composite grouping key: mixing two correlated attributes is
 		// what makes group-by tables more irregular than join tables.
-		key := l.SuppKey[i]*1_000_003 + l.PartKey[i]
+		key := l.SuppKey.At(i)*1_000_003 + l.PartKey.At(i)
 		p.Mul(1)
 		p.ALU(1)
 		slot, inserted := ht.LookupOrInsertProbed(p, siteGroupBy, key)
 		if inserted {
 			agg = append(agg, 0)
 		}
-		agg[slot] += l.ExtendedPrice[i]
+		agg[slot] += l.ExtendedPrice.At(i)
 		p.Load(aggR.Base+uint64(slot)*8, 8)
 		p.Store(aggR.Base+uint64(slot)*8, 8)
 		p.ALU(1)

@@ -7,6 +7,7 @@ import (
 	"olapmicro/internal/hw"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
+	"olapmicro/internal/storage"
 	"olapmicro/internal/tpch"
 )
 
@@ -22,21 +23,21 @@ func newEnv() (*Engine, *probe.Probe, *probe.AddrSpace) {
 func cutoffs(sel float64) engine.SelectionCutoffs {
 	return engine.SelectionCutoffs{
 		Selectivity: sel,
-		ShipDate:    tpch.Quantile(testData.Lineitem.ShipDate, sel),
-		CommitDate:  tpch.Quantile(testData.Lineitem.CommitDate, sel),
-		ReceiptDate: tpch.Quantile(testData.Lineitem.ReceiptDate, sel),
+		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, sel),
+		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, sel),
+		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, sel),
 	}
 }
 
 func TestProjectionMatchesBruteForce(t *testing.T) {
 	e, p, _ := newEnv()
 	l := &testData.Lineitem
-	cols := [4][]int64{l.ExtendedPrice, l.Discount, l.Tax, l.Quantity}
+	cols := [4]*storage.Ints{&l.ExtendedPrice, &l.Discount, &l.Tax, &l.Quantity}
 	for d := 1; d <= 4; d++ {
 		var want int64
 		for i := 0; i < l.Rows(); i++ {
 			for c := 0; c < d; c++ {
-				want += cols[c][i]
+				want += cols[c].At(i)
 			}
 		}
 		got := e.Projection(p, d)
@@ -79,8 +80,8 @@ func TestSelectionMatchesBruteForce(t *testing.T) {
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] < cut.ShipDate && l.CommitDate[i] < cut.CommitDate && l.ReceiptDate[i] < cut.ReceiptDate {
-			want += l.ExtendedPrice[i] + l.Discount[i] + l.Tax[i] + l.Quantity[i]
+		if l.ShipDate.At(i) < cut.ShipDate && l.CommitDate.At(i) < cut.CommitDate && l.ReceiptDate.At(i) < cut.ReceiptDate {
+			want += l.ExtendedPrice.At(i) + l.Discount.At(i) + l.Tax.At(i) + l.Quantity.At(i)
 		}
 	}
 	e, p, _ := newEnv()
@@ -103,9 +104,9 @@ func TestJoinLargeMatchesProjection(t *testing.T) {
 
 func TestJoinSmallMatchesBruteForce(t *testing.T) {
 	var want int64
-	for i := range testData.Supplier.SuppKey {
+	for i := range testData.Supplier.SuppKey.Len() {
 		// Every supplier's nation exists.
-		want += testData.Supplier.AcctBal[i] + testData.Supplier.SuppKey[i]
+		want += testData.Supplier.AcctBal.At(i) + testData.Supplier.SuppKey.At(i)
 	}
 	e, p, as := newEnv()
 	if got := e.Join(p, as, engine.JoinSmall); got.Sum != want {
@@ -117,9 +118,9 @@ func TestQ6MatchesBruteForce(t *testing.T) {
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] >= tpch.DateQ6Lo && l.ShipDate[i] < tpch.DateQ6Hi &&
-			l.Discount[i] >= 5 && l.Discount[i] <= 7 && l.Quantity[i] < 24 {
-			want += l.ExtendedPrice[i] * l.Discount[i] / 100
+		if l.ShipDate.At(i) >= tpch.DateQ6Lo && l.ShipDate.At(i) < tpch.DateQ6Hi &&
+			l.Discount.At(i) >= 5 && l.Discount.At(i) <= 7 && l.Quantity.At(i) < 24 {
+			want += l.ExtendedPrice.At(i) * l.Discount.At(i) / 100
 		}
 	}
 	e, p, _ := newEnv()
@@ -143,8 +144,8 @@ func TestQ1Aggregates(t *testing.T) {
 	l := &testData.Lineitem
 	var want int64
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] <= tpch.DateQ1Cutoff {
-			want += l.Quantity[i]
+		if l.ShipDate.At(i) <= tpch.DateQ1Cutoff {
+			want += l.Quantity.At(i)
 		}
 	}
 	if r.Sum != want {
@@ -159,7 +160,7 @@ func TestQ18FindsLargeOrders(t *testing.T) {
 	qty := map[int64]int64{}
 	l := &testData.Lineitem
 	for i := 0; i < l.Rows(); i++ {
-		qty[l.OrderKey[i]] += l.Quantity[i]
+		qty[l.OrderKey.At(i)] += l.Quantity.At(i)
 	}
 	want := int64(0)
 	for _, q := range qty {
@@ -176,7 +177,8 @@ func TestGroupByTotals(t *testing.T) {
 	e, p, as := newEnv()
 	r, ht := e.GroupBy(p, as)
 	var want int64
-	for _, v := range testData.Lineitem.ExtendedPrice {
+	for i := range testData.Lineitem.ExtendedPrice.Len() {
+		v := testData.Lineitem.ExtendedPrice.At(i)
 		want += v
 	}
 	if r.Sum != want {

@@ -456,9 +456,9 @@ func TextChains(h *Harness) Figure {
 	_, grpHT := ty.GroupBy(p, as)
 	grp := grpHT.ChainStats()
 
-	joinHT := join.New(as, "text.join.orders", len(h.Data.Orders.OrderKey))
-	for _, k := range h.Data.Orders.OrderKey {
-		joinHT.Insert(k)
+	joinHT := join.New(as, "text.join.orders", h.Data.Orders.OrderKey.Len())
+	for i := range h.Data.Orders.OrderKey.Len() {
+		joinHT.Insert(h.Data.Orders.OrderKey.At(i))
 	}
 	jn := joinHT.ChainStats()
 

@@ -138,9 +138,9 @@ func (h *Harness) Cutoffs(s float64) engine.SelectionCutoffs {
 	}
 	c := engine.SelectionCutoffs{
 		Selectivity: s,
-		ShipDate:    tpch.Quantile(h.Data.Lineitem.ShipDate, s),
-		CommitDate:  tpch.Quantile(h.Data.Lineitem.CommitDate, s),
-		ReceiptDate: tpch.Quantile(h.Data.Lineitem.ReceiptDate, s),
+		ShipDate:    tpch.Quantile(&h.Data.Lineitem.ShipDate, s),
+		CommitDate:  tpch.Quantile(&h.Data.Lineitem.CommitDate, s),
+		ReceiptDate: tpch.Quantile(&h.Data.Lineitem.ReceiptDate, s),
 	}
 	h.cuts[permil(s)] = c
 	return c

@@ -114,9 +114,11 @@ type Hierarchy struct {
 
 	levels [3]*Cache // L1D, L2, L3: level i misses into level i+1, L3 into DRAM
 
-	l1Stream   streamDetector // drives the L1 streamer
+	// classifier is always on: it classifies each demand access as
+	// sequential or random for TMAM, and it also drives the L1 streamer,
+	// which would see the same lines from the same reset state.
+	classifier streamDetector
 	l2Stream   streamDetector // drives the L2 streamer
-	classifier streamDetector // always-on: classifies seq vs random for TMAM
 
 	Stats Stats
 }
@@ -135,7 +137,6 @@ func (h *Hierarchy) Reset() {
 	for _, c := range h.levels {
 		c.Reset()
 	}
-	h.l1Stream.reset()
 	h.l2Stream.reset()
 	h.classifier.reset()
 	h.Stats = Stats{}
@@ -178,7 +179,7 @@ func (h *Hierarchy) access(line uint64, store, indep bool) {
 	}
 
 	// Always-on classifier: is this access part of a stream?
-	seqDepth, _ := h.classifier.observe(line, 16)
+	seqDepth, dir := h.classifier.observe(line, 16)
 	isSeq := seqDepth > 0
 
 	level := 0
@@ -208,7 +209,7 @@ func (h *Hierarchy) access(line uint64, store, indep bool) {
 	for i := level - 1; i >= 0; i-- {
 		h.fill(i, line, PfNone, store && i == 0)
 	}
-	h.runL1Prefetchers(line, level > 0, isSeq)
+	h.runL1Prefetchers(line, level > 0, min(seqDepth, 4), dir)
 	if level > 0 {
 		h.runL2Prefetchers(line, level > 1, isSeq)
 	}
@@ -278,17 +279,17 @@ func (h *Hierarchy) prefetchInto(target int, line uint64, class PfClass) {
 }
 
 // runL1Prefetchers fires the two L1 (DCU) prefetchers after an access.
-// missed reports whether the demand access missed L1; isSeq whether
-// the access belongs to a detected stream (prefetches issued in stream
-// context hide latency at run-ahead depth, buddy fetches outside a
-// stream are plain next-line pulls).
-func (h *Hierarchy) runL1Prefetchers(line uint64, missed, isSeq bool) {
-	if h.Config.L1NextLine && missed && isSeq {
+// missed reports whether the demand access missed L1; depth and dir are
+// the classifier's stream for the access clamped to the L1 streamer's
+// run-ahead of 4 lines, depth 0 outside a detected stream (prefetches
+// issued in stream context hide latency at run-ahead depth, buddy
+// fetches outside a stream are plain next-line pulls).
+func (h *Hierarchy) runL1Prefetchers(line uint64, missed bool, depth int, dir int64) {
+	if h.Config.L1NextLine && missed && depth > 0 {
 		h.Stats.PfIssuedL1NL++
 		h.prefetchInto(0, line+1, PfStream)
 	}
 	if h.Config.L1Streamer {
-		depth, dir := h.l1Stream.observe(line, 4)
 		for d := 1; d <= depth; d++ {
 			h.Stats.PfIssuedL1St++
 			h.prefetchInto(0, uint64(int64(line)+dir*int64(d)), PfStream)

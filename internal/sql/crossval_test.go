@@ -174,13 +174,15 @@ func TestDuplicateKeyJoinFollowsChains(t *testing.T) {
 	d, m := cv(t)
 	// Ground truth by brute force.
 	perPart := map[int64]int64{}
-	for _, pk := range d.PartSupp.PartKey {
+	for i := range d.PartSupp.PartKey.Len() {
+		pk := d.PartSupp.PartKey.At(i)
 		perPart[pk]++
 	}
 	var wantCount, wantQty int64
-	for i, pk := range d.Lineitem.PartKey {
+	for i := range d.Lineitem.PartKey.Len() {
+		pk := d.Lineitem.PartKey.At(i)
 		wantCount += perPart[pk]
-		wantQty += d.Lineitem.Quantity[i] * perPart[pk]
+		wantQty += d.Lineitem.Quantity.At(i) * perPart[pk]
 	}
 	q := "select count(*), sum(l_quantity) from lineitem join partsupp on l_partkey = ps_partkey"
 	for _, engName := range []string{"typer", "tectorwise"} {
@@ -209,7 +211,8 @@ func TestDuplicateKeyJoinFollowsChains(t *testing.T) {
 func TestJoinDimensionGroupBy(t *testing.T) {
 	d, m := cv(t)
 	distinct := map[int64]bool{}
-	for _, ck := range d.Orders.CustKey {
+	for i := range d.Orders.CustKey.Len() {
+		ck := d.Orders.CustKey.At(i)
 		distinct[ck] = true
 	}
 	q := "select sum(l_quantity), count(*) from lineitem join orders on l_orderkey = o_orderkey group by o_custkey"

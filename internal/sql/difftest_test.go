@@ -134,10 +134,7 @@ func sampleVal(d *tpch.Data, r *rand.Rand, col string) int64 {
 	}
 	n := tm.Rows(d)
 	i := r.Intn(n)
-	if cm.Kind == tpch.KindI8 {
-		return int64(cm.I8(d)[i])
-	}
-	return cm.I64(d)[i]
+	return cm.Ints(d).At(i)
 }
 
 // diffQuery is one generated statement.

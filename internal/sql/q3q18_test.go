@@ -126,8 +126,9 @@ func TestOrderByLimitHavingSemantics(t *testing.T) {
 
 	// Group sums of l_quantity by l_returnflag, computed by hand.
 	sums := map[byte]int64{}
-	for i, f := range d.Lineitem.ReturnFlag {
-		sums[f] += d.Lineitem.Quantity[i]
+	for i := range d.Lineitem.ReturnFlag.Len() {
+		f := d.Lineitem.ReturnFlag.At(i)
+		sums[byte(f)] += d.Lineitem.Quantity.At(i)
 	}
 	type grp struct {
 		flag byte
@@ -196,8 +197,9 @@ func TestOrderByLimitHavingSemantics(t *testing.T) {
 	// HAVING with a hidden aggregate: filter on count(*) without
 	// selecting it; ground truth from the flag histogram.
 	counts := map[byte]int64{}
-	for _, f := range d.Lineitem.ReturnFlag {
-		counts[f]++
+	for i := range d.Lineitem.ReturnFlag.Len() {
+		f := d.Lineitem.ReturnFlag.At(i)
+		counts[byte(f)]++
 	}
 	var wantRows, wantSum int64
 	for f, c := range counts {

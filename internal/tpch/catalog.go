@@ -1,5 +1,7 @@
 package tpch
 
+import "olapmicro/internal/storage"
+
 // The catalog describes the generated schema as data: every table with
 // its columns, kinds and accessors. The SQL front end binds names
 // against it and the engines bind every column to a simulated address
@@ -33,13 +35,24 @@ func (k ColKind) String() string {
 }
 
 // ColumnMeta describes one column: its SQL name, kind, and an accessor
-// into a generated database. Exactly one accessor is non-nil.
+// into a generated database. Integer columns (KindI64, KindI8) have
+// Ints, string columns Str. A KindI64 column also has I64, a widened
+// copy of its values for callers outside the engines.
 type ColumnMeta struct {
 	Name string
 	Kind ColKind
+	Ints func(*Data) *storage.Ints
 	I64  func(*Data) []int64
-	I8   func(*Data) []byte
 	Str  func(*Data) []string
+}
+
+// intCol describes an integer column of kind k whose values f returns.
+func intCol(name string, k ColKind, f func(*Data) *storage.Ints) ColumnMeta {
+	c := ColumnMeta{Name: name, Kind: k, Ints: f}
+	if k == KindI64 {
+		c.I64 = func(d *Data) []int64 { return f(d).Int64s() }
+	}
+	return c
 }
 
 // TableMeta describes one table.
@@ -66,87 +79,87 @@ func Schema() []TableMeta { return schema }
 var schema = []TableMeta{
 	{
 		Name: "nation",
-		Rows: func(d *Data) int { return len(d.Nation.NationKey) },
+		Rows: func(d *Data) int { return d.Nation.NationKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "n_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.NationKey }},
-			{Name: "n_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Nation.RegionKey }},
+			intCol("n_nationkey", KindI64, func(d *Data) *storage.Ints { return &d.Nation.NationKey }),
+			intCol("n_regionkey", KindI64, func(d *Data) *storage.Ints { return &d.Nation.RegionKey }),
 			{Name: "n_name", Kind: KindStr, Str: func(d *Data) []string { return d.Nation.Name }},
 		},
 	},
 	{
 		Name: "region",
-		Rows: func(d *Data) int { return len(d.Region.RegionKey) },
+		Rows: func(d *Data) int { return d.Region.RegionKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "r_regionkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Region.RegionKey }},
+			intCol("r_regionkey", KindI64, func(d *Data) *storage.Ints { return &d.Region.RegionKey }),
 			{Name: "r_name", Kind: KindStr, Str: func(d *Data) []string { return d.Region.Name }},
 		},
 	},
 	{
 		Name: "supplier",
-		Rows: func(d *Data) int { return len(d.Supplier.SuppKey) },
+		Rows: func(d *Data) int { return d.Supplier.SuppKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "s_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.SuppKey }},
-			{Name: "s_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.NationKey }},
-			{Name: "s_acctbal", Kind: KindI64, I64: func(d *Data) []int64 { return d.Supplier.AcctBal }},
+			intCol("s_suppkey", KindI64, func(d *Data) *storage.Ints { return &d.Supplier.SuppKey }),
+			intCol("s_nationkey", KindI64, func(d *Data) *storage.Ints { return &d.Supplier.NationKey }),
+			intCol("s_acctbal", KindI64, func(d *Data) *storage.Ints { return &d.Supplier.AcctBal }),
 			{Name: "s_name", Kind: KindStr, Str: func(d *Data) []string { return d.Supplier.Name }},
 		},
 	},
 	{
 		Name: "customer",
-		Rows: func(d *Data) int { return len(d.Customer.CustKey) },
+		Rows: func(d *Data) int { return d.Customer.CustKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "c_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.CustKey }},
-			{Name: "c_nationkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Customer.NationKey }},
-			{Name: "c_mktsegment", Kind: KindI8, I8: func(d *Data) []byte { return d.Customer.MktSegment }},
+			intCol("c_custkey", KindI64, func(d *Data) *storage.Ints { return &d.Customer.CustKey }),
+			intCol("c_nationkey", KindI64, func(d *Data) *storage.Ints { return &d.Customer.NationKey }),
+			intCol("c_mktsegment", KindI8, func(d *Data) *storage.Ints { return &d.Customer.MktSegment }),
 			{Name: "c_name", Kind: KindStr, Str: func(d *Data) []string { return d.Customer.Name }},
 		},
 	},
 	{
 		Name: "part",
-		Rows: func(d *Data) int { return len(d.Part.PartKey) },
+		Rows: func(d *Data) int { return d.Part.PartKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "p_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.PartKey }},
-			{Name: "p_retailprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Part.RetailPrice }},
+			intCol("p_partkey", KindI64, func(d *Data) *storage.Ints { return &d.Part.PartKey }),
+			intCol("p_retailprice", KindI64, func(d *Data) *storage.Ints { return &d.Part.RetailPrice }),
 			{Name: "p_name", Kind: KindStr, Str: func(d *Data) []string { return d.Part.Name }},
 		},
 	},
 	{
 		Name: "partsupp",
-		Rows: func(d *Data) int { return len(d.PartSupp.PartKey) },
+		Rows: func(d *Data) int { return d.PartSupp.PartKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "ps_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.PartKey }},
-			{Name: "ps_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SuppKey }},
-			{Name: "ps_availqty", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.AvailQty }},
-			{Name: "ps_supplycost", Kind: KindI64, I64: func(d *Data) []int64 { return d.PartSupp.SupplyCost }},
+			intCol("ps_partkey", KindI64, func(d *Data) *storage.Ints { return &d.PartSupp.PartKey }),
+			intCol("ps_suppkey", KindI64, func(d *Data) *storage.Ints { return &d.PartSupp.SuppKey }),
+			intCol("ps_availqty", KindI64, func(d *Data) *storage.Ints { return &d.PartSupp.AvailQty }),
+			intCol("ps_supplycost", KindI64, func(d *Data) *storage.Ints { return &d.PartSupp.SupplyCost }),
 		},
 	},
 	{
 		Name: "orders",
-		Rows: func(d *Data) int { return len(d.Orders.OrderKey) },
+		Rows: func(d *Data) int { return d.Orders.OrderKey.Len() },
 		Cols: []ColumnMeta{
-			{Name: "o_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderKey }},
-			{Name: "o_custkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.CustKey }},
-			{Name: "o_orderdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.OrderDate }},
-			{Name: "o_totalprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.TotalPrice }},
-			{Name: "o_shippriority", Kind: KindI64, I64: func(d *Data) []int64 { return d.Orders.ShipPriority }},
+			intCol("o_orderkey", KindI64, func(d *Data) *storage.Ints { return &d.Orders.OrderKey }),
+			intCol("o_custkey", KindI64, func(d *Data) *storage.Ints { return &d.Orders.CustKey }),
+			intCol("o_orderdate", KindI64, func(d *Data) *storage.Ints { return &d.Orders.OrderDate }),
+			intCol("o_totalprice", KindI64, func(d *Data) *storage.Ints { return &d.Orders.TotalPrice }),
+			intCol("o_shippriority", KindI64, func(d *Data) *storage.Ints { return &d.Orders.ShipPriority }),
 		},
 	},
 	{
 		Name: "lineitem",
 		Rows: func(d *Data) int { return d.Lineitem.Rows() },
 		Cols: []ColumnMeta{
-			{Name: "l_orderkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.OrderKey }},
-			{Name: "l_partkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.PartKey }},
-			{Name: "l_suppkey", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.SuppKey }},
-			{Name: "l_quantity", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Quantity }},
-			{Name: "l_extendedprice", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ExtendedPrice }},
-			{Name: "l_discount", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Discount }},
-			{Name: "l_tax", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.Tax }},
-			{Name: "l_shipdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ShipDate }},
-			{Name: "l_commitdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.CommitDate }},
-			{Name: "l_receiptdate", Kind: KindI64, I64: func(d *Data) []int64 { return d.Lineitem.ReceiptDate }},
-			{Name: "l_returnflag", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.ReturnFlag }},
-			{Name: "l_linestatus", Kind: KindI8, I8: func(d *Data) []byte { return d.Lineitem.LineStatus }},
+			intCol("l_orderkey", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.OrderKey }),
+			intCol("l_partkey", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.PartKey }),
+			intCol("l_suppkey", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.SuppKey }),
+			intCol("l_quantity", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.Quantity }),
+			intCol("l_extendedprice", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.ExtendedPrice }),
+			intCol("l_discount", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.Discount }),
+			intCol("l_tax", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.Tax }),
+			intCol("l_shipdate", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.ShipDate }),
+			intCol("l_commitdate", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.CommitDate }),
+			intCol("l_receiptdate", KindI64, func(d *Data) *storage.Ints { return &d.Lineitem.ReceiptDate }),
+			intCol("l_returnflag", KindI8, func(d *Data) *storage.Ints { return &d.Lineitem.ReturnFlag }),
+			intCol("l_linestatus", KindI8, func(d *Data) *storage.Ints { return &d.Lineitem.LineStatus }),
 		},
 	},
 }

@@ -36,13 +36,10 @@ func TestColumnChecksumsGolden(t *testing.T) {
 				n++
 			}
 			switch c.Kind {
-			case KindI64:
-				for _, x := range c.I64(d) {
-					put(x)
-				}
-			case KindI8:
-				for _, x := range c.I8(d) {
-					put(int64(x))
+			case KindI64, KindI8:
+				v := c.Ints(d)
+				for i := range v.Len() {
+					put(v.At(i))
 				}
 			case KindStr:
 				for _, s := range c.Str(d) {

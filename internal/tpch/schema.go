@@ -1,6 +1,6 @@
 package tpch
 
-import "sync"
+import "olapmicro/internal/storage"
 
 // Date representation: days since 1992-01-01 (the TPC-H epoch).
 // The generator covers orders from 1992-01-01 through 1998-08-02.
@@ -73,30 +73,30 @@ const (
 
 // Nation is the 25-row nation table.
 type Nation struct {
-	NationKey []int64
+	NationKey storage.Ints
 	Name      []string
-	RegionKey []int64
+	RegionKey storage.Ints
 }
 
 // Region is the 5-row region table.
 type Region struct {
-	RegionKey []int64
+	RegionKey storage.Ints
 	Name      []string
 }
 
 // Supplier is the supplier table (10k x SF rows).
 type Supplier struct {
-	SuppKey   []int64
-	NationKey []int64
-	AcctBal   []int64 // cents
+	SuppKey   storage.Ints
+	NationKey storage.Ints
+	AcctBal   storage.Ints // cents
 	Name      []string
 }
 
 // Customer is the customer table (150k x SF rows).
 type Customer struct {
-	CustKey    []int64
-	NationKey  []int64
-	MktSegment []byte // segment code, index into MktSegments
+	CustKey    storage.Ints
+	NationKey  storage.Ints
+	MktSegment storage.Ints // segment code, index into MktSegments
 	Name       []string
 }
 
@@ -109,49 +109,50 @@ const MktSegBuilding = 1
 
 // Part is the part table (200k x SF rows).
 type Part struct {
-	PartKey     []int64
-	Name        []string // five color words; Q9 filters '%green%'
-	RetailPrice []int64  // cents
+	PartKey     storage.Ints
+	Name        []string     // five color words; Q9 filters '%green%'
+	RetailPrice storage.Ints // cents
 }
 
 // PartSupp is the partsupp table (800k x SF rows, 4 suppliers/part).
 type PartSupp struct {
-	PartKey    []int64
-	SuppKey    []int64
-	AvailQty   []int64
-	SupplyCost []int64 // cents
+	PartKey    storage.Ints
+	SuppKey    storage.Ints
+	AvailQty   storage.Ints
+	SupplyCost storage.Ints // cents
 }
 
 // Orders is the orders table (1.5M x SF rows).
 type Orders struct {
-	OrderKey     []int64
-	CustKey      []int64
-	OrderDate    []int64 // days since epoch
-	TotalPrice   []int64 // cents
-	ShipPriority []int64 // 0 for every row, as dbgen generates it
+	OrderKey     storage.Ints
+	CustKey      storage.Ints
+	OrderDate    storage.Ints // days since epoch
+	TotalPrice   storage.Ints // cents
+	ShipPriority storage.Ints // 0 for every row, as dbgen generates it
 }
 
 // Lineitem is the lineitem table (~6M x SF rows).
 type Lineitem struct {
-	OrderKey      []int64
-	PartKey       []int64
-	SuppKey       []int64
-	Quantity      []int64 // 1..50
-	ExtendedPrice []int64 // cents
-	Discount      []int64 // 0..10 (hundredths)
-	Tax           []int64 // 0..8 (hundredths)
-	ShipDate      []int64
-	CommitDate    []int64
-	ReceiptDate   []int64
-	ReturnFlag    []byte // 'R','A','N'
-	LineStatus    []byte // 'O','F'
+	OrderKey      storage.Ints
+	PartKey       storage.Ints
+	SuppKey       storage.Ints
+	Quantity      storage.Ints // 1..50
+	ExtendedPrice storage.Ints // cents
+	Discount      storage.Ints // 0..10 (hundredths)
+	Tax           storage.Ints // 0..8 (hundredths)
+	ShipDate      storage.Ints
+	CommitDate    storage.Ints
+	ReceiptDate   storage.Ints
+	ReturnFlag    storage.Ints // 'R','A','N'
+	LineStatus    storage.Ints // 'O','F'
 }
 
 // Rows returns the lineitem cardinality.
-func (l *Lineitem) Rows() int { return len(l.OrderKey) }
+func (l *Lineitem) Rows() int { return l.OrderKey.Len() }
 
 // Data is a fully generated TPC-H database; its tables are immutable
-// once Generate returns.
+// once Generate returns. Integer columns are storage.Ints, held at the
+// narrowest width their values need and read through At.
 type Data struct {
 	SF       float64
 	Nation   Nation
@@ -162,7 +163,4 @@ type Data struct {
 	PartSupp PartSupp
 	Orders   Orders
 	Lineitem Lineitem
-
-	extremesMu sync.Mutex
-	extremes   map[string][2]int64 // memo of Extremes, guarded by extremesMu
 }

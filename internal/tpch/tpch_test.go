@@ -2,32 +2,35 @@ package tpch
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"olapmicro/internal/storage"
 )
 
 func TestCardinalities(t *testing.T) {
 	d := Generate(0.01)
-	if got := len(d.Nation.NationKey); got != NationCount {
+	if got := d.Nation.NationKey.Len(); got != NationCount {
 		t.Fatalf("nation rows = %d", got)
 	}
-	if got := len(d.Region.RegionKey); got != RegionCount {
+	if got := d.Region.RegionKey.Len(); got != RegionCount {
 		t.Fatalf("region rows = %d", got)
 	}
-	if got := len(d.Supplier.SuppKey); got != 100 {
+	if got := d.Supplier.SuppKey.Len(); got != 100 {
 		t.Fatalf("supplier rows = %d, want 100", got)
 	}
-	if got := len(d.Customer.CustKey); got != 1500 {
+	if got := d.Customer.CustKey.Len(); got != 1500 {
 		t.Fatalf("customer rows = %d, want 1500", got)
 	}
-	if got := len(d.Part.PartKey); got != 2000 {
+	if got := d.Part.PartKey.Len(); got != 2000 {
 		t.Fatalf("part rows = %d, want 2000", got)
 	}
-	if got := len(d.PartSupp.PartKey); got != 8000 {
+	if got := d.PartSupp.PartKey.Len(); got != 8000 {
 		t.Fatalf("partsupp rows = %d, want 8000", got)
 	}
-	if got := len(d.Orders.OrderKey); got != 15000 {
+	if got := d.Orders.OrderKey.Len(); got != 15000 {
 		t.Fatalf("orders rows = %d, want 15000", got)
 	}
 	// Lineitem: 1-7 lines per order, expectation 4.
@@ -44,8 +47,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("row counts differ between runs")
 	}
 	for i := 0; i < a.Lineitem.Rows(); i += 97 {
-		if a.Lineitem.ExtendedPrice[i] != b.Lineitem.ExtendedPrice[i] ||
-			a.Lineitem.ShipDate[i] != b.Lineitem.ShipDate[i] {
+		if a.Lineitem.ExtendedPrice.At(i) != b.Lineitem.ExtendedPrice.At(i) ||
+			a.Lineitem.ShipDate.At(i) != b.Lineitem.ShipDate.At(i) {
 			t.Fatalf("row %d differs between runs", i)
 		}
 	}
@@ -55,26 +58,26 @@ func TestValueDomains(t *testing.T) {
 	d := Generate(0.02)
 	l := &d.Lineitem
 	for i := 0; i < l.Rows(); i++ {
-		if q := l.Quantity[i]; q < 1 || q > 50 {
+		if q := l.Quantity.At(i); q < 1 || q > 50 {
 			t.Fatalf("quantity[%d] = %d", i, q)
 		}
-		if dd := l.Discount[i]; dd < 0 || dd > 10 {
+		if dd := l.Discount.At(i); dd < 0 || dd > 10 {
 			t.Fatalf("discount[%d] = %d", i, dd)
 		}
-		if tx := l.Tax[i]; tx < 0 || tx > 8 {
+		if tx := l.Tax.At(i); tx < 0 || tx > 8 {
 			t.Fatalf("tax[%d] = %d", i, tx)
 		}
-		if l.ShipDate[i] <= l.OrderDateOf(i, d) {
+		if l.ShipDate.At(i) <= l.OrderDateOf(i, d) {
 			t.Fatalf("shipdate[%d] not after orderdate", i)
 		}
-		if l.ReceiptDate[i] <= l.ShipDate[i] {
+		if l.ReceiptDate.At(i) <= l.ShipDate.At(i) {
 			t.Fatalf("receiptdate[%d] not after shipdate", i)
 		}
-		rf := l.ReturnFlag[i]
+		rf := l.ReturnFlag.At(i)
 		if rf != 'R' && rf != 'A' && rf != 'N' {
 			t.Fatalf("returnflag[%d] = %c", i, rf)
 		}
-		ls := l.LineStatus[i]
+		ls := l.LineStatus.At(i)
 		if ls != 'O' && ls != 'F' {
 			t.Fatalf("linestatus[%d] = %c", i, ls)
 		}
@@ -84,18 +87,18 @@ func TestValueDomains(t *testing.T) {
 // OrderDateOf finds the order date for lineitem i (test helper).
 func (l *Lineitem) OrderDateOf(i int, d *Data) int64 {
 	// Orders are keyed sparsely; binary search the orders table.
-	key := l.OrderKey[i]
-	idx := sort.Search(len(d.Orders.OrderKey), func(j int) bool {
-		return d.Orders.OrderKey[j] >= key
+	key := l.OrderKey.At(i)
+	idx := sort.Search(d.Orders.OrderKey.Len(), func(j int) bool {
+		return d.Orders.OrderKey.At(j) >= key
 	})
-	return d.Orders.OrderDate[idx]
+	return d.Orders.OrderDate.At(idx)
 }
 
 func TestOrderKeysSortedSparse(t *testing.T) {
 	d := Generate(0.01)
-	o := d.Orders.OrderKey
-	for i := 1; i < len(o); i++ {
-		if o[i] <= o[i-1] {
+	o := &d.Orders.OrderKey
+	for i := 1; i < o.Len(); i++ {
+		if o.At(i) <= o.At(i-1) {
 			t.Fatalf("orderkeys not strictly increasing at %d", i)
 		}
 	}
@@ -104,9 +107,9 @@ func TestOrderKeysSortedSparse(t *testing.T) {
 func TestPartSuppPairsUniqueAndConsistent(t *testing.T) {
 	d := Generate(0.01)
 	seen := make(map[[2]int64]bool)
-	supps := int64(len(d.Supplier.SuppKey))
-	for i := range d.PartSupp.PartKey {
-		pk, sk := d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]
+	supps := int64(d.Supplier.SuppKey.Len())
+	for i := range d.PartSupp.PartKey.Len() {
+		pk, sk := d.PartSupp.PartKey.At(i), d.PartSupp.SuppKey.At(i)
 		if sk < 1 || sk > supps {
 			t.Fatalf("ps_suppkey out of range: %d", sk)
 		}
@@ -121,14 +124,14 @@ func TestPartSuppPairsUniqueAndConsistent(t *testing.T) {
 func TestLineitemSuppliersMatchPartSupp(t *testing.T) {
 	d := Generate(0.01)
 	pairs := make(map[[2]int64]bool)
-	for i := range d.PartSupp.PartKey {
-		pairs[[2]int64{d.PartSupp.PartKey[i], d.PartSupp.SuppKey[i]}] = true
+	for i := range d.PartSupp.PartKey.Len() {
+		pairs[[2]int64{d.PartSupp.PartKey.At(i), d.PartSupp.SuppKey.At(i)}] = true
 	}
 	l := &d.Lineitem
 	for i := 0; i < l.Rows(); i++ {
-		if !pairs[[2]int64{l.PartKey[i], l.SuppKey[i]}] {
+		if !pairs[[2]int64{l.PartKey.At(i), l.SuppKey.At(i)}] {
 			t.Fatalf("lineitem %d references (part=%d,supp=%d) not in partsupp",
-				i, l.PartKey[i], l.SuppKey[i])
+				i, l.PartKey.At(i), l.SuppKey.At(i))
 		}
 	}
 }
@@ -162,8 +165,9 @@ func TestYearInvertsMustDate(t *testing.T) {
 
 func TestQuantileMatchesSort(t *testing.T) {
 	d := Generate(0.01)
-	col := d.Lineitem.ShipDate
-	cp := append([]int64(nil), col...)
+	col := &d.Lineitem.ShipDate
+	before := col.Int64s()
+	cp := col.Int64s()
 	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		want := cp[int(q*float64(len(cp)))]
@@ -172,8 +176,8 @@ func TestQuantileMatchesSort(t *testing.T) {
 		}
 	}
 	// Quantile must not modify its input.
-	for i := range col {
-		if col[i] != d.Lineitem.ShipDate[i] {
+	for i, x := range before {
+		if col.At(i) != x {
 			t.Fatal("Quantile modified the column")
 		}
 	}
@@ -181,16 +185,16 @@ func TestQuantileMatchesSort(t *testing.T) {
 
 func TestQuantileSelectivity(t *testing.T) {
 	d := Generate(0.02)
-	col := d.Lineitem.ShipDate
+	col := &d.Lineitem.ShipDate
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		cut := Quantile(col, q)
 		n := 0
-		for _, v := range col {
-			if v < cut {
+		for i := range col.Len() {
+			if col.At(i) < cut {
 				n++
 			}
 		}
-		got := float64(n) / float64(len(col))
+		got := float64(n) / float64(col.Len())
 		if math.Abs(got-q) > 0.02 {
 			t.Fatalf("cutoff for %.0f%% yields %.1f%%", q*100, got*100)
 		}
@@ -202,8 +206,8 @@ func TestQ6Selectivity(t *testing.T) {
 	l := &d.Lineitem
 	pass := 0
 	for i := 0; i < l.Rows(); i++ {
-		if l.ShipDate[i] >= DateQ6Lo && l.ShipDate[i] < DateQ6Hi &&
-			l.Discount[i] >= 5 && l.Discount[i] <= 7 && l.Quantity[i] < 24 {
+		if l.ShipDate.At(i) >= DateQ6Lo && l.ShipDate.At(i) < DateQ6Hi &&
+			l.Discount.At(i) >= 5 && l.Discount.At(i) <= 7 && l.Quantity.At(i) < 24 {
 			pass++
 		}
 	}
@@ -240,35 +244,59 @@ func TestGenerateInvalidSFPanics(t *testing.T) {
 	Generate(0)
 }
 
-// Extremes is what plan compiles read instead of scanning: it must
-// agree with a scan for every column of every table — int64 and byte
-// columns report their extremes, string columns none — and know
-// nothing else.
+// The extremes every integer column records as it is generated are
+// what plan compiles read instead of scanning: they must agree with a
+// scan of every column of every table.
 func TestExtremesMatchScan(t *testing.T) {
 	d := Generate(0.01)
 	for _, tb := range Schema() {
 		for _, c := range tb.Cols {
-			mn, mx, ok := d.Extremes(c.Name)
-			var wmn, wmx int64
-			var wok bool
-			switch c.Kind {
-			case KindI64:
-				wmn, wmx, wok = MinMax(c.I64(d))
-			case KindI8:
-				wmn, wmx, wok = MinMax(c.I8(d))
+			if c.Ints == nil {
+				continue
 			}
-			if mn != wmn || mx != wmx || ok != wok {
-				t.Errorf("%s: Extremes = %d..%d %v, scan says %d..%d %v", c.Name, mn, mx, ok, wmn, wmx, wok)
+			v := c.Ints(d)
+			mn, mx, ok := v.Extremes()
+			wmn, wmx := v.At(0), v.At(0)
+			for i := range v.Len() {
+				wmn, wmx = min(wmn, v.At(i)), max(wmx, v.At(i))
+			}
+			if mn != wmn || mx != wmx || !ok {
+				t.Errorf("%s: Extremes = %d..%d %v, scan says %d..%d", c.Name, mn, mx, ok, wmn, wmx)
 			}
 		}
 	}
-	if _, _, ok := d.Extremes("no_such_column"); ok {
-		t.Error("unknown column reported extremes")
-	}
-	if _, _, ok := MinMax([]int64(nil)); ok {
-		t.Error("empty column reported extremes")
-	}
-	if _, _, ok := MinMax([]byte{}); ok {
-		t.Error("empty byte column reported extremes")
+}
+
+// TestColumnWidths pins the host widths generation chooses at SF 0.25
+// for the columns the benchmark's scans read: every lineitem integer
+// column is non-negative and fits in 4 bytes or fewer, and the
+// account balances, which hold negative values, stay 8.
+func TestColumnWidths(t *testing.T) {
+	d := Generate(0.25)
+	l := &d.Lineitem
+	for _, tc := range []struct {
+		name  string
+		col   *storage.Ints
+		width int
+	}{
+		{"l_quantity", &l.Quantity, 1},
+		{"l_discount", &l.Discount, 1},
+		{"l_tax", &l.Tax, 1},
+		{"l_returnflag", &l.ReturnFlag, 1},
+		{"l_shipdate", &l.ShipDate, 2},
+		{"l_commitdate", &l.CommitDate, 2},
+		{"l_receiptdate", &l.ReceiptDate, 2},
+		{"l_partkey", &l.PartKey, 2},
+		{"l_suppkey", &l.SuppKey, 2},
+		{"o_orderdate", &d.Orders.OrderDate, 2},
+		{"o_custkey", &d.Orders.CustKey, 2},
+		{"l_orderkey", &l.OrderKey, 4},
+		{"l_extendedprice", &l.ExtendedPrice, 4},
+		{"o_totalprice", &d.Orders.TotalPrice, 4},
+		{"s_acctbal", &d.Supplier.AcctBal, 8},
+	} {
+		if got := int(reflect.TypeOf(tc.col.Host()).Elem().Size()); got != tc.width {
+			t.Errorf("%s: %d-byte host values, want %d", tc.name, got, tc.width)
+		}
 	}
 }
