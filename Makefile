@@ -5,7 +5,7 @@ GOVULNCHECK_VERSION := v1.1.4
 
 BIN := bin
 
-.PHONY: all build test lint staticcheck govulncheck race fmt bench ab simdiff loc bce
+.PHONY: all build test lint staticcheck govulncheck race fmt bench ab benchab simdiff loc bce
 
 all: build test lint
 
@@ -53,6 +53,15 @@ bench:
 # p-value with its verdict (scripts/ab.sh).
 ab:
 	bash scripts/ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# benchab is the same paired protocol for in-process Go benchmarks:
+# `make benchab PARENT=<ref> PKG=<pkg> BENCH=<regex> [PAIRS=10]` builds
+# `go test -c` binaries of PARENT's export and of this working tree, runs
+# the benchmarks matching BENCH on both in alternating order, and prints
+# per sub-benchmark both medians of ns/row (ns/op where none is
+# reported), wins/losses/ties and the sign-test verdict (scripts/benchab.sh).
+benchab:
+	bash scripts/benchab.sh $(PARENT) $(PKG) '$(BENCH)' $(PAIRS)
 
 # simdiff is the check behind ROADMAP aim 2's "the experiments stay
 # byte-identical": `make simdiff PARENT=<ref>` builds cmd/olapsim on an

@@ -40,9 +40,11 @@ const fastChunk = 1024
 // key tuple).
 const fastHashMul = 0x9E3779B97F4A7C15
 
-// vecKernel evaluates an expression for every listed row into out
-// (len(out) == len(rows)).
-type vecKernel func(w *fastWorker, rows []int32, out []int64)
+// vecKernel evaluates an expression into out for the listed rows
+// (len(rows) == len(out)) or, when rows is nil, for the contiguous run
+// lo, lo+1, …, lo+len(out)−1, which column leaves slice instead of
+// gathering.
+type vecKernel func(w *fastWorker, rows []int32, lo int, out []int64)
 
 // selKernel refines a selection in place and returns the kept prefix.
 type selKernel func(w *fastWorker, rows []int32) []int32
@@ -141,7 +143,7 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 		}
 		if a.Kind != AggCount {
 			fe := fc.expr(a.Arg)
-			if fa.v = fe.v; fa.v == nil {
+			if fa.v = fe.bare(); fa.v == nil {
 				fa.arg = fc.kernel(fe)
 			}
 		}
@@ -283,10 +285,6 @@ type fastWorker struct {
 	groups  fastGroups
 	scalar  []int64
 	matched int64
-	// contig says the rows the kernels are handed are one ascending run
-	// (the chunked code fold's), so a bare column slices instead of
-	// gathering.
-	contig bool
 	// Direct-coded plans: cnt counts rows per code slot and acc is
 	// [aggregate][slot], nil for COUNT. codePartial leaves them reset.
 	cnt []int64
@@ -402,7 +400,7 @@ func (w *fastWorker) foldScalar(sel []int32) {
 			w.scalar[ai] = a.v.foldSel(a.kind, w.scalar[ai], sel)
 		default:
 			vals := w.val[:n]
-			a.arg(w, sel, vals)
+			a.arg(w, sel, 0, vals)
 			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], vals)
 		}
 	}
@@ -421,24 +419,11 @@ func (w *fastWorker) foldRun(lo, hi int) {
 		case a.v != nil:
 			w.scalar[ai] = a.v.foldRun(a.kind, w.scalar[ai], lo, hi)
 		default:
-			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], w.runVals(a.arg, lo, hi))
+			vals := w.val[:hi-lo]
+			a.arg(w, nil, lo, vals)
+			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], vals)
 		}
 	}
-}
-
-// runVals evaluates a computed kernel over the contiguous rows
-// [lo, hi) into the worker's value buffer; bare column leaves slice
-// their run instead of gathering it.
-func (w *fastWorker) runVals(arg vecKernel, lo, hi int) []int64 {
-	rows := w.selBuf[:hi-lo]
-	for i := range rows {
-		rows[i] = int32(lo + i)
-	}
-	vals := w.val[:hi-lo]
-	w.contig = true
-	arg(w, rows, vals)
-	w.contig = false
-	return vals
 }
 
 // foldGroups resolves one chunk's selected rows to group slots — code
@@ -462,7 +447,7 @@ func (w *fastWorker) hashSlots(sel, slots []int32) {
 	p := w.p
 	n := len(sel)
 	for k := range p.keys {
-		p.keys[k](w, sel, w.keyBufs[k][:n])
+		p.keys[k](w, sel, 0, w.keyBufs[k][:n])
 	}
 	// The same mixed key GroupKey folds, vectorized over the chunk.
 	mix := w.mix[:n]
@@ -498,7 +483,7 @@ func (w *fastWorker) foldGroupAggs(sel, slots []int32, accs [][]int64) {
 			a.v.foldGroup(a.kind, acc, sel, slots)
 		default:
 			vals := w.val[:n]
-			a.arg(w, sel, vals)
+			a.arg(w, sel, 0, vals)
 			foldGroupVals(a.kind, acc, vals, slots)
 		}
 	}
@@ -616,16 +601,40 @@ func (fc *fastCompiler) buf() int {
 	return i
 }
 
-// fexpr is a compiled expression with its specialization facets: a
-// constant, a bare column (at its host width), or a general kernel.
-// Parents fuse on the facets so the common shapes — column-op-constant,
-// column-op-column — evaluate in one pass with no scratch.
+// fexpr is a compiled expression in the form its parent fuses on:
+//   - a constant c[0] (con);
+//   - a bilinear form c[0] + c[1]·x + c[2]·y + c[3]·x·y over bare driver
+//     columns x and y. A one-column form has c[2] = c[3] = 0 (its y is
+//     its x), and a bare column is the form c = identity;
+//   - a general kernel under an affine map, c[0] + c[1]·eval.
+//
+// Constant +, − and × fold into the coefficients: those operations
+// form a ring mod 2⁶⁴, so wrapping coefficients compute exactly what
+// the interpreter's wrapping steps do. A pair of one-column forms
+// combines into one form, a constant divisor fuses into the form's
+// pass, and / is never folded.
 type fexpr struct {
 	eval vecKernel
 	con  bool
-	conV int64
-	v    intCol
-	col  int // a bare column's index in the compiler's table
+	x, y fcol
+	c    [4]int64
+}
+
+// fcol is a bare driver column and its index in the compiler's table.
+type fcol struct {
+	v   intCol
+	col int
+}
+
+// identity is the coefficients of a bare column or an unmapped kernel.
+var identity = [4]int64{0, 1, 0, 0}
+
+// bare returns the column of a bare-column expression, else nil.
+func (e fexpr) bare() intCol {
+	if e.c == identity {
+		return e.x.v
+	}
+	return nil
 }
 
 // hostInt lists the widths storage.Ints holds column values at.
@@ -643,7 +652,7 @@ type hostCol[T hostInt] []T
 type intCol interface {
 	load() vecKernel
 	gatherVia(t int) vecKernel
-	colCol(op ExprOp, r intCol) vecKernel
+	fused(y intCol, quot bool, c [4]int64, m uint64) vecKernel
 	fuse1(c spanCond) rangeSelKernel
 	gatherSpan(c spanCond) selKernel
 	foldSel(kind AggKind, acc int64, sel []int32) int64
@@ -673,26 +682,33 @@ func bareCol(v *storage.Ints) intCol {
 func (fc *fastCompiler) kernel(e fexpr) vecKernel {
 	switch {
 	case e.con:
-		c := e.conV
-		return func(w *fastWorker, rows []int32, out []int64) {
-			for i := range rows {
+		c := e.c[0]
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			for i := range out {
 				out[i] = c
 			}
 		}
-	case e.v != nil:
-		return e.v.load()
+	case e.bare() != nil:
+		return e.x.v.load()
+	case e.x.v != nil:
+		return e.x.v.fused(e.y.v, false, e.c, 0)
+	case e.c == identity:
+		return e.eval
 	}
-	return e.eval
+	k, c0, c1 := e.eval, e.c[0], e.c[1]
+	return func(w *fastWorker, rows []int32, lo int, out []int64) {
+		k(w, rows, lo, out)
+		for i, v := range out {
+			out[i] = c0 + c1*v
+		}
+	}
 }
 
-// load widens the listed rows into out; rows the chunked folds hand
-// over as one ascending run (contig) are sliced, not gathered.
+// load widens the listed rows, or slices the run, into out.
 func (v hostCol[T]) load() vecKernel {
-	return func(w *fastWorker, rows []int32, out []int64) {
-		if w.contig && len(rows) > 0 {
-			run := v[rows[0] : int(rows[0])+len(rows)]
-			out = out[:len(run)]
-			for i, x := range run {
+	return func(w *fastWorker, rows []int32, lo int, out []int64) {
+		if rows == nil {
+			for i, x := range v[lo : lo+len(out)] {
 				out[i] = int64(x)
 			}
 			return
@@ -706,87 +722,226 @@ func (v hostCol[T]) load() vecKernel {
 func (fc *fastCompiler) expr(e *Expr) fexpr {
 	switch e.Op {
 	case OpConst:
-		return fexpr{con: true, conV: e.Val}
+		return fexpr{con: true, c: [4]int64{e.Val}}
 	case OpCol:
 		v := bareCol(fc.b.Tables[e.Tab][e.Col].V)
 		if e.Tab != fc.tab {
-			return fexpr{eval: v.gatherVia(e.Tab)}
+			return fexpr{eval: v.gatherVia(e.Tab), c: identity}
 		}
-		return fexpr{v: v, col: e.Col}
+		return fexpr{x: fcol{v, e.Col}, y: fcol{v, e.Col}, c: identity}
 	}
 	l, r := fc.expr(e.L), fc.expr(e.R)
-	if l.con && r.con {
-		return fexpr{con: true, conV: applyOp(e.Op, l.conV, r.conV)}
+	switch {
+	case l.con && r.con:
+		return fexpr{con: true, c: [4]int64{applyOp(e.Op, l.c[0], r.c[0])}}
+	case e.Op == OpDiv && r.con:
+		return fc.divConst(l, r.c[0])
+	case e.Op == OpDiv: // by a column: a quotient pair, or general
+	case r.con:
+		return l.fold(e.Op, r.c[0], false)
+	case l.con:
+		return r.fold(e.Op, l.c[0], true)
 	}
-	if r.con {
-		if e.Op == OpDiv && r.conV == 0 {
-			// x / 0 yields 0 for every x: the whole node is constant.
-			return fexpr{con: true, conV: 0}
+	if l.x.v != nil && r.x.v != nil && l.c[2]|l.c[3]|r.c[2]|r.c[3] == 0 {
+		return pair(e.Op, l, r)
+	}
+	return fexpr{eval: opGeneral(e.Op, fc.kernel(l), fc.kernel(r), fc.buf()), c: identity}
+}
+
+// fold applies e op k, or k op e with kLeft, for op +, − or × to e's
+// coefficients. An expression left depending on no row is a constant.
+func (e fexpr) fold(op ExprOp, k int64, kLeft bool) fexpr {
+	switch {
+	case op == OpAdd:
+		e.c[0] += k
+	case op == OpMul:
+		for i := range e.c {
+			e.c[i] *= k
 		}
-		return fexpr{eval: opConstRight(e.Op, fc.kernel(l), r.conV)}
-	}
-	if l.con {
-		return fexpr{eval: opConstLeft(e.Op, l.conV, fc.kernel(r))}
-	}
-	if l.v != nil && r.v != nil {
-		return fexpr{eval: l.v.colCol(e.Op, r.v)}
-	}
-	return fexpr{eval: opGeneral(e.Op, fc.kernel(l), fc.kernel(r), fc.buf())}
-}
-
-// colCol fuses <column> op <column>: the two gathers and the
-// arithmetic run in one pass with no scratch buffer, specialized for
-// both columns' widths.
-func (v hostCol[T]) colCol(op ExprOp, r intCol) vecKernel {
-	switch rv := r.(type) {
-	case hostCol[uint8]:
-		return opColCol(op, v, rv)
-	case hostCol[uint16]:
-		return opColCol(op, v, rv)
-	case hostCol[uint32]:
-		return opColCol(op, v, rv)
+	case kLeft: // k − e
+		return e.fold(OpMul, -1, false).fold(OpAdd, k, false)
 	default:
-		return opColCol(op, v, rv.(hostCol[int64]))
+		e.c[0] -= k
 	}
+	if e.c[1] == 0 && e.c[2] == 0 && e.c[3] == 0 {
+		return fexpr{con: true, c: [4]int64{e.c[0]}}
+	}
+	return e
 }
 
-// opColCol is the width-specialized fused column-pair kernel.
-func opColCol[TL, TR hostInt](op ExprOp, lv hostCol[TL], rv hostCol[TR]) vecKernel {
+// pair combines the one-column forms l = a + b·x and r = p + q·y: into
+// one form for +, − and ×, whose product expands exactly mod 2⁶⁴, and
+// into the fused quotient pass for /.
+func pair(op ExprOp, l, r fexpr) fexpr {
+	a, b, p, q := l.c[0], l.c[1], r.c[0], r.c[1]
+	f := fexpr{x: l.x, y: r.x}
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			out = out[:len(rows)]
-			for i, r := range rows {
-				out[i] = int64(lv[r]) + int64(rv[r])
-			}
-		}
+		f.c = [4]int64{a + p, b, q, 0}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			out = out[:len(rows)]
-			for i, r := range rows {
-				out[i] = int64(lv[r]) - int64(rv[r])
-			}
-		}
+		f.c = [4]int64{a - p, b, -q, 0}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			out = out[:len(rows)]
+		f.c = [4]int64{a * p, b * p, a * q, b * q}
+	default: // OpDiv
+		return fexpr{eval: l.x.v.fused(r.x.v, true, [4]int64{a, b, p, q}, 0), c: identity}
+	}
+	return f.fold(OpAdd, 0, false) // products of even coefficients can wrap to a constant
+}
+
+// divConst compiles e / d. Dividing by zero yields 0 for every row. A
+// form whose values provably lie in [0, 2³²) divides within its own
+// pass by an unsigned reciprocal (unsignedDiv); any other dividend
+// divides in place after its kernel (signedDiv).
+func (fc *fastCompiler) divConst(e fexpr, d int64) fexpr {
+	if d == 0 {
+		return fexpr{con: true}
+	}
+	if m, ok := fc.unsignedDiv(e, d); ok {
+		return fexpr{eval: e.x.v.fused(e.y.v, false, e.c, m), c: identity}
+	}
+	return fexpr{eval: signedDiv(fc.kernel(e), d), c: identity}
+}
+
+// fused dispatches the fused pass (fusedPass) on y's width.
+func (v hostCol[T]) fused(y intCol, quot bool, c [4]int64, m uint64) vecKernel {
+	switch yv := y.(type) {
+	case hostCol[uint8]:
+		return fusedPass(v, yv, quot, c, m)
+	case hostCol[uint16]:
+		return fusedPass(v, yv, quot, c, m)
+	case hostCol[uint32]:
+		return fusedPass(v, yv, quot, c, m)
+	default:
+		return fusedPass(v, yv.(hostCol[int64]), quot, c, m)
+	}
+}
+
+// fusedPass is one pass over columns xs and ys, specialized for both
+// widths, that computes per row the form c0 + c1·x + c2·y + c3·x·y —
+// with m ≠ 0 divided, as the high half of its product with m (divU32) —
+// or with quot the quotient (c0 + c1·x) / (c2 + c3·y).
+func fusedPass[TX, TY hostInt](xs hostCol[TX], ys hostCol[TY], quot bool, c [4]int64, m uint64) vecKernel {
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	switch {
+	case quot:
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			if rows == nil {
+				x, y := xs[lo:lo+len(out)], ys[lo:lo+len(out)]
+				for i, xv := range x {
+					out[i] = quo(c0+c1*int64(xv), c2+c3*int64(y[i]))
+				}
+				return
+			}
 			for i, r := range rows {
-				out[i] = int64(lv[r]) * int64(rv[r])
+				out[i] = quo(c0+c1*int64(xs[r]), c2+c3*int64(ys[r]))
 			}
 		}
-	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
-			out = out[:len(rows)]
-			for i, r := range rows {
-				d := int64(rv[r])
-				if d == 0 {
-					out[i] = 0
-				} else {
-					out[i] = int64(lv[r]) / d
+	case m == 0:
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			if rows == nil {
+				x, y := xs[lo:lo+len(out)], ys[lo:lo+len(out)]
+				for i, xv := range x {
+					yv := int64(y[i])
+					out[i] = c0 + c2*yv + int64(xv)*(c1+c3*yv)
 				}
+				return
+			}
+			for i, r := range rows {
+				yv := int64(ys[r])
+				out[i] = c0 + c2*yv + int64(xs[r])*(c1+c3*yv)
 			}
 		}
 	}
+	// Dividing costs one multiply and no shift: no register holds a
+	// shift count, and nothing of the loop spills.
+	return func(w *fastWorker, rows []int32, lo int, out []int64) {
+		if rows == nil {
+			x, y := xs[lo:lo+len(out)], ys[lo:lo+len(out)]
+			for i, xv := range x {
+				yv := int64(y[i])
+				q, _ := bits.Mul64(uint64(c0+c2*yv+int64(xv)*(c1+c3*yv)), m)
+				out[i] = int64(q)
+			}
+			return
+		}
+		for i, r := range rows {
+			yv := int64(ys[r])
+			q, _ := bits.Mul64(uint64(c0+c2*yv+int64(xs[r])*(c1+c3*yv)), m)
+			out[i] = int64(q)
+		}
+	}
+}
+
+// unsignedDiv returns the reciprocal (divU32) that divides form e by d
+// within its pass, when every value e takes provably lies in [0, 2³²).
+// A bilinear form takes its extremes at the corners of its columns' box
+// of extremes, each evaluated exactly (formAt); ok is false for a
+// dividend that is not a form, an empty column, a corner outside
+// [0, 2³²) or one that overflows.
+func (fc *fastCompiler) unsignedDiv(e fexpr, d int64) (m uint64, ok bool) {
+	m, ok = divU32(d)
+	if !ok || e.x.v == nil {
+		return 0, false
+	}
+	xl, xh, okx := fc.colRange(e.x)
+	yl, yh, oky := fc.colRange(e.y)
+	if !okx || !oky {
+		return 0, false
+	}
+	for _, x := range [2]int64{xl, xh} {
+		for _, y := range [2]int64{yl, yh} {
+			if v, exact := formAt(e.c, x, y); !exact || v < 0 || v >= 1<<32 {
+				return 0, false
+			}
+		}
+	}
+	return m, true
+}
+
+// formAt evaluates c0 + c1·x + c2·y + c3·x·y; exact is false when any
+// step overflows int64.
+func formAt(c [4]int64, x, y int64) (v int64, exact bool) {
+	v, exact = c[0], true
+	addProduct := func(a, b int64) {
+		p := a * b
+		s := v + p
+		exact = exact && mulHi(a, b) == p>>63 && (s > v) == (p > 0)
+		v = s
+	}
+	addProduct(c[1], x)
+	addProduct(c[2], y)
+	if c[3] != 0 {
+		exact = exact && mulHi(x, y) == (x*y)>>63
+		addProduct(c[3], x*y)
+	}
+	return v, exact
+}
+
+// divU32 returns the reciprocal m that divides every n in [0, 2³²) by
+// d as the high 64 bits of n·m. With k = ⌈2ˢ/d⌉ and e = k·d − 2ˢ ≤ 2ˢ⁻³²,
+// writing n = q·d + r gives n·k/2ˢ = q + (r + n·e/2ˢ)/d, and n·e < 2ˢ
+// keeps the fraction below 1; m = k·2⁶⁴⁻ˢ < 2⁶⁴ turns the shift into
+// the high half. The least s ≥ 32 that bounds e wins; it exists by
+// s = 32 + ⌈log₂ d⌉ ≤ 63, where e < d ≤ 2ˢ⁻³². ok is false for d < 2
+// and d ≥ 2³¹.
+func divU32(d int64) (m uint64, ok bool) {
+	if d < 2 || d >= 1<<31 {
+		return 0, false
+	}
+	for s := uint(32); ; s++ {
+		k := (1<<s + uint64(d) - 1) / uint64(d)
+		if k*uint64(d)-1<<s <= 1<<(s-32) {
+			return k << (64 - s), true
+		}
+	}
+}
+
+// quo is the interpreter's division: truncating, 0 on a zero divisor.
+func quo(n, d int64) int64 {
+	if d == 0 {
+		return 0
+	}
+	return n / d
 }
 
 // applyOp evaluates one arithmetic node over constants, with the same
@@ -799,65 +954,37 @@ func applyOp(op ExprOp, l, r int64) int64 {
 		return l - r
 	case OpMul:
 		return l * r
-	default: // OpDiv
-		if r == 0 {
-			return 0
-		}
-		return l / r
 	}
+	return quo(l, r)
 }
 
-// opConstRight fuses <inner> op <const>: evaluate inner into out, then
-// combine in place.
-func opConstRight(op ExprOp, inner vecKernel, c int64) vecKernel {
-	switch op {
-	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
+// signedDiv divides inner's values by the constant d ≠ 0 in place.
+// Hardware signed division costs tens of cycles per row even with a
+// constant divisor a closure hides from the compiler; the
+// multiply-shift equivalent (divMagic) costs a handful. ±1 and MinInt64
+// have no magic and divide in hardware.
+func signedDiv(inner vecKernel, d int64) vecKernel {
+	if d == 1 || d == -1 || d == math.MinInt64 {
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			inner(w, rows, lo, out)
 			for i := range out {
-				out[i] += c
+				out[i] /= d
 			}
 		}
-	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] -= c
-			}
-		}
-	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] *= c
-			}
-		}
-	default: // OpDiv, c != 0 (the zero divisor constant-folded)
-		if c != 1 && c != -1 && c != math.MinInt64 {
-			// Hardware signed division costs tens of cycles per row even
-			// with a constant divisor a closure hides from the compiler;
-			// the multiply-shift equivalent costs a handful.
-			m, s := divMagic(c)
-			var adj int64
-			if c > 0 && m < 0 {
-				adj = 1
-			} else if c < 0 && m > 0 {
-				adj = -1
-			}
-			return func(w *fastWorker, rows []int32, out []int64) {
-				inner(w, rows, out)
-				for i, n := range out {
-					q := mulHi(m, n) + n*adj
-					q >>= s
-					out[i] = q + int64(uint64(q)>>63)
-				}
-			}
-		}
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] /= c
-			}
+	}
+	m, s := divMagic(d)
+	var adj int64
+	if d > 0 && m < 0 {
+		adj = 1
+	} else if d < 0 && m > 0 {
+		adj = -1
+	}
+	return func(w *fastWorker, rows []int32, lo int, out []int64) {
+		inner(w, rows, lo, out)
+		for i, n := range out {
+			q := mulHi(m, n) + n*adj
+			q >>= s
+			out[i] = q + int64(uint64(q)>>63)
 		}
 	}
 }
@@ -909,86 +1036,46 @@ func divMagic(d int64) (m int64, s uint) {
 	return m, p - 64
 }
 
-// opConstLeft fuses <const> op <inner>.
-func opConstLeft(op ExprOp, c int64, inner vecKernel) vecKernel {
-	switch op {
-	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] = c + out[i]
-			}
-		}
-	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] = c - out[i]
-			}
-		}
-	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				out[i] = c * out[i]
-			}
-		}
-	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
-			inner(w, rows, out)
-			for i := range out {
-				if out[i] == 0 {
-					out[i] = 0
-				} else {
-					out[i] = c / out[i]
-				}
-			}
-		}
-	}
-}
-
 // opGeneral evaluates both sides (right into scratch slot sb) and
-// combines.
+// combines: the trees fusion does not cover — joined-table columns,
+// divisors that are not constants or one-column forms, and more than
+// two columns.
 func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
-			rk(w, rows, t)
-			lk(w, rows, out)
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			t := w.scratch[sb][:len(out)]
+			rk(w, rows, lo, t)
+			lk(w, rows, lo, out)
 			for i := range out {
 				out[i] += t[i]
 			}
 		}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
-			rk(w, rows, t)
-			lk(w, rows, out)
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			t := w.scratch[sb][:len(out)]
+			rk(w, rows, lo, t)
+			lk(w, rows, lo, out)
 			for i := range out {
 				out[i] -= t[i]
 			}
 		}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
-			rk(w, rows, t)
-			lk(w, rows, out)
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			t := w.scratch[sb][:len(out)]
+			rk(w, rows, lo, t)
+			lk(w, rows, lo, out)
 			for i := range out {
 				out[i] *= t[i]
 			}
 		}
 	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
-			rk(w, rows, t)
-			lk(w, rows, out)
+		return func(w *fastWorker, rows []int32, lo int, out []int64) {
+			t := w.scratch[sb][:len(out)]
+			rk(w, rows, lo, t)
+			lk(w, rows, lo, out)
 			for i := range out {
-				if t[i] == 0 {
-					out[i] = 0
-				} else {
-					out[i] /= t[i]
-				}
+				out[i] = quo(out[i], t[i])
 			}
 		}
 	}
@@ -1028,10 +1115,10 @@ const (
 )
 
 // colRange reports the extreme values present in the bare column x:
-// the rebased range tests and the group codes are only valid against a
-// column's true extremes. The column recorded them as it was built
-// (storage.Ints), so nothing is scanned here.
-func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
+// the rebased range tests, the group codes and the unsigned division
+// are only valid against a column's true extremes. The column recorded
+// them as it was built (storage.Ints), so nothing is scanned here.
+func (fc *fastCompiler) colRange(x fcol) (int64, int64, bool) {
 	return fc.b.Tables[fc.tab][x.col].V.Extremes()
 }
 
@@ -1041,7 +1128,7 @@ func (fc *fastCompiler) colRange(x fexpr) (int64, int64, bool) {
 // match, so it is free to reclassify: an empty intersection matches
 // nothing, a full cover matches everything.
 func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
-	var x fexpr
+	var x fcol
 	var lo, hi int64
 	neg := 0
 	switch p.Op {
@@ -1052,25 +1139,25 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 			a, b = b, a
 			op = mirrorCmp(op)
 		}
-		if !b.con || a.v == nil {
+		if !b.con || a.bare() == nil {
 			return spanCond{}, condNo
 		}
-		x = a
+		x = a.x
 		if op == Ne {
-			lo, hi, neg = b.conV, b.conV, 1
+			lo, hi, neg = b.c[0], b.c[0], 1
 		} else {
 			var ok bool
-			lo, hi, ok = cmpRange(op, b.conV)
+			lo, hi, ok = cmpRange(op, b.c[0])
 			if !ok {
 				return spanCond{}, condNever
 			}
 		}
 	case PredBetween:
 		xe, l, h := fc.expr(p.A), fc.expr(p.B), fc.expr(p.C)
-		if !l.con || !h.con || xe.v == nil {
+		if !l.con || !h.con || xe.bare() == nil {
 			return spanCond{}, condNo
 		}
-		x, lo, hi = xe, l.conV, h.conV
+		x, lo, hi = xe.x, l.c[0], h.c[0]
 	default:
 		return spanCond{}, condNo
 	}
@@ -1218,7 +1305,7 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 			op = mirrorCmp(op)
 		}
 		if a.con && b.con {
-			return constSel(cmpVals(op, a.conV, b.conV))
+			return constSel(cmpVals(op, a.c[0], b.c[0]))
 		}
 		ka, kb := fc.kernel(a), fc.kernel(b)
 		ia, ib := fc.buf(), fc.buf()
@@ -1226,8 +1313,8 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 		return func(w *fastWorker, rows []int32) []int32 {
 			n := len(rows)
 			av, bv := w.scratch[ia][:n], w.scratch[ib][:n]
-			ka(w, rows, av)
-			kb(w, rows, bv)
+			ka(w, rows, 0, av)
+			kb(w, rows, 0, bv)
 			m := 0
 			for i := 0; i < n; i++ {
 				rows[m] = rows[i]
@@ -1245,9 +1332,9 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 	return func(w *fastWorker, rows []int32) []int32 {
 		n := len(rows)
 		xv, lv, hv := w.scratch[ix][:n], w.scratch[il][:n], w.scratch[ih][:n]
-		kx(w, rows, xv)
-		kl(w, rows, lv)
-		kh(w, rows, hv)
+		kx(w, rows, 0, xv)
+		kl(w, rows, 0, lv)
+		kh(w, rows, 0, hv)
 		m := 0
 		for i := 0; i < n; i++ {
 			rows[m] = rows[i]

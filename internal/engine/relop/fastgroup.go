@@ -70,7 +70,7 @@ func (fc *fastCompiler) codeGroups() *codeGroups {
 		if e.Op != OpCol || e.Tab != 0 {
 			return nil
 		}
-		x := fc.expr(e)
+		x := fc.expr(e).x
 		mn, mx, ok := fc.colRange(x)
 		if !ok {
 			return nil // an empty column has no range to code
@@ -207,7 +207,9 @@ func (w *fastWorker) foldCoded(codes []int32, lo, hi int) {
 		case a.v != nil:
 			a.v.foldCodes(a.kind, w.acc[ai], codes, lo, hi)
 		default:
-			foldCodes(a.kind, w.acc[ai], codes, w.runVals(a.arg, lo, hi))
+			vals := w.val[:hi-lo]
+			a.arg(w, nil, lo, vals)
+			foldCodes(a.kind, w.acc[ai], codes, vals)
 		}
 	}
 }

@@ -16,6 +16,9 @@ import (
 // filter (none, span tests only, a computed conjunct, or one matching
 // nothing), the output operators and the table size, and aggs which
 // aggregates run, with computed arguments that divide by zero and wrap.
+// keys bits 2–7 add aggregates over affine chains, fused pairs and
+// constant divisors whose constants the seed draws (fuzzConst), so the
+// expression compiler's folds and both of its divisions run too.
 // A table under one chunk runs on one worker whatever the thread count;
 // shape bit 16 draws two to six chunks, so the workers' partial tables
 // are merged. widths draws the host width of the int64-kinded columns
@@ -47,6 +50,24 @@ func FuzzFastGroup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzConst draws the constants of FuzzFastGroup's computed aggregates
+// from the seed: edge values (zero, ±1, the int64 extremes, ±2⁶², 2³²
+// and its neighbour) a quarter of the time, small values of both signs
+// — divisors whose dividends stay provably in [0, 2³²) — half of it,
+// and any int64 otherwise.
+func fuzzConst(seed int64) func() int64 {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	return func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return [...]int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1 << 62, -1 << 62, 1<<32 - 1, 1 << 32}[rng.Intn(9)]
+		case 1, 2:
+			return rng.Int63n(601) - 300
+		}
+		return rng.Int63() - rng.Int63()
+	}
 }
 
 // fitWidth bounds a column's values to the host width code w draws:
@@ -155,6 +176,21 @@ func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs, widths uint8) (*Pi
 	}
 	for i, ag := range all {
 		if aggs&(1<<i) != 0 {
+			pl.Aggs = append(pl.Aggs, ag)
+		}
+	}
+	k := fuzzConst(seed)
+	c := func() *Expr { return ConstExpr(k()) }
+	computed := []Agg{
+		{Kind: AggSum, Arg: Bin(OpSub, Bin(OpMul, Bin(OpAdd, col(colV), c()), c()), c())},
+		{Kind: AggMax, Arg: Bin(OpSub, c(), Bin(OpMul, col(colA), c()))},
+		{Kind: AggSum, Arg: Bin(OpDiv, col(colV), c())},
+		{Kind: AggMin, Arg: Bin(OpDiv, Bin(OpMul, Bin(OpAdd, col(colA), c()), Bin(OpSub, c(), col(colB))), c())},
+		{Kind: AggSum, Arg: Bin(OpDiv, Bin(OpAdd, Bin(OpMul, col(colV), col(colW)), c()), c())},
+		{Kind: AggMax, Arg: Bin(OpDiv, Bin(OpSub, col(colA), c()), Bin(OpAdd, col(colB), c()))},
+	}
+	for i, ag := range computed {
+		if keys&(4<<i) != 0 {
 			pl.Aggs = append(pl.Aggs, ag)
 		}
 	}

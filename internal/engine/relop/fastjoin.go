@@ -133,7 +133,7 @@ func (fc *fastCompiler) join(ji int) fastJoin {
 	for lo, n := 0, fc.pl.Tables[j.Build].Rows; lo < n; lo += fastChunk {
 		sel := w.selectChunk(filter0, filter, lo, min(lo+fastChunk, n))
 		k := w.val[:len(sel)]
-		key(w, sel, k)
+		key(w, sel, 0, k)
 		ids = append(ids, sel...)
 		keys = append(keys, k...)
 	}
@@ -186,7 +186,7 @@ func (w *fastWorker) probe(ji, n int) {
 	j := &p.joins[ji]
 	x := j.idx
 	keys, lo, hi := in.keys[:n], in.lo[:n], in.hi[:n]
-	j.key(w, in.rv[0][:n], keys)
+	j.key(w, in.rv[0][:n], 0, keys)
 	// Resolve every run before emitting any: the index loads are
 	// independent of each other, so the core overlaps their misses.
 	for i, k := range keys {
@@ -242,8 +242,8 @@ func (w *fastWorker) probe(ji, n int) {
 // gatherVia reads a joined table's column through that table's row
 // vector: tuple i of the batch reads row w.rv[t][i].
 func (v hostCol[T]) gatherVia(t int) vecKernel {
-	return func(w *fastWorker, rows []int32, out []int64) {
-		for i, r := range w.rv[t][:len(rows)] {
+	return func(w *fastWorker, rows []int32, lo int, out []int64) {
+		for i, r := range w.rv[t][:len(out)] {
 			out[i] = int64(v[r])
 		}
 	}

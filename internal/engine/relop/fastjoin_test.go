@@ -273,8 +273,9 @@ func TestFastJoinConcurrentExecute(t *testing.T) {
 // ranges full of duplicates and misses (the direct index), sparse wide
 // ones, int64 extremes, negative ranges, and dense ranges at either end
 // of int64 — shape the table count, chain, grouping and output
-// operators, exprs which keys and build filters are computed, and
-// widths the columns' host widths.
+// operators (bit 5 adds q3's revenue, v·(100 − f)/100 over the driver,
+// evaluated on the gathered rows the join emits), exprs which keys and
+// build filters are computed, and widths the columns' host widths.
 func FuzzFastJoin(f *testing.F) {
 	for _, s := range []struct {
 		seed                       int64
@@ -387,6 +388,10 @@ func fuzzJoinPipeline(seed int64, shape, keys, exprs, widths uint8) (*Pipeline, 
 		{Kind: AggMin, Arg: col(0, 1)},
 		{Kind: AggMax, Arg: col(last, 0)},
 		{Kind: AggSum, Arg: Bin(OpMul, col(0, 1), col(last, 1))},
+	}
+	if shape&32 != 0 {
+		pl.Aggs = append(pl.Aggs, Agg{Kind: AggSum, Arg: Bin(OpDiv,
+			Bin(OpMul, col(0, 1), Bin(OpSub, ConstExpr(100), col(0, 2))), ConstExpr(100))})
 	}
 	switch (shape >> 1) & 3 {
 	case 1:

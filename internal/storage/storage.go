@@ -18,14 +18,15 @@ import (
 
 // Ints is an integer column's host values at the narrowest of four
 // widths that holds every value: uint8, uint16, uint32, or int64 for a
-// column with a negative value or one past 2³²−1. Append starts at one
-// byte and, on the first value that does not fit, widens and copies
-// the prefix, so the width is chosen while the column is built, with
-// no second pass. Append also keeps the column's extremes. Readers
-// call At; the vectorized kernels take the typed slice from Host once
-// per column and instantiate for its width.
+// column with a negative value or one past 2³²−1. The first Append
+// allocates at its value's width and, on a later value that does not
+// fit, widens and copies the prefix, so the width is chosen while the
+// column is built, with no second pass. Append also keeps the column's
+// extremes. Readers call At; the vectorized kernels take the typed
+// slice from Host once per column and instantiate for its width.
 type Ints struct {
-	width  int // bytes per host value: 1, 2, 4 or 8; 0 in a zero Ints
+	width  int // bytes per host value: 1, 2, 4 or 8; 0 before the first Append
+	hint   int // the capacity the first Append allocates
 	u8     []uint8
 	u16    []uint16
 	u32    []uint32
@@ -33,11 +34,10 @@ type Ints struct {
 	lo, hi int64
 }
 
-// MakeInts returns an empty column with room for capacity one-byte
-// values; a widening keeps the capacity.
-func MakeInts(capacity int) Ints {
-	return Ints{width: 1, u8: make([]uint8, 0, capacity), lo: math.MaxInt64, hi: math.MinInt64}
-}
+// MakeInts returns an empty column whose first Append allocates room
+// for capacity values at that value's width; a widening keeps the
+// capacity.
+func MakeInts(capacity int) Ints { return Ints{hint: capacity} }
 
 // Append adds x, widening the column first when x does not fit.
 func (c *Ints) Append(x int64) {
@@ -59,12 +59,12 @@ func (c *Ints) Append(x int64) {
 }
 
 // widen moves the values to the narrowest width that holds x, which the
-// current width does not, keeping the capacity. An empty column's
-// extremes start at x.
+// current width does not, keeping the capacity (an empty column's
+// hint). An empty column's extremes start at x.
 func (c *Ints) widen(x int64) {
 	old := *c
 	n := old.Len()
-	capacity := max(cap(old.u8), cap(old.u16), cap(old.u32), cap(old.i64))
+	capacity := max(cap(old.u8), cap(old.u16), cap(old.u32), cap(old.i64), old.hint)
 	*c = Ints{lo: old.lo, hi: old.hi}
 	if n == 0 {
 		c.lo, c.hi = x, x
