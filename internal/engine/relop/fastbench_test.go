@@ -15,7 +15,9 @@ var (
 )
 
 // BenchmarkFastShape times one single-threaded execution of each
-// fast_scan statement at SF 0.25 and reports it per lineitem row:
+// fast_scan statement, and of one fixed literal of two adhoc_compile
+// range templates, at SF 0.25 and reports it per row of the scanned
+// table:
 //
 //	go test -run '^$' -bench FastShape -count 7 ./internal/engine/relop
 func BenchmarkFastShape(b *testing.B) {
@@ -30,6 +32,11 @@ func BenchmarkFastShape(b *testing.B) {
 			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus"},
 		{"minmax", "select min(l_extendedprice), max(l_extendedprice), min(l_shipdate), max(l_shipdate) from lineitem"},
 		{"hashgrp_topk", "select l_suppkey, sum(l_quantity) from lineitem group by l_suppkey order by 2 desc limit 10"},
+		{"adhoc_li_q6", "select sum(l_extendedprice * l_discount / 100) from lineitem " +
+			"where l_shipdate >= date '1995-03-01' and l_shipdate < date '1995-09-01' " +
+			"and l_discount between 3 and 5 and l_quantity < 30"},
+		{"adhoc_ord_range", "select sum(o_totalprice) from orders " +
+			"where o_orderdate >= date '1994-06-01' and o_orderdate < date '1994-12-01'"},
 	} {
 		stmt, err := sql.Parse(sh.sql)
 		if err != nil {
