@@ -653,7 +653,7 @@ type intCol interface {
 	load() vecKernel
 	gatherVia(t int) vecKernel
 	fused(y intCol, quot bool, c [4]int64, m uint64) vecKernel
-	fuse1(c spanCond) rangeSelKernel
+	firstSpan(c spanCond) rangeSelKernel
 	gatherSpan(c spanCond) selKernel
 	foldSel(kind AggKind, acc int64, sel []int32) int64
 	foldRun(kind AggKind, acc int64, lo, hi int) int64
@@ -1094,7 +1094,9 @@ func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 // rows outside the point range).
 type spanCond struct {
 	v    intCol
+	col  int    // the column's index in its table
 	base uint64 // uint64(cmin), the rebasing offset
+	top  uint64 // R = cmax - cmin, the rebased domain's top
 	a    uint64 // lower bound, rebased
 	s1   uint64 // upper bound + 1, rebased
 	neg  int
@@ -1192,17 +1194,18 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 		est = 1 - est
 	}
 	return spanCond{
-		v: x.v, base: base,
+		v: x.v, col: x.col, base: base, top: uint64(cmax) - base,
 		a: uint64(lo) - base, s1: uint64(hi) - base + 1, neg: neg,
 		est: est,
 	}, condYes
 }
 
 // pred normalizes a filter: every column-versus-constant conjunct
-// becomes a spanCond (sorted by estimated selectivity, cheapest-first —
-// AND commutes, so any order yields the same row set), computed
-// conjuncts become sel kernels, and never reports a conjunct no present
-// value satisfies.
+// becomes a spanCond, the non-negated ones on one column intersected
+// into one (mergeSpan), sorted by estimated selectivity, cheapest-first —
+// AND commutes, so any order yields the same row set. Computed
+// conjuncts become sel kernels, and never reports a conjunct, or an
+// intersection, no present value satisfies.
 func (fc *fastCompiler) pred(p *Pred) (conds []spanCond, rest []selKernel, never bool) {
 	if p == nil {
 		return nil, nil, false
@@ -1211,7 +1214,9 @@ func (fc *fastCompiler) pred(p *Pred) (conds []spanCond, rest []selKernel, never
 		sc, st := fc.spanCond(c)
 		switch st {
 		case condYes:
-			conds = append(conds, sc)
+			if conds, never = mergeSpan(conds, sc); never {
+				return nil, nil, true
+			}
 		case condNever:
 			return nil, nil, true
 		case condAlways:
@@ -1222,6 +1227,26 @@ func (fc *fastCompiler) pred(p *Pred) (conds []spanCond, rest []selKernel, never
 	}
 	sort.SliceStable(conds, func(i, j int) bool { return conds[i].est < conds[j].est })
 	return conds, rest, false
+}
+
+// mergeSpan adds c to conds, intersected with the non-negated span on
+// the same column when there is one: a ≤ d < s1 and a' ≤ d < s1' hold
+// together exactly when max(a, a') ≤ d < min(s1, s1'), so a range
+// written as two comparisons scans as one span. never reports an empty
+// intersection. A negated span is a hole, not a range, and stays apart.
+func mergeSpan(conds []spanCond, c spanCond) (_ []spanCond, never bool) {
+	if c.neg == 0 {
+		for i := range conds {
+			m := &conds[i]
+			if m.col != c.col || m.neg != 0 {
+				continue
+			}
+			m.a, m.s1 = max(m.a, c.a), min(m.s1, c.s1)
+			m.est = float64(m.s1-m.a) / float64(m.top+1)
+			return conds, m.a >= m.s1
+		}
+	}
+	return append(conds, c), false
 }
 
 // stageSpans lowers normalized conjuncts to the staged executor form:
@@ -1237,41 +1262,15 @@ func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel
 		kernels = append(kernels, c.v.gatherSpan(c))
 	}
 	kernels = append(kernels, rest...)
-	return conds[0].v.fuse1(conds[0]), kernels
+	return conds[0].v.firstSpan(conds[0]), kernels
 }
 
 // neverMatch is the range kernel of an unsatisfiable filter.
 func neverMatch(lo, hi int32, out []int32) []int32 { return out[:0] }
 
-// fuse1 scans one condition with branchless compaction. The common
-// lower-unbounded shape (a == 0 after clamping) drops its redundant
-// lower test: d >= 0 holds by construction.
-func (v hostCol[T]) fuse1(c spanCond) rangeSelKernel {
-	base, a, s1, neg := c.base, c.a, c.s1, c.neg
-	if a == 0 {
-		return func(lo, hi int32, out []int32) []int32 {
-			n := 0
-			for i, x := range v[lo:hi] {
-				out[n] = lo + int32(i)
-				n += int((uint64(x)-base-s1)>>63) ^ neg
-			}
-			return out[:n]
-		}
-	}
-	return func(lo, hi int32, out []int32) []int32 {
-		n := 0
-		for i, x := range v[lo:hi] {
-			d := uint64(x) - base
-			out[n] = lo + int32(i)
-			n += int(((d-s1)>>63)&(((d-a)>>63)^1)) ^ neg
-		}
-		return out[:n]
-	}
-}
-
 // gatherSpan refines an existing selection against one condition: a
-// gathered load and the same shift tests as fuse1, priced only on the
-// rows earlier stages kept.
+// gathered load and spanCond's shift tests, priced only on the rows
+// earlier stages kept.
 func (v hostCol[T]) gatherSpan(c spanCond) selKernel {
 	base, a, s1, neg := c.base, c.a, c.s1, c.neg
 	if a == 0 {

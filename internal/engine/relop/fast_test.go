@@ -158,6 +158,11 @@ func cmp(op CmpOp, c int, v int64) *Pred {
 
 func and(l, r *Pred) *Pred { return &Pred{Op: PredAnd, L: l, R: r} }
 
+// between builds `col(c) between lo and hi`.
+func between(c int, lo, hi int64) *Pred {
+	return &Pred{Op: PredBetween, A: ColExpr(0, c), B: ConstExpr(lo), C: ConstExpr(hi)}
+}
+
 // TestFastPlanMatchesNaive drives CompileFast over the predicate,
 // aggregation and grouping shapes the compiler specializes — span
 // normalization with data-dependent clamping (never/always/point
@@ -185,19 +190,28 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 	}
 	w64[7] = math.MinInt64 + 1
 	w64[11] = math.MaxInt64 - 1
+	d16 := make([]int64, rows) // day numbers: 2-byte lanes
+	e8 := make([]byte, rows)   // every byte value: the lanes' fallback
+	dr := rand.New(rand.NewSource(43))
+	for i := range d16 {
+		d16[i] = 8000 + dr.Int63n(2526)
+		e8[i] = byte(i)
+	}
 	tr, bound := fastFixture(rows,
 		fastCol{name: "a", i64: a64}, fastCol{name: "b", i64: b64},
 		fastCol{name: "f", i8: f8}, fastCol{name: "g", i8: g8},
-		fastCol{name: "w", i64: w64}, fastCol{name: "k", i64: k64})
+		fastCol{name: "w", i64: w64}, fastCol{name: "k", i64: k64},
+		fastCol{name: "d", i64: d16}, fastCol{name: "e", i8: e8})
 	const (
-		colA, colB, colF, colG, colW, colK = 0, 1, 2, 3, 4, 5
+		colA, colB, colF, colG, colW, colK, colD, colE = 0, 1, 2, 3, 4, 5, 6, 7
 	)
 	sumA := Agg{Kind: AggSum, Arg: ColExpr(0, colA)}
 	count := Agg{Kind: AggCount}
 
 	cases := []struct {
-		name string
-		pl   *Pipeline
+		name  string
+		pl    *Pipeline
+		empty bool // the filter is proven empty: nothing is scanned
 	}{
 		{name: "scalar all aggs, between filter", pl: &Pipeline{
 			Filter: &Pred{Op: PredBetween, A: ColExpr(0, colA), B: ConstExpr(-10), C: ConstExpr(20)},
@@ -219,7 +233,7 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 		{name: "conjunct beyond the column range matches nothing", pl: &Pipeline{
 			Filter: and(cmp(Gt, colA, 1000), cmp(Ge, colA, -25)),
 			Aggs:   []Agg{sumA, count},
-		}},
+		}, empty: true},
 		{name: "conjunct covering the column range drops out", pl: &Pipeline{
 			Filter: and(cmp(Le, colA, math.MaxInt64), cmp(Lt, colA, 0)),
 			Aggs:   []Agg{sumA, count},
@@ -232,6 +246,35 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 			Filter: and(cmp(Gt, colA, math.MinInt64), cmp(Lt, colA, math.MaxInt64)),
 			Aggs:   []Agg{sumA, count},
 		}},
+		{name: "same-column range pair scans as one 2-byte span", pl: &Pipeline{
+			Filter: and(cmp(Ge, colD, 9000), cmp(Lt, colD, 9400)),
+			Aggs:   []Agg{{Kind: AggSum, Arg: ColExpr(0, colB)}, count},
+		}},
+		{name: "q6 shape: day range pair, byte between, byte bound", pl: &Pipeline{
+			Filter: and(and(cmp(Ge, colD, 8500), cmp(Lt, colD, 9100)), and(between(colG, 3, 5), cmp(Lt, colF, 2))),
+			Aggs: []Agg{{Kind: AggSum, Arg: Bin(OpDiv, Bin(OpMul, ColExpr(0, colB), ColExpr(0, colG)), ConstExpr(100))},
+				count},
+		}},
+		{name: "between and a bound on one 8-byte column merge", pl: &Pipeline{
+			Filter: and(between(colA, -30, 25), cmp(Le, colA, 10)),
+			Aggs:   []Agg{sumA, count},
+		}},
+		{name: "byte column at its true extremes, between and a hole", pl: &Pipeline{
+			Filter: and(and(between(colE, 1, 254), cmp(Gt, colE, 0)), cmp(Ne, colE, 128)),
+			Aggs:   []Agg{{Kind: AggSum, Arg: ColExpr(0, colE)}, count},
+		}},
+		{name: "not-equal beside a range on one column stays apart", pl: &Pipeline{
+			Filter: and(cmp(Ne, colG, 4), and(cmp(Ge, colG, 2), cmp(Lt, colG, 9))),
+			Aggs:   []Agg{sumA, count},
+		}},
+		{name: "empty same-column intersection scans nothing", pl: &Pipeline{
+			Filter: and(cmp(Ge, colB, -5), and(cmp(Ge, colD, 9000), cmp(Lt, colD, 9000))),
+			Aggs:   []Agg{sumA, count},
+		}, empty: true},
+		{name: "disjoint byte ranges scan nothing", pl: &Pipeline{
+			Filter: and(cmp(Lt, colG, 5), between(colG, 9, 12)),
+			Aggs:   []Agg{sumA, count},
+		}, empty: true},
 		{name: "span test bails on a 2^62-wide column", pl: &Pipeline{
 			Filter: cmp(Gt, colW, 0),
 			Aggs:   []Agg{{Kind: AggSum, Arg: ColExpr(0, colW)}, count},
@@ -294,6 +337,9 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 			p, err := CompileFast(tc.pl, bound)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if scans := p.rows != 0; scans == tc.empty {
+				t.Errorf("plan scans %d rows; proven empty: %v", p.rows, tc.empty)
 			}
 			want := naiveResult(tc.pl, bound)
 			for _, threads := range []int{1, 2, 5} {

@@ -185,7 +185,7 @@ func keyCodes2(codes []int32, v0, v1 []byte, k0, k1 codeKey, lanes int32) {
 }
 
 // discardRejected sends every row of [lo, hi) the span test rejects to
-// a discard slot, with the shift tests of fuse1.
+// a discard slot, with the shift tests of gatherSpan.
 func (col hostCol[T]) discardRejected(codes []int32, lo, hi int, c spanCond, discard int32) {
 	v := col[lo:hi]
 	codes = codes[:len(v)]

@@ -19,6 +19,9 @@ import (
 // keys bits 2–7 add aggregates over affine chains, fused pairs and
 // constant divisors whose constants the seed draws (fuzzConst), so the
 // expression compiler's folds and both of its divisions run too.
+// shape bits 5–7 add conjuncts on one column (fuzzPair) whose
+// constants the seed draws too: pairs that intersect into one span, a
+// hole beside a range that must stay apart, and an empty intersection.
 // A table under one chunk runs on one worker whatever the thread count;
 // shape bit 16 draws two to six chunks, so the workers' partial tables
 // are merged. widths draws the host width of the int64-kinded columns
@@ -68,6 +71,40 @@ func fuzzConst(seed int64) func() int64 {
 		}
 		return rng.Int63() - rng.Int63()
 	}
+}
+
+// fuzzPair builds FuzzFastGroup's same-column conjuncts, nil for kind 0
+// so the corpus from before them replays unchanged. The constants come
+// from fuzzConst fitted to the column's width (fv for v, fa for a), so
+// most land inside the column's values and some at its width's edges,
+// where the span clamps: v ≥ c and v < c′; v between c and c′ and
+// v ≤ c″; v ≠ c beside v ≥ c′ (not merged: a hole is not a range);
+// v ≥ c and v < c (empty, whatever c is); the byte column f between and
+// above constants within its four values, which reach 255 when flo is
+// 252; three ranges on v; and a ≥ c and a < c′ on the key column.
+func fuzzPair(kind uint8, seed int64, flo int, fa, fv func(int64) int64) *Pred {
+	const colA, colF, colV = 0, 2, 3
+	k := fuzzConst(^seed)
+	cv := func() int64 { return fv(k()) }
+	cf := func() int64 { return int64(flo) + k()&3 }
+	switch kind {
+	case 1:
+		return and(cmp(Ge, colV, cv()), cmp(Lt, colV, cv()))
+	case 2:
+		return and(between(colV, cv(), cv()), cmp(Le, colV, cv()))
+	case 3:
+		return and(cmp(Ne, colV, cv()), cmp(Ge, colV, cv()))
+	case 4:
+		c := cv()
+		return and(cmp(Ge, colV, c), cmp(Lt, colV, c))
+	case 5:
+		return and(between(colF, cf(), cf()), cmp(Gt, colF, cf()))
+	case 6:
+		return and(and(cmp(Gt, colV, cv()), cmp(Le, colV, cv())), between(colV, cv(), cv()))
+	case 7:
+		return and(cmp(Ge, colA, fa(k())), cmp(Lt, colA, fa(k())))
+	}
+	return nil
 }
 
 // fitWidth bounds a column's values to the host width code w draws:
@@ -163,6 +200,12 @@ func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs, widths uint8) (*Pi
 			&Pred{Op: PredCmp, Cmp: Gt, A: Bin(OpAdd, col(colV), col(colW)), B: ConstExpr(-200)})
 	case 3:
 		pl.Filter = cmp(Gt, colW, 200) // no row has w > 2: an empty result
+	}
+	if pair := fuzzPair(shape>>5, seed, flo, fa, fv); pair != nil {
+		if pl.Filter != nil {
+			pair = and(pl.Filter, pair)
+		}
+		pl.Filter = pair
 	}
 	all := []Agg{
 		{Kind: AggCount},

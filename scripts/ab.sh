@@ -8,8 +8,9 @@
 # the pairs, the exact two-sided sign-test p-value of wins against
 # losses (ties excluded) and a verdict are printed (scripts/abstat.awk):
 # better or worse when p < 0.05, level otherwise. The change is the
-# working tree as it stands, committed or not. Nothing under benchmark/ is touched; each tree builds into its own
-# git-ignored benchmark/out/.
+# working tree as it stands, committed or not. Nothing under benchmark/
+# is touched; each tree builds into its own git-ignored benchmark/out/.
+# Interrupted, it stops the running benchmark too (scripts/children.sh).
 #
 #   make ab PARENT=<ref> WORKLOAD=<name> [PAIRS=10]
 #   scripts/ab.sh <parent-ref> <workload> [pairs]
@@ -22,7 +23,7 @@ pairs=${3:-10}
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+source "$root/scripts/children.sh"
 mkdir "$tmp/parent"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 
@@ -34,7 +35,8 @@ for ((i = 1; i <= pairs; i++)); do
 	for side in $order; do
 		tree=$root
 		if [[ $side == parent ]]; then tree=$tmp/parent; fi
-		line=$(bash "$tree/benchmark/run.sh" --workload "$workload" --seed 1 --seconds 12 | tail -n 1) || true
+		run "$tree" bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 12 >"$tmp/run.out" || true
+		line=$(tail -n 1 "$tmp/run.out")
 		echo "pair $i $side $line" >&2
 		printf '%s\t%s\n' "$side" "$line" >>"$tmp/runs.tsv"
 	done

@@ -8,7 +8,8 @@
 # reports no ns/row), the parent's inter-quartile range, the change's
 # wins, losses and ties, the sign-test p-value and a verdict are printed
 # (scripts/abstat.awk). The change is the working tree as it stands,
-# committed or not.
+# committed or not. Interrupted, it stops the running build or
+# benchmark too (scripts/children.sh).
 #
 #   make benchab PARENT=<ref> PKG=<pkg> BENCH=<regex> [PAIRS=10]
 #   scripts/benchab.sh <parent-ref> <pkg> <regex> [pairs]
@@ -22,11 +23,11 @@ pairs=${4:-10}
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+source "$root/scripts/children.sh"
 mkdir "$tmp/parent"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
-(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" "$pkg")
-(cd "$root" && go test -c -o "$tmp/change.test" "$pkg")
+run "$tmp/parent" go test -c -o "$tmp/parent.test" "$pkg"
+run "$root" go test -c -o "$tmp/change.test" "$pkg"
 
 for ((i = 1; i <= pairs; i++)); do
 	order="parent change"
@@ -36,15 +37,15 @@ for ((i = 1; i <= pairs; i++)); do
 		if [[ $side == parent ]]; then tree=$tmp/parent; fi
 		# A result line is "BenchmarkX/sub-P  N  v ns/op  [v unit]...";
 		# the -P GOMAXPROCS suffix is dropped so both sides' names match.
-		(cd "$tree/$pkg" && "$tmp/$side.test" -test.run '^$' -test.bench "$bench" -test.timeout 30m) |
-			awk -v side="$side" '/^Benchmark/ {
-				name = $1; sub(/-[0-9]+$/, "", name); v = ""
-				for (f = 3; f < NF; f++) {
-					if ($(f + 1) == "ns/row") v = $f
-					if ($(f + 1) == "ns/op" && v == "") v = $f
-				}
-				if (v != "") print side, name, v
-			}' | tee -a "$tmp/values.txt" | sed "s/^/pair $i /" >&2
+		run "$tree/$pkg" "$tmp/$side.test" -test.run '^$' -test.bench "$bench" -test.timeout 30m >"$tmp/bench.out"
+		awk -v side="$side" '/^Benchmark/ {
+			name = $1; sub(/-[0-9]+$/, "", name); v = ""
+			for (f = 3; f < NF; f++) {
+				if ($(f + 1) == "ns/row") v = $f
+				if ($(f + 1) == "ns/op" && v == "") v = $f
+			}
+			if (v != "") print side, name, v
+		}' "$tmp/bench.out" | tee -a "$tmp/values.txt" | sed "s/^/pair $i /" >&2
 	done
 done
 
