@@ -1242,8 +1242,11 @@ func mergeSpan(conds []spanCond, c spanCond) (_ []spanCond, never bool) {
 				continue
 			}
 			m.a, m.s1 = max(m.a, c.a), min(m.s1, c.s1)
+			if m.a >= m.s1 {
+				return nil, true
+			}
 			m.est = float64(m.s1-m.a) / float64(m.top+1)
-			return conds, m.a >= m.s1
+			return conds, false
 		}
 	}
 	return append(conds, c), false

@@ -1,13 +1,13 @@
+// fastspan.go is the fast plan's first filter stage: the most
+// selective span test over a chunk's contiguous rows, 64 rows at a time
+// into a bit mask, the mask expanded to the selection vector every later
+// stage reads. The mask never leaves the stage.
 package relop
 
 import (
 	"encoding/binary"
 	"math/bits"
 )
-
-// fastspan.go is the first filter stage: the most selective span test
-// over a chunk's contiguous rows, 64 rows at a time into a bit mask,
-// the mask expanded to the selection vector every later stage reads.
 
 // Lane constants of the word-at-a-time test: lanes8 and lanes16 put a 1
 // in every byte or 2-byte lane, so multiplying replicates a value into
@@ -120,10 +120,11 @@ func laneTest(x, k1, k2, top uint64) uint64 {
 }
 
 // spanBits is the span test row by row, bit j of the mask for v[j]
-// (0 < len(v) ≤ 64): a ≤ x − base < s1 exactly when x − lo, wrapping,
-// is below w, with lo = base + a and w = s1 − a (both below 2⁶²), so
-// each row costs one subtraction's borrow and no flag-setting compare.
-// flip negates the mask.
+// (0 < len(v) ≤ 64). With lo = base + a and w = s1 − a, x − lo wraps to
+// d − a for the rebased d = x − base: below w exactly when a ≤ d < s1,
+// and at least 2⁶⁴ − 2⁶² when d < a. So each row costs one
+// subtraction's borrow and no flag-setting compare. flip negates the
+// mask.
 func spanBits[T hostInt](v []T, lo, w, flip uint64) uint64 {
 	var m uint64
 	for j := len(v) - 1; j >= 0; j-- {
