@@ -228,3 +228,27 @@ func BenchmarkHierarchy(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(seqBytes>>lineShift+2*randOps)), "ns/line")
 }
+
+// BenchmarkHierarchyL3Probe times the path that dominates a measured
+// hash join's probes: a random 8-byte load that misses the quick
+// Broadwell machine's L1D and L2 and hits L3, with all four
+// prefetchers on. The 2 MiB region is larger than the simulated L2
+// (32 KiB) and smaller than L3 (4.375 MiB), and its lines sit below
+// 2³² like every address probe.AddrSpace hands out. One op is one load;
+// its offset is the top 21 bits of an LCG step.
+func BenchmarkHierarchyL3Probe(b *testing.B) {
+	const base, regionBits = 1 << 30, 21
+	h := newTestHierarchy(AllPrefetchers())
+	h.Load(base, 1<<regionBits)
+	h.ResetStats()
+	x := uint64(12345)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		h.Load(base+x>>(64-regionBits)&^7, 8)
+	}
+	b.StopTimer()
+	if s := h.Stats; s.L3Hits < s.Loads*3/4 {
+		b.Fatalf("%d of %d loads hit L3; the benchmark no longer times the L3 probe", s.L3Hits, s.Loads)
+	}
+}
