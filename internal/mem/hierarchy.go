@@ -120,7 +120,30 @@ type Hierarchy struct {
 	classifier streamDetector
 	l2Stream   streamDetector // drives the L2 streamer
 
+	// l1Win holds lines the L1 streamer knows are in L1D, for which
+	// prefetchInto would do nothing. fill drops it when L1D evicts one.
+	l1Win lineRange
+
 	Stats Stats
+}
+
+// lineRange is the half-open line interval [lo, end); it is empty when
+// lo >= end, as the zero value is.
+type lineRange struct{ lo, end uint64 }
+
+func (r lineRange) holds(line uint64) bool { return r.lo <= line && line < r.end }
+
+// add extends the range by line when line borders it, else makes the
+// range line alone.
+func (r *lineRange) add(line uint64) {
+	switch {
+	case line+1 == r.lo:
+		r.lo = line
+	case line == r.end:
+		r.end = line + 1
+	default:
+		*r = lineRange{line, line + 1}
+	}
 }
 
 // NewHierarchy builds the hierarchy for a machine with the given
@@ -139,6 +162,7 @@ func (h *Hierarchy) Reset() {
 	}
 	h.l2Stream.reset()
 	h.classifier.reset()
+	h.l1Win = lineRange{}
 	h.Stats = Stats{}
 }
 
@@ -243,7 +267,13 @@ func (h *Hierarchy) countHit(level int, class PfClass) {
 // 1 % of write-backs, and counting it would move every figure.
 func (h *Hierarchy) fill(level int, line uint64, class PfClass, dirty bool) {
 	ev, evDirty, ok := h.levels[level].Insert(line, class, dirty)
-	if !ok || !evDirty {
+	if !ok {
+		return
+	}
+	if level == 0 && h.l1Win.holds(ev) {
+		h.l1Win = lineRange{}
+	}
+	if !evDirty {
 		return
 	}
 	if level == len(h.levels)-1 {
@@ -289,10 +319,19 @@ func (h *Hierarchy) runL1Prefetchers(line uint64, missed bool, depth int, dir in
 		h.Stats.PfIssuedL1NL++
 		h.prefetchInto(0, line+1, PfStream)
 	}
-	if h.Config.L1Streamer {
+	if h.Config.L1Streamer && depth > 0 {
+		// A steady stream asks again for most of the lines the previous
+		// access issued. Keep the part of the memo inside this window,
+		// skip the lines it holds and add each line prefetched.
+		h.Stats.PfIssuedL1St += uint64(depth)
+		first, last := uint64(int64(line)+dir), uint64(int64(line)+dir*int64(depth))
+		w := &h.l1Win
+		w.lo, w.end = max(w.lo, min(first, last)), min(w.end, max(first, last)+1)
 		for d := 1; d <= depth; d++ {
-			h.Stats.PfIssuedL1St++
-			h.prefetchInto(0, uint64(int64(line)+dir*int64(d)), PfStream)
+			if l := uint64(int64(line) + dir*int64(d)); !w.holds(l) {
+				h.prefetchInto(0, l, PfStream)
+				w.add(l)
+			}
 		}
 	}
 }

@@ -205,6 +205,138 @@ func TestPrefetchIntoNonInclusive(t *testing.T) {
 	}
 }
 
+// FuzzHierarchy runs a trace decoded from the input on the production
+// hierarchy and on the tick-LRU oracle in reference_test.go, for each
+// Figure 26 prefetcher configuration on both machines at the quick
+// scale (1/8) and at 1/4096, where L1D has one set, L2 one or two and
+// L3 five or seven. After every operation every Stats counter must
+// match, and so must each level's residency of the lines the operation
+// touched and of the 16 lines on either side of its last one, which
+// the prefetchers reach.
+//
+// Each operation takes three bytes: an opcode and two arguments. It
+// runs ascending and descending runs with strides of one to five
+// lines, runs across a page boundary, random lines over a few regions
+// (near line 0, where descending prefetch windows wrap, near 2³², the
+// set-index division's edge, and above it), stores, independent loads,
+// multi-line loads, and ResetStats and Reset. Lines stay between 64
+// and 2⁴⁰: the oracle's invalid tag is line 2⁶⁴ − 1, which it counts
+// as resident in every empty way, and a prefetch window reaches it only
+// from below line 16.
+func FuzzHierarchy(f *testing.F) {
+	machines := []*hw.Machine{
+		hw.Broadwell().Scaled(8), hw.Skylake().Scaled(8),
+		hw.Broadwell().Scaled(1 << 12), hw.Skylake().Scaled(1 << 12),
+	}
+	f.Fuzz(func(t *testing.T, trace []byte) {
+		if len(trace) > 3*256 {
+			trace = trace[:3*256]
+		}
+		for _, m := range machines {
+			for _, cfg := range Figure26Configs() {
+				compareTrace(t, m, cfg, trace)
+			}
+		}
+	})
+}
+
+// fuzzRegions are the first lines of the regions FuzzHierarchy's trace
+// jumps to.
+var fuzzRegions = [4]uint64{linesPerPage, 1 << 20, 1<<32 - 96, 1 << 34}
+
+// fuzzLine folds a trace line into [64, 2⁴⁰).
+func fuzzLine(line uint64) uint64 {
+	const lo, hi = linesPerPage, 1 << 40
+	return lo + (line-lo)%(hi-lo)
+}
+
+func compareTrace(t *testing.T, m *hw.Machine, cfg PrefetcherConfig, trace []byte) {
+	h, ref := NewHierarchy(m, cfg), newRefHierarchy(m, cfg)
+	var touched []uint64
+	cur := fuzzRegions[1]
+	load := func(line uint64, kind byte) {
+		line = fuzzLine(line)
+		addr := line << lineShift
+		touched = append(touched, line)
+		switch kind % 3 {
+		case 0:
+			h.Load(addr, 8)
+			ref.Load(addr, 8)
+		case 1:
+			h.Store(addr, 8)
+			ref.Store(addr, 8)
+		default:
+			h.LoadIndep(addr, 8)
+			ref.LoadIndep(addr, 8)
+		}
+	}
+	for op := 0; op+3 <= len(trace); op += 3 {
+		code, a, b := trace[op], trace[op+1], trace[op+2]
+		cur = fuzzLine(cur)
+		touched = touched[:0]
+		switch code % 8 {
+		case 0, 1: // a run of 1 to 64 loads or stores, ascending or descending
+			stride := uint64(1 + b%5)
+			for range 1 + a%64 {
+				load(cur, b/5)
+				if code%8 == 0 {
+					cur += stride
+				} else {
+					cur -= stride
+				}
+			}
+		case 2: // a jump into a region
+			cur = fuzzRegions[a%4] + uint64(b)*41
+		case 3: // a random load, store or independent load near the cursor
+			load(cur+uint64(a)*131+uint64(b), code/8)
+		case 4: // a run that crosses a page boundary
+			cur = (cur/linesPerPage+1)*linesPerPage - uint64(1+a%4)
+			for range 2 + b%8 {
+				load(cur, code/8)
+				cur++
+			}
+		case 5: // a load or store spanning several lines
+			addr, size := cur<<lineShift+uint64(a), 1+uint64(b)*8
+			for l := addr >> lineShift; l <= (addr+size-1)>>lineShift; l++ {
+				touched = append(touched, l)
+			}
+			if code&8 == 0 {
+				h.Load(addr, size)
+				ref.Load(addr, size)
+			} else {
+				h.Store(addr, size)
+				ref.Store(addr, size)
+			}
+		case 6:
+			h.ResetStats()
+			ref.ResetStats()
+		case 7:
+			if a%4 == 0 {
+				h.Reset()
+				ref.Reset()
+			}
+		}
+		if h.Stats != ref.Stats {
+			t.Fatalf("%s, %v: stats differ after op %d (%d %d %d)\n got %+v\nwant %+v",
+				m.Name, cfg, op/3, code, a, b, h.Stats, ref.Stats)
+		}
+		if len(touched) > 0 {
+			last := touched[len(touched)-1]
+			for d := uint64(0); d <= 32; d++ {
+				touched = append(touched, last-16+d)
+			}
+		}
+		for _, l := range touched {
+			for i, c := range h.levels {
+				if got, want := c.Contains(l), ref.levels[i].Contains(l); got != want {
+					t.Fatalf("%s, %v: after op %d (%d %d %d) L%d holds line %#x = %v, want %v",
+						m.Name, cfg, op/3, code, a, b, i+1, l, got, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkHierarchy times the demand path and the prefetchers on the
 // quick Broadwell machine with all four prefetchers on. One op is a
 // 16 KiB stretch of a sequential stream, 64 random loads and 64 random

@@ -67,18 +67,20 @@ func Figure26Configs() []PrefetcherConfig {
 // streamEntry tracks one in-flight access stream within a 4 KiB page,
 // the granularity at which Intel's stream prefetchers operate.
 type streamEntry struct {
-	page      uint64
 	lastLine  uint64
 	direction int64 // +1 ascending, -1 descending, 0 unknown
 	conf      int8  // confidence counter; prefetch fires at >= 2
-	valid     bool
 }
 
 // streamDetector is a small fully-associative table of recent streams,
 // shared by the L1 and L2 streamer models.
 type streamDetector struct {
+	// keys holds each entry's page + 1, 0 for an empty entry, apart
+	// from the entries so the scan reads 128 contiguous bytes.
+	keys    [16]uint64
 	entries [16]streamEntry
 	next    int
+	last    int // the entry of the last match or allocation, checked first
 }
 
 // linesPerPage for 4 KiB pages and 64 B lines.
@@ -88,51 +90,65 @@ const linesPerPage = 64
 // (depth>0) when a stream is confirmed, where depth is how many lines
 // ahead the prefetcher should run, and dir is the stream direction.
 func (d *streamDetector) observe(line uint64, maxDepth int) (depth int, dir int64) {
-	page := line / linesPerPage
-	for i := range d.entries {
-		e := &d.entries[i]
-		if !e.valid || e.page != page {
-			continue
+	key := line/linesPerPage + 1
+	e := &d.entries[d.last]
+	if d.keys[d.last] != key {
+		if e = d.find(key); e == nil {
+			// New page: allocate round-robin.
+			d.keys[d.next], d.entries[d.next] = key, streamEntry{lastLine: line}
+			d.last = d.next
+			d.next = (d.next + 1) % len(d.entries)
+			return 0, 0
 		}
-		step := int64(line) - int64(e.lastLine)
-		if step == 0 {
-			return 0, 0 // same line again; no new information
-		}
-		sign := int64(1)
-		if step < 0 {
-			sign = -1
-		}
-		// Intel stream prefetchers track monotonic access within a
-		// page and tolerate small strides (sparse ascending scans such
-		// as a 10 %-selective filter's candidate loads still train
-		// them; they simply overfetch the skipped lines).
-		if step*sign <= 4 { // monotonic, stride <= 4 lines
-			if e.direction == sign {
-				if e.conf < 8 {
-					e.conf++
-				}
-			} else {
-				e.direction = sign
-				e.conf = 1
+	}
+	step := int64(line) - int64(e.lastLine)
+	if step == 0 {
+		return 0, 0 // same line again; no new information
+	}
+	sign := int64(1)
+	if step < 0 {
+		sign = -1
+	}
+	// Intel stream prefetchers track monotonic access within a
+	// page and tolerate small strides (sparse ascending scans such
+	// as a 10 %-selective filter's candidate loads still train
+	// them; they simply overfetch the skipped lines).
+	if step*sign <= 4 { // monotonic, stride <= 4 lines
+		if e.direction == sign {
+			if e.conf < 8 {
+				e.conf++
 			}
 		} else {
-			e.conf = 0
 			e.direction = sign
+			e.conf = 1
 		}
-		e.lastLine = line
-		if e.conf >= 2 {
-			depth = int(e.conf) * 2
-			if depth > maxDepth {
-				depth = maxDepth
-			}
-			return depth, e.direction
-		}
-		return 0, 0
+	} else {
+		e.conf = 0
+		e.direction = sign
 	}
-	// New page: allocate round-robin.
-	d.entries[d.next] = streamEntry{page: page, lastLine: line, valid: true}
-	d.next = (d.next + 1) % len(d.entries)
+	e.lastLine = line
+	if e.conf >= 2 {
+		depth = int(e.conf) * 2
+		if depth > maxDepth {
+			depth = maxDepth
+		}
+		return depth, e.direction
+	}
 	return 0, 0
+}
+
+// find returns the entry whose key is key, or nil, and makes it the
+// last match. observe allocates an entry only for a page no entry
+// tracks, so a page has at most one: the last match, when it tracks
+// the page, is the entry this scan would return.
+func (d *streamDetector) find(key uint64) *streamEntry {
+	for i, k := range d.keys {
+		if k == key {
+			d.last = i
+			return &d.entries[i]
+		}
+	}
+	return nil
 }
 
 func (d *streamDetector) reset() {

@@ -8,7 +8,9 @@
 set -euo pipefail
 
 pkg=${1:-./internal/engine/relop}
-cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+# The script sits in scripts/ at the repository root, so its parent is
+# the root in a git checkout and in a `git archive` export alike.
+cd "$(dirname "$0")/.."
 go build -gcflags=-d=ssa/check_bce/debug=1 "$pkg" 2>&1 |
 	awk -F: '/Found Is/ { hit[$1 ":" $2]++; files[$1] = 1; total++ }
 	END {
