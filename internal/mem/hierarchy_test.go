@@ -250,6 +250,8 @@ func fuzzLine(line uint64) uint64 {
 	return lo + (line-lo)%(hi-lo)
 }
 
+// compareTrace decodes trace into operations (see FuzzHierarchy) and
+// runs them on a production and an oracle hierarchy of machine m.
 func compareTrace(t *testing.T, m *hw.Machine, cfg PrefetcherConfig, trace []byte) {
 	h, ref := NewHierarchy(m, cfg), newRefHierarchy(m, cfg)
 	var touched []uint64
