@@ -21,8 +21,7 @@ var (
 //
 //	go test -run '^$' -bench FastShape -count 7 ./internal/engine/relop
 func BenchmarkFastShape(b *testing.B) {
-	shapeOnce.Do(func() { shapeData = tpch.Generate(0.25) })
-	for _, sh := range []struct{ name, sql string }{
+	benchFast(b, []benchStmt{
 		{"q6", "select sum(l_extendedprice * l_discount / 100) from lineitem " +
 			"where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01' " +
 			"and l_discount between 5 and 7 and l_quantity < 24"},
@@ -37,7 +36,35 @@ func BenchmarkFastShape(b *testing.B) {
 			"and l_discount between 3 and 5 and l_quantity < 30"},
 		{"adhoc_ord_range", "select sum(o_totalprice) from orders " +
 			"where o_orderdate >= date '1994-06-01' and o_orderdate < date '1994-12-01'"},
-	} {
+	})
+}
+
+// BenchmarkFastJoin times one single-threaded execution of each
+// fast_join statement at SF 0.25 and reports it per row of the driver
+// table (lineitem for join2 and q3, orders for join_oc):
+//
+//	go test -run '^$' -bench FastJoin -count 7 ./internal/engine/relop
+func BenchmarkFastJoin(b *testing.B) {
+	benchFast(b, []benchStmt{
+		{"join2", "select count(*), sum(o_totalprice) from lineitem join orders on l_orderkey = o_orderkey " +
+			"where l_shipdate > date '1995-03-15' and o_orderdate < date '1995-03-15'"},
+		{"join_oc", "select c_nationkey, count(*), sum(o_totalprice) from orders join customer on o_custkey = c_custkey " +
+			"where c_mktsegment = 1 group by c_nationkey"},
+		{"q3", "select l_orderkey, sum(l_extendedprice * (100 - l_discount) / 100) as revenue, o_orderdate, o_shippriority " +
+			"from lineitem join orders on l_orderkey = o_orderkey join customer on o_custkey = c_custkey " +
+			"where c_mktsegment = 1 and o_orderdate < date '1995-03-15' and l_shipdate > date '1995-03-15' " +
+			"group by l_orderkey, o_orderdate, o_shippriority order by revenue desc, o_orderdate limit 10"},
+	})
+}
+
+// benchStmt is one timed statement: its sub-benchmark name and text.
+type benchStmt struct{ name, sql string }
+
+// benchFast compiles each statement over the shared SF 0.25 data and
+// times its single-threaded pooled execution, in ns per driver row.
+func benchFast(b *testing.B, stmts []benchStmt) {
+	shapeOnce.Do(func() { shapeData = tpch.Generate(0.25) })
+	for _, sh := range stmts {
 		stmt, err := sql.Parse(sh.sql)
 		if err != nil {
 			b.Fatal(err)
