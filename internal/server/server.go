@@ -857,7 +857,7 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, slots chan stru
 				}
 				defer func() { <-slots }()
 			}
-			if t.ctx.Err() != nil || panicked.Load() != nil {
+			if scanErr(t.ctx) != nil || panicked.Load() != nil {
 				return false
 			}
 			t0 := time.Now() //olap:allow wallclock real busy-time telemetry, not simulated cost
@@ -884,7 +884,22 @@ func (s *Server) runScan(t *Ticket, text string, root *obs.Span, slots chan stru
 	}
 	exec.End()
 	s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
-	return t.ctx.Err()
+	return scanErr(t.ctx)
+}
+
+// scanErr is a scan's verdict on its query's context: the context's
+// error, or DeadlineExceeded once the deadline has passed. A deadline
+// cancels its context from a timer callback, which a loaded host can
+// run after the scan has already read Err as nil, so the scan compares
+// the deadline with the clock itself.
+func scanErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) { //olap:allow wallclock a query deadline is real time, not simulated cost
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // injectedSlowMorselDelay is the stall the slow-morsel fault injects —
