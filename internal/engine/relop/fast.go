@@ -81,8 +81,7 @@ type FastPlan struct {
 	// plans' buffers counted as live heap, which doubles the GC's target.
 	ran atomic.Bool
 	// codes direct-codes the groups when every group key is a bare
-	// driver column with a small proven range (fastgroup.go); nil plans
-	// hash.
+	// column with a small proven range (fastgroup.go); nil plans hash.
 	codes *codeGroups
 	// foldRuns is set for a scalar plan with no filter and no join: its
 	// chunks fold contiguous rows with no selection vector (foldRun).
@@ -432,7 +431,7 @@ func (w *fastWorker) foldRun(lo, hi int) {
 func (w *fastWorker) foldGroups(sel []int32) {
 	slots := w.slots[:len(sel)]
 	if g := w.p.codes; g != nil {
-		g.codeSlots(sel, slots)
+		g.codeSlots(w.rv, sel, slots)
 		countCodes(w.cnt, slots)
 		w.foldGroupAggs(sel, slots, w.acc)
 		return
@@ -652,6 +651,7 @@ type hostCol[T hostInt] []T
 type intCol interface {
 	load() vecKernel
 	gatherVia(t int) vecKernel
+	probeUnique(x *joinIndex, rows, bout, pos []int32) int
 	fused(y intCol, quot bool, c [4]int64, m uint64) vecKernel
 	firstSpan(c spanCond) rangeSelKernel
 	gatherSpan(c spanCond) selKernel

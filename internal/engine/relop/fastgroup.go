@@ -1,7 +1,7 @@
 // fastgroup.go is the fast plan's direct-coded grouping. When every
-// group key is a bare driver column whose proven range is small, a
-// row's group is a number computed from its key values — no hashing,
-// no probing, no key compare:
+// group key is a bare column whose proven range is small, a row's
+// group is a number computed from its key values — no hashing, no
+// probing, no key compare:
 //
 //	code = Σ (kᵢ − minᵢ)·strideᵢ,   strideᵢ = Π_{j<i} spanⱼ
 //
@@ -13,7 +13,10 @@
 // folds column-at-a-time. Kernels are total (x/0 = 0, arithmetic
 // wraps), so evaluating a rejected row is harmless; its value lands in
 // the discard slot, which no output reads. Any other filter, and any
-// join, resolves codes through the selection vector instead.
+// join, resolves codes through the selection vector instead. A key may
+// then be a bare column of any pipeline table: a joined table's key
+// reads the row its table's row vector names for each tuple, so
+// join_oc's c_nationkey codes like a driver column.
 //
 // Workers' code tables merge element-wise into one Partial, so
 // FinalizeProbed receives a single partial and skips its merge map.
@@ -40,6 +43,7 @@ const (
 // codeKey is one key column of a direct-coded grouping.
 type codeKey struct {
 	v      intCol
+	tab    int    // the column's pipeline table
 	base   uint64 // uint64(min): the rebasing offset
 	span   int64  // max − min + 1
 	stride int32  // slot stride, lanes included
@@ -61,17 +65,18 @@ type codeGroups struct {
 }
 
 // codeGroups returns the direct-coded form of the pipeline's grouping,
-// or nil when a key is not a bare driver column or the spans' product
-// leaves no room for the discard code in codeSpace.
+// or nil when a key is not a bare column or the spans' product leaves
+// no room for the discard code in codeSpace. A joined table's key
+// codes over its whole column's range, filtered rows included.
 func (fc *fastCompiler) codeGroups() *codeGroups {
 	g := &codeGroups{}
 	product := uint64(1)
 	for _, e := range fc.pl.GroupBy {
-		if e.Op != OpCol || e.Tab != 0 {
+		if e.Op != OpCol {
 			return nil
 		}
-		x := fc.expr(e).x
-		mn, mx, ok := fc.colRange(x)
+		c := fc.b.Tables[e.Tab][e.Col].V
+		mn, mx, ok := c.Extremes()
 		if !ok {
 			return nil // an empty column has no range to code
 		}
@@ -80,7 +85,7 @@ func (fc *fastCompiler) codeGroups() *codeGroups {
 		if span >= codeSpace {
 			return nil
 		}
-		g.keys = append(g.keys, codeKey{v: x.v, base: uint64(mn),
+		g.keys = append(g.keys, codeKey{v: bareCol(c), tab: e.Tab, base: uint64(mn),
 			span: int64(span + 1), stride: int32(product)})
 		product *= span + 1 // both factors < 2^17: no overflow
 		if product >= codeSpace {
@@ -215,13 +220,19 @@ func (w *fastWorker) foldCoded(codes []int32, lo, hi int) {
 }
 
 // codeSlots resolves selected rows to code slots by gathering the key
-// columns; no row is rejected here, so no slot is a discard slot.
-func (g *codeGroups) codeSlots(sel, slots []int32) {
+// columns: a driver key through sel, a joined table's key through that
+// table's row vector rv[tab]. No row is rejected here, so no slot is a
+// discard slot.
+func (g *codeGroups) codeSlots(rv [][]int32, sel, slots []int32) {
 	for i := range slots {
 		slots[i] = int32(i) & g.lanes
 	}
 	for _, k := range g.keys {
-		k.v.gatherCodes(slots, sel, k)
+		rows := sel
+		if k.tab != 0 {
+			rows = rv[k.tab][:len(sel)]
+		}
+		k.v.gatherCodes(slots, rows, k)
 	}
 }
 

@@ -15,16 +15,21 @@ import (
 // gathers through its table's vector (hostCol.gatherVia), and the
 // grouping and fold kernels run unchanged on the result.
 //
-// An index is an immutable CSR: slot s owns the build rows
-// rows[start[s]:start[s+1]], so duplicate keys are runs and a 1:N join
-// emits every match. Where the indexed keys span at most denseSpan
-// values per indexed row, the slot is key − lo: a probe is two loads and
-// a bounds test, keys probed in order (a fact table stored in its
-// parent's key order, like lineitem under orders) read the index in
-// order, and a unique-key side emits without a branch. Otherwise slots
-// are join.Hash buckets, a power of two at least the row count, and each
-// entry keeps its key for the compare. Bytes per indexed build row:
-// 4 + 4·span/n, at most 68, direct; 12 + 4·buckets/n, 16 to 20, hashed.
+// An index takes one of three forms. Where the indexed keys span at
+// most denseSpan values per indexed row, the slot is key − lo, and
+// keys probed in order (a fact table stored in its parent's key order,
+// like lineitem under orders) read the index in order:
+//   - unique direct, when no two rows share a key: at[s] is slot s's
+//     build row + 1, 0 for none, and at[slots] = 0 is a sentinel that
+//     every key outside the span clamps to, so a probe is one load and
+//     no branch. 4·span/n bytes per indexed row, at most 64.
+//   - CSR direct: slot s owns the build rows rows[start[s]:start[s+1]],
+//     so duplicate keys are runs and a 1:N join emits every match.
+//     4 + 4·span/n bytes per indexed row, at most 68.
+//   - hashed, any wider key set: slots are join.Hash buckets, a power of
+//     two at least the row count, over the same CSR, and each entry
+//     keeps its key for the compare. 12 + 4·buckets/n bytes per indexed
+//     row, 16 to 20.
 
 // denseSpan bounds a direct index's key span per indexed row. TPC-H
 // order keys use 8 of every 32 values, so orders filtered to a half
@@ -35,11 +40,11 @@ const denseSpan = 16
 // joinIndex is one build side's index (see the file comment).
 type joinIndex struct {
 	hashed bool
-	unique bool   // direct, and no run holds more than one row
-	lo     int64  // direct: the smallest indexed key
-	slots  uint64 // direct: the key span; hashed: the bucket count
-	start  []int32
-	rows   []int32
+	lo     int64   // direct: the smallest indexed key
+	slots  uint64  // direct: the key span; hashed: the bucket count
+	at     []int32 // unique direct: slot → build row + 1
+	start  []int32 // CSR
+	rows   []int32 // CSR
 	keys   []int64 // hashed: each entry's key
 }
 
@@ -71,6 +76,9 @@ func newJoinIndex(ids []int32, keys []int64) *joinIndex {
 			x.keys = make([]int64, n)
 		}
 	}
+	if !x.hashed && x.fillAt(ids, keys) {
+		return x
+	}
 	x.start = make([]int32, x.slots+1)
 	for _, k := range keys {
 		s, _ := x.slot(k)
@@ -79,14 +87,8 @@ func newJoinIndex(ids []int32, keys []int64) *joinIndex {
 	for s := uint64(1); s <= x.slots; s++ {
 		x.start[s] += x.start[s-1]
 	}
-	x.unique = !x.hashed
-	for s := uint64(0); s < x.slots && x.unique; s++ {
-		x.unique = x.start[s+1]-x.start[s] <= 1
-	}
 	next := append([]int32(nil), x.start[:x.slots]...)
-	// One row past the entries: the branch-free emit of a unique index
-	// reads rows[0] for a miss, even when nothing is indexed.
-	x.rows = make([]int32, n+1)
+	x.rows = make([]int32, n)
 	for i, k := range keys {
 		s, _ := x.slot(k)
 		e := next[s]
@@ -99,13 +101,34 @@ func newJoinIndex(ids []int32, keys []int64) *joinIndex {
 	return x
 }
 
+// fillAt makes a direct index unique when no two of its keys are
+// equal, and reports whether it did. Row ids are below MaxInt32 (the
+// fast plan refuses larger tables), so row + 1 fits.
+func (x *joinIndex) fillAt(ids []int32, keys []int64) bool {
+	at := make([]int32, x.slots+1) // at[slots] stays 0: the sentinel
+	for i, k := range keys {
+		s := uint64(k) - uint64(x.lo)
+		if at[s] != 0 {
+			return false
+		}
+		at[s] = ids[i] + 1
+	}
+	x.at = at
+	return true
+}
+
 // fastJoin is one compiled join: the probe-key kernel over the tuples
-// built so far, the tables those tuples carry, and the build index.
+// built so far, the tables those tuples carry, and the build index. A
+// probe key that is a bare column of a pipeline table is also kept as
+// that column (col, of table keyTab), which a unique index's probe
+// reads in its own pass.
 type fastJoin struct {
-	build int
-	carry []int
-	key   vecKernel
-	idx   *joinIndex
+	build  int
+	carry  []int
+	key    vecKernel
+	col    intCol
+	keyTab int
+	idx    *joinIndex
 }
 
 // join compiles join ji of the driver compiler's pipeline: the probe
@@ -117,6 +140,9 @@ type fastJoin struct {
 func (fc *fastCompiler) join(ji int) fastJoin {
 	j := fc.pl.Joins[ji]
 	fj := fastJoin{build: j.Build, carry: []int{0}, key: fc.kernel(fc.expr(j.ProbeKey))}
+	if e := j.ProbeKey; e.Op == OpCol {
+		fj.col, fj.keyTab = bareCol(fc.b.Tables[e.Tab][e.Col].V), e.Tab
+	}
 	for _, prev := range fc.pl.Joins[:ji] {
 		fj.carry = append(fj.carry, prev.Build)
 	}
@@ -185,6 +211,31 @@ func (w *fastWorker) probe(ji, n int) {
 	}
 	j := &p.joins[ji]
 	x := j.idx
+	out := w.lv[ji+1].rv
+	if x.at != nil {
+		// Emit a row id for every tuple and let the hit advance the
+		// cursor, so a miss costs no branch; then carry the matched
+		// tuples' row ids table by table. At most n ≤ fastChunk tuples
+		// survive, so nothing flushes early.
+		var m int
+		if j.col != nil {
+			m = j.col.probeUnique(x, in.rv[j.keyTab][:n], out[j.build], in.pos)
+		} else {
+			keys := in.keys[:n]
+			j.key(w, in.rv[0][:n], 0, keys)
+			m = x.probeKeys(keys, out[j.build], in.pos)
+		}
+		for _, t := range j.carry {
+			src, dst := in.rv[t], out[t]
+			for k, i := range in.pos[:m] {
+				dst[k] = src[i]
+			}
+		}
+		if m > 0 {
+			w.probe(ji+1, m)
+		}
+		return
+	}
 	keys, lo, hi := in.keys[:n], in.lo[:n], in.hi[:n]
 	j.key(w, in.rv[0][:n], 0, keys)
 	// Resolve every run before emitting any: the index loads are
@@ -195,30 +246,7 @@ func (w *fastWorker) probe(ji, n int) {
 			lo[i], hi[i] = x.start[s], x.start[s+1]
 		}
 	}
-	out := w.lv[ji+1].rv
 	m := 0
-	if x.unique {
-		// Every run holds at most one row: emit a row id for every tuple
-		// and let the run length advance the cursor, so a miss costs no
-		// branch; then carry the matched tuples' row ids table by table.
-		// At most n ≤ fastChunk tuples survive, so nothing flushes early.
-		rows, bout, pos := x.rows, out[j.build], in.pos
-		for i := range keys {
-			bout[m] = rows[lo[i]]
-			pos[m] = int32(i)
-			m += int(hi[i] - lo[i])
-		}
-		for _, t := range j.carry {
-			src, dst := in.rv[t], out[t]
-			for k, i := range pos[:m] {
-				dst[k] = src[i]
-			}
-		}
-		if m > 0 {
-			w.probe(ji+1, m)
-		}
-		return
-	}
 	for i := range keys {
 		for e := lo[i]; e < hi[i]; e++ {
 			if x.hashed && x.keys[e] != keys[i] {
@@ -237,6 +265,34 @@ func (w *fastWorker) probe(ji, n int) {
 	if m > 0 {
 		w.probe(ji+1, m)
 	}
+}
+
+// probeUnique looks up the key v[r] of every listed row r in a unique
+// index: tuple i's match, or −1, lands at bout[m] beside pos[m] = i,
+// and m advances only on a hit. A key outside the span — below lo, the
+// unsigned difference wraps past it — clamps to the sentinel slot.
+// It returns the number of hits.
+func (v hostCol[T]) probeUnique(x *joinIndex, rows, bout, pos []int32) int {
+	at, lo, last := x.at, uint64(x.lo), x.slots
+	m := 0
+	for i, r := range rows {
+		e := at[min(uint64(v[r])-lo, last)]
+		bout[m], pos[m] = e-1, int32(i)
+		m += int(uint32(-e) >> 31) // e ≥ 0: the sign of −e is e ≠ 0
+	}
+	return m
+}
+
+// probeKeys is probeUnique over evaluated keys.
+func (x *joinIndex) probeKeys(keys []int64, bout, pos []int32) int {
+	at, lo, last := x.at, uint64(x.lo), x.slots
+	m := 0
+	for i, k := range keys {
+		e := at[min(uint64(k)-lo, last)]
+		bout[m], pos[m] = e-1, int32(i)
+		m += int(uint32(-e) >> 31)
+	}
+	return m
 }
 
 // gatherVia reads a joined table's column through that table's row

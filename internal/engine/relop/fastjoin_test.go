@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -120,7 +121,7 @@ func TestFastPlanJoinsMatchNaive(t *testing.T) {
 	cases := []struct {
 		name   string
 		tables []string
-		form   string // join 0's index form, where the case pins it
+		form   string // join 0's index form (joinIndex.form), where the case pins it
 		pl     *Pipeline
 	}{
 		{name: "1:N build side", tables: []string{"l", "ps"}, form: "direct", pl: &Pipeline{
@@ -143,7 +144,7 @@ func TestFastPlanJoinsMatchNaive(t *testing.T) {
 			Joins: []Join{{Build: 1, BuildKey: col(1, 0), ProbeKey: Bin(OpMul, Bin(OpMul, col(0, 0), col(0, 0)), col(0, 0))}},
 			Aggs:  []Agg{{Kind: AggCount}, {Kind: AggSum, Arg: col(1, 1)}, {Kind: AggMax, Arg: col(0, 2)}},
 		}},
-		{name: "grouping and aggregates over build columns", tables: []string{"l", "o"}, form: "direct", pl: &Pipeline{
+		{name: "grouping and aggregates over build columns", tables: []string{"l", "o"}, form: "unique", pl: &Pipeline{
 			Joins:   []Join{{Build: 1, BuildKey: col(1, 0), ProbeKey: col(0, 0)}},
 			GroupBy: []*Expr{col(1, 3)},
 			Aggs: []Agg{{Kind: AggMin, Arg: col(1, 2)}, {Kind: AggMax, Arg: col(1, 2)},
@@ -177,8 +178,8 @@ func TestFastPlanJoinsMatchNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.form != "" && p.joins[0].idx.hashed != (tc.form == "hashed") {
-				t.Errorf("join 0 index hashed = %v, want %s", p.joins[0].idx.hashed, tc.form)
+			if got := p.joins[0].idx.form(); tc.form != "" && got != tc.form {
+				t.Errorf("join 0 index is %s, want %s", got, tc.form)
 			}
 			want := naiveResult(tc.pl, b)
 			for _, threads := range []int{1, 2, 5} {
@@ -234,7 +235,7 @@ func TestFastJoinBuildsOnce(t *testing.T) {
 	if p.joins[0].idx != idx {
 		t.Fatal("an execution replaced the plan's build index")
 	}
-	indexBytes := 4*len(idx.start) + 4*len(idx.rows) + 8*len(idx.keys)
+	indexBytes := idx.bytes()
 	if per := int(after.TotalAlloc-before.TotalAlloc) / runs; per*10 > indexBytes {
 		t.Errorf("each execution allocates %d bytes, more than a tenth of the %d-byte index: it is rebuilding", per, indexBytes)
 	}
@@ -274,30 +275,64 @@ func TestFastJoinConcurrentExecute(t *testing.T) {
 // ones, int64 extremes, negative ranges, and dense ranges at either end
 // of int64 — shape the table count, chain, grouping and output
 // operators (bit 5 adds q3's revenue, v·(100 − f)/100 over the driver,
-// evaluated on the gathered rows the join emits), exprs which keys and
-// build filters are computed, and widths the columns' host widths.
+// evaluated on the gathered rows the join emits; bit 6 keeps one row
+// per build key, so direct indexes are unique, and points driver rows
+// at each build side's edges; bit 7 adds a group key that is a bare
+// column of a build table), exprs which keys and build filters are
+// computed, and widths the columns' host widths. Inputs with shape
+// bits 6 and 7 clear decode as they did before those bits existed.
 func FuzzFastJoin(f *testing.F) {
 	for _, s := range []struct {
 		seed                       int64
 		shape, keys, exprs, widths uint8
 	}{
 		{1, 0, 0, 0, 0}, {2, 1, 1, 0x1f, 0}, {3, 7, 2, 0xff, 0}, {4, 27, 3, 0x5a, 0}, {5, 9, 4, 0x21, 0}, {6, 19, 5, 0x96, 0},
+		// Unique build sides probed at their edges, at every key width;
+		// then an empty and a one-row build side at every key width.
+		{1, 64, 0, 0, 0}, {1, 64, 0, 0, 1}, {31, 64, 0, 0, 2}, {31, 64, 0, 0, 3},
+		{66, 64, 0, 0, 0}, {66, 64, 0, 0, 1}, {66, 64, 0, 0, 2}, {66, 64, 0, 0, 3},
+		{8, 64, 0, 0, 0}, {8, 64, 0, 0, 1}, {8, 64, 0, 0, 2}, {8, 64, 0, 0, 3},
+		// Unique chains whose keys sit at either end of int64.
+		{1, 65, 4, 0x10, 0}, {1, 65, 5, 0, 0},
+		// Joined group keys: too wide to code at 8 and 4 bytes, coded at
+		// 1, 2 and 4; from the third table; beside a driver key.
+		{1, 192, 1, 0, 0}, {1, 192, 0, 0, 3}, {1, 192, 1, 0, 1}, {1, 192, 1, 0, 2}, {1, 192, 1, 0, 3},
+		{2, 193, 0, 0x10, 1}, {31, 131, 2, 0, 0}, {152, 131, 2, 0, 0},
 	} {
 		f.Add(s.seed, s.shape, s.keys, s.exprs, s.widths)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape, keys, exprs, widths uint8) {
 		pl, b := fuzzJoinPipeline(seed, shape, keys, exprs, widths)
-		p, err := CompileFast(pl, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveResult(pl, b)
-		for _, threads := range []int{1, 3} {
-			if got, _ := p.Execute(threads); got != want {
-				t.Fatalf("threads=%d: got %+v, want %+v\n%s", threads, got, want, pl)
+		for _, pl := range eachAggFirst(pl) {
+			p, err := CompileFast(pl, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveResult(pl, b)
+			for _, threads := range []int{1, 3} {
+				if got, _ := p.Execute(threads); got != want {
+					t.Fatalf("threads=%d: got %+v, want %+v\n%s", threads, got, want, pl)
+				}
 			}
 		}
 	})
+}
+
+// eachAggFirst returns a grouped pipeline as it is, and an ungrouped
+// one once per aggregate with that aggregate first: an ungrouped Result
+// reports only its first aggregate, so this is how each of them reaches
+// the comparison.
+func eachAggFirst(pl *Pipeline) []*Pipeline {
+	if len(pl.GroupBy) > 0 {
+		return []*Pipeline{pl}
+	}
+	var out []*Pipeline
+	for ai := range pl.Aggs {
+		q := *pl
+		q.Aggs = append([]Agg{pl.Aggs[ai]}, slices.Delete(slices.Clone(pl.Aggs), ai, ai+1)...)
+		out = append(out, &q)
+	}
+	return out
 }
 
 // fuzzJoinPipeline decodes one fuzz input (see FuzzFastJoin). Every
@@ -323,24 +358,41 @@ func fuzzJoinPipeline(seed int64, shape, keys, exprs, widths uint8) (*Pipeline, 
 		}
 	}
 	ntab := 2 + int(shape&1)
-	pl := &Pipeline{}
-	b := &Bound{}
-	for t := 0; t < ntab; t++ {
+	tabs := make([]fuzzTable, ntab)
+	fk := fitWidth(widths)
+	for t := range tabs {
 		rows := 1 + rng.Intn(200)
 		if t > 0 {
 			rows = rng.Intn(50) // build sides may be empty
 		}
-		fk, fv := fitWidth(widths), fitWidth(widths>>(2+2*t))
-		k, v, f := make([]int64, rows), make([]int64, rows), make([]byte, rows)
-		for i := range k {
-			k[i], v[i], f[i] = key(), rng.Int63n(2001)-1000, byte(rng.Intn(4))
+		fv := fitWidth(widths >> (2 + 2*t))
+		tb := fuzzTable{make([]int64, rows), make([]int64, rows), make([]byte, rows)}
+		for i := range tb.k {
+			tb.k[i], tb.v[i], tb.f[i] = key(), rng.Int63n(2001)-1000, byte(rng.Intn(4))
 			if keys%6 == 2 {
-				v[i] = key() // sums and products wrap
+				tb.v[i] = key() // sums and products wrap
 			}
-			k[i], v[i] = fk(k[i]), fv(v[i])
+			tb.k[i], tb.v[i] = fk(tb.k[i]), fv(tb.v[i])
 		}
-		ref, cols := tableFixture(string(rune('a'+t)), rows,
-			fastCol{name: "k", i64: k}, fastCol{name: "v", i64: v}, fastCol{name: "f", i8: f})
+		tabs[t] = tb
+	}
+	if shape&64 != 0 {
+		// Unique build sides, and driver rows that probe each one's edges.
+		drv := tabs[0].k
+		for t := 1; t < ntab; t++ {
+			tabs[t] = tabs[t].distinct()
+			if len(tabs[t].k) == 0 {
+				continue
+			}
+			lo, hi := slices.Min(tabs[t].k), slices.Max(tabs[t].k)
+			drv = drv[copy(drv, keyEdges(lo, hi, widths)):]
+		}
+	}
+	pl := &Pipeline{}
+	b := &Bound{}
+	for t, tb := range tabs {
+		ref, cols := tableFixture(string(rune('a'+t)), len(tb.k),
+			fastCol{name: "k", i64: tb.k}, fastCol{name: "v", i64: tb.v}, fastCol{name: "f", i8: tb.f})
 		pl.Tables = append(pl.Tables, ref)
 		b.Tables = append(b.Tables, cols)
 	}
@@ -401,6 +453,10 @@ func fuzzJoinPipeline(seed int64, shape, keys, exprs, widths uint8) (*Pipeline, 
 	case 3:
 		pl.GroupBy = []*Expr{Bin(OpAdd, col(0, 2), col(last, 1)), col(last, 2)}
 	}
+	if shape&128 != 0 {
+		// A bare column of a build table, coded unless its span is too wide.
+		pl.GroupBy = append(pl.GroupBy, col(1+rng.Intn(ntab-1), rng.Intn(3)))
+	}
 	if len(pl.GroupBy) > 0 && shape&8 != 0 {
 		pl.OrderBy = []OrderKey{{Col: OutCol{Idx: 1}, Desc: true}}
 		pl.Limit = 3
@@ -409,4 +465,38 @@ func fuzzJoinPipeline(seed int64, shape, keys, exprs, widths uint8) (*Pipeline, 
 		pl.Having = []OutPred{{Cmp: Gt, L: OutScalar{Col: OutCol{Idx: 0}}, R: OutScalar{Const: true, Val: 1}}}
 	}
 	return pl, b
+}
+
+// fuzzTable is one table of a FuzzFastJoin pipeline, column by column.
+type fuzzTable struct {
+	k, v []int64
+	f    []byte
+}
+
+// distinct keeps the first row of every key.
+func (tb fuzzTable) distinct() fuzzTable {
+	d := fuzzTable{[]int64{}, []int64{}, []byte{}}
+	seen := map[int64]bool{}
+	for i, k := range tb.k {
+		if !seen[k] {
+			seen[k] = true
+			d.k, d.v, d.f = append(d.k, k), append(d.v, tb.v[i]), append(d.f, tb.f[i])
+		}
+	}
+	return d
+}
+
+// keyEdges lists the probe keys at the edges of a unique index over
+// keys lo…hi: just below lo, lo, hi (the span's last slot), just past
+// it, and the extremes of the key width widths draws (see fitWidth) —
+// the int64 extremes when it keeps values as drawn, else 0 and the
+// width's top value, clamping every edge into that width.
+func keyEdges(lo, hi int64, widths uint8) []int64 {
+	edges := []int64{lo - 1, lo, hi, hi + 1, math.MinInt64, math.MaxInt64}
+	if bits := [...]uint{0, 8, 16, 32}[widths&3]; bits != 0 {
+		for i, e := range edges {
+			edges[i] = min(max(e, 0), 1<<bits-1)
+		}
+	}
+	return edges
 }

@@ -1,6 +1,7 @@
 package relop_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,25 +35,15 @@ func TestFastGroupPathSelection(t *testing.T) {
 		{"driver key beside a join", "select l_returnflag, count(*) from lineitem join orders on l_orderkey = o_orderkey " +
 			"where o_orderdate < date '1995-03-15' group by l_returnflag", "direct/selection/18 codes/4 lanes"},
 		{"join_oc", "select c_nationkey, count(*), sum(o_totalprice) from orders join customer on o_custkey = c_custkey " +
-			"where c_mktsegment = 1 group by c_nationkey", "hashed"},
+			"where c_mktsegment = 1 group by c_nationkey", "direct/selection/25 codes/4 lanes"},
+		{"joined key too wide to code", "select o_totalprice, count(*) from lineitem join orders on l_orderkey = o_orderkey " +
+			"group by o_totalprice", "hashed"},
 		{"q3", "select l_orderkey, sum(l_extendedprice * (100 - l_discount) / 100) as revenue, o_orderdate, o_shippriority " +
 			"from lineitem join orders on l_orderkey = o_orderkey join customer on o_custkey = c_custkey " +
 			"where c_mktsegment = 1 and o_orderdate < date '1995-03-15' and l_shipdate > date '1995-03-15' " +
 			"group by l_orderkey, o_orderdate, o_shippriority order by revenue desc, o_orderdate limit 10", "hashed"},
 	} {
-		stmt, err := sql.Parse(tc.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		pl, err := sql.BuildPipeline(d, stmt)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		p, err := relop.CompileFast(pl, relop.BindData(pl, d))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := p.GroupPath(); got != tc.want {
+		if got := compileSQL(t, d, tc.sql).GroupPath(); got != tc.want {
 			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
 		}
 	}
@@ -86,4 +77,43 @@ func TestFastGroupPathSelection(t *testing.T) {
 			t.Errorf("spans %d×%d: %s, want %s", tc.spanA, tc.spanB, got, tc.want)
 		}
 	}
+}
+
+// TestFastJoinIndexForms pins the index form of every fast_join
+// statement's joins: each build side is keyed on a unique key, so each
+// probe is one load from a unique direct index.
+func TestFastJoinIndexForms(t *testing.T) {
+	d := tpch.Generate(0.05)
+	for _, tc := range []struct{ name, sql, want string }{
+		{"join2", "select count(*), sum(o_totalprice) from lineitem join orders on l_orderkey = o_orderkey " +
+			"where l_shipdate > date '1995-03-15' and o_orderdate < date '1995-03-15'", "[unique]"},
+		{"join_oc", "select c_nationkey, count(*), sum(o_totalprice) from orders join customer on o_custkey = c_custkey " +
+			"where c_mktsegment = 1 group by c_nationkey", "[unique]"},
+		{"q3", "select l_orderkey, sum(l_extendedprice * (100 - l_discount) / 100) as revenue, o_orderdate, o_shippriority " +
+			"from lineitem join orders on l_orderkey = o_orderkey join customer on o_custkey = c_custkey " +
+			"where c_mktsegment = 1 and o_orderdate < date '1995-03-15' and l_shipdate > date '1995-03-15' " +
+			"group by l_orderkey, o_orderdate, o_shippriority order by revenue desc, o_orderdate limit 10", "[unique unique]"},
+	} {
+		if got := fmt.Sprint(compileSQL(t, d, tc.sql).JoinForms()); got != tc.want {
+			t.Errorf("%s: join indexes %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// compileSQL compiles one statement over d into a fast plan.
+func compileSQL(t *testing.T, d *tpch.Data, text string) *relop.FastPlan {
+	t.Helper()
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatalf("%q: %v", text, err)
+	}
+	pl, err := sql.BuildPipeline(d, stmt)
+	if err != nil {
+		t.Fatalf("%q: %v", text, err)
+	}
+	p, err := relop.CompileFast(pl, relop.BindData(pl, d))
+	if err != nil {
+		t.Fatalf("%q: %v", text, err)
+	}
+	return p
 }
