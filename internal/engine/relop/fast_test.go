@@ -334,24 +334,26 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.pl.Tables = []TableRef{tr}
-			p, err := CompileFast(tc.pl, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scans := p.rows != 0; scans == tc.empty {
-				t.Errorf("plan scans %d rows; proven empty: %v", p.rows, tc.empty)
-			}
-			want := naiveResult(tc.pl, bound)
-			for _, threads := range []int{1, 2, 5} {
-				got, _ := p.Execute(threads)
-				if got != want {
-					t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+			for _, pl := range eachAggFirst(tc.pl) {
+				p, err := CompileFast(pl, bound)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// Pooled workers must reset cleanly: a second pass over the
-			// same plan sees reused state.
-			if got, _ := p.Execute(3); got != want {
-				t.Errorf("second execution diverged: got %+v, want %+v", got, want)
+				if scans := p.rows != 0; scans == tc.empty {
+					t.Errorf("plan scans %d rows; proven empty: %v", p.rows, tc.empty)
+				}
+				want := naiveResult(pl, bound)
+				for _, threads := range []int{1, 2, 5} {
+					got, _ := p.Execute(threads)
+					if got != want {
+						t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+					}
+				}
+				// Pooled workers must reset cleanly: a second pass over the
+				// same plan sees reused state.
+				if got, _ := p.Execute(3); got != want {
+					t.Errorf("second execution diverged: got %+v, want %+v", got, want)
+				}
 			}
 		})
 	}

@@ -174,21 +174,23 @@ func TestFastPlanJoinsMatchNaive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var b *Bound
 			tc.pl.Tables, b = schema.input(tc.tables...)
-			p, err := CompileFast(tc.pl, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := p.joins[0].idx.form(); tc.form != "" && got != tc.form {
-				t.Errorf("join 0 index is %s, want %s", got, tc.form)
-			}
-			want := naiveResult(tc.pl, b)
-			for _, threads := range []int{1, 2, 5} {
-				if got, _ := p.Execute(threads); got != want {
-					t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+			for _, pl := range eachAggFirst(tc.pl) {
+				p, err := CompileFast(pl, b)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got, _ := p.Execute(3); got != want {
-				t.Errorf("pooled execution diverged: got %+v, want %+v", got, want)
+				if got := p.joins[0].idx.form(); tc.form != "" && got != tc.form {
+					t.Errorf("join 0 index is %s, want %s", got, tc.form)
+				}
+				want := naiveResult(pl, b)
+				for _, threads := range []int{1, 2, 5} {
+					if got, _ := p.Execute(threads); got != want {
+						t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+					}
+				}
+				if got, _ := p.Execute(3); got != want {
+					t.Errorf("pooled execution diverged: got %+v, want %+v", got, want)
+				}
 			}
 		})
 	}
