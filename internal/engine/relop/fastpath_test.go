@@ -13,9 +13,12 @@ import (
 // TestFastGroupPathSelection pins which grouping each shape compiles
 // to, so no change drops a shape to the hash path unnoticed: the fast
 // benchmark statements over generated data, then hand-built key
-// domains at the code-space cap and one past it.
+// domains at the code-space cap and one past it. It pins the fast_join
+// statements' join indexes too: every build side is keyed on a unique
+// key, so every probe is one load from a unique direct index.
 func TestFastGroupPathSelection(t *testing.T) {
 	d := tpch.Generate(0.05) // 500 suppliers: l_suppkey spans past the lane threshold
+	joinForms := map[string]string{"join2": "[unique]", "join_oc": "[unique]", "q3": "[unique unique]"}
 	for _, tc := range []struct{ name, sql, want string }{
 		{"q1_fused", "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*) " +
 			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus",
@@ -34,6 +37,8 @@ func TestFastGroupPathSelection(t *testing.T) {
 			"direct/discard/5 codes/4 lanes"},
 		{"driver key beside a join", "select l_returnflag, count(*) from lineitem join orders on l_orderkey = o_orderkey " +
 			"where o_orderdate < date '1995-03-15' group by l_returnflag", "direct/selection/18 codes/4 lanes"},
+		{"join2", "select count(*), sum(o_totalprice) from lineitem join orders on l_orderkey = o_orderkey " +
+			"where l_shipdate > date '1995-03-15' and o_orderdate < date '1995-03-15'", "ungrouped"},
 		{"join_oc", "select c_nationkey, count(*), sum(o_totalprice) from orders join customer on o_custkey = c_custkey " +
 			"where c_mktsegment = 1 group by c_nationkey", "direct/selection/25 codes/4 lanes"},
 		{"joined key too wide to code", "select o_totalprice, count(*) from lineitem join orders on l_orderkey = o_orderkey " +
@@ -43,8 +48,23 @@ func TestFastGroupPathSelection(t *testing.T) {
 			"where c_mktsegment = 1 and o_orderdate < date '1995-03-15' and l_shipdate > date '1995-03-15' " +
 			"group by l_orderkey, o_orderdate, o_shippriority order by revenue desc, o_orderdate limit 10", "hashed"},
 	} {
-		if got := compileSQL(t, d, tc.sql).GroupPath(); got != tc.want {
+		stmt, err := sql.Parse(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pl, err := sql.BuildPipeline(d, stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p, err := relop.CompileFast(pl, relop.BindData(pl, d))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := p.GroupPath(); got != tc.want {
 			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
+		}
+		if want, ok := joinForms[tc.name]; ok && fmt.Sprint(p.JoinForms()) != want {
+			t.Errorf("%s: join indexes %v, want %s", tc.name, p.JoinForms(), want)
 		}
 	}
 
@@ -77,43 +97,4 @@ func TestFastGroupPathSelection(t *testing.T) {
 			t.Errorf("spans %d×%d: %s, want %s", tc.spanA, tc.spanB, got, tc.want)
 		}
 	}
-}
-
-// TestFastJoinIndexForms pins the index form of every fast_join
-// statement's joins: each build side is keyed on a unique key, so each
-// probe is one load from a unique direct index.
-func TestFastJoinIndexForms(t *testing.T) {
-	d := tpch.Generate(0.05)
-	for _, tc := range []struct{ name, sql, want string }{
-		{"join2", "select count(*), sum(o_totalprice) from lineitem join orders on l_orderkey = o_orderkey " +
-			"where l_shipdate > date '1995-03-15' and o_orderdate < date '1995-03-15'", "[unique]"},
-		{"join_oc", "select c_nationkey, count(*), sum(o_totalprice) from orders join customer on o_custkey = c_custkey " +
-			"where c_mktsegment = 1 group by c_nationkey", "[unique]"},
-		{"q3", "select l_orderkey, sum(l_extendedprice * (100 - l_discount) / 100) as revenue, o_orderdate, o_shippriority " +
-			"from lineitem join orders on l_orderkey = o_orderkey join customer on o_custkey = c_custkey " +
-			"where c_mktsegment = 1 and o_orderdate < date '1995-03-15' and l_shipdate > date '1995-03-15' " +
-			"group by l_orderkey, o_orderdate, o_shippriority order by revenue desc, o_orderdate limit 10", "[unique unique]"},
-	} {
-		if got := fmt.Sprint(compileSQL(t, d, tc.sql).JoinForms()); got != tc.want {
-			t.Errorf("%s: join indexes %s, want %s", tc.name, got, tc.want)
-		}
-	}
-}
-
-// compileSQL compiles one statement over d into a fast plan.
-func compileSQL(t *testing.T, d *tpch.Data, text string) *relop.FastPlan {
-	t.Helper()
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		t.Fatalf("%q: %v", text, err)
-	}
-	pl, err := sql.BuildPipeline(d, stmt)
-	if err != nil {
-		t.Fatalf("%q: %v", text, err)
-	}
-	p, err := relop.CompileFast(pl, relop.BindData(pl, d))
-	if err != nil {
-		t.Fatalf("%q: %v", text, err)
-	}
-	return p
 }
