@@ -15,9 +15,10 @@ var (
 )
 
 // BenchmarkFastShape times one single-threaded execution of each
-// fast_scan statement, and of one fixed literal of two adhoc_compile
-// range templates, at SF 0.25 and reports it per row of the scanned
-// table:
+// fast_scan statement, of one fixed literal of two adhoc_compile range
+// templates, and of two selective direct-coded groupings (a one-month
+// l_shipdate window, and a range on the 4-byte l_extendedprice) at
+// SF 0.25 and reports it per row of the scanned table:
 //
 //	go test -run '^$' -bench FastShape -count 7 ./internal/engine/relop
 func BenchmarkFastShape(b *testing.B) {
@@ -29,6 +30,11 @@ func BenchmarkFastShape(b *testing.B) {
 			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus"},
 		{"q1_expr", "select l_returnflag, l_linestatus, sum(l_extendedprice * (100 - l_discount) / 100), count(*) " +
 			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus"},
+		{"q1_sel", "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*) " +
+			"from lineitem where l_shipdate >= date '1995-06-01' and l_shipdate < date '1995-07-01' " +
+			"group by l_returnflag, l_linestatus"},
+		{"q1_price_sel", "select l_returnflag, l_linestatus, sum(l_quantity), count(*) " +
+			"from lineitem where l_extendedprice < 250000 group by l_returnflag, l_linestatus"},
 		{"minmax", "select min(l_extendedprice), max(l_extendedprice), min(l_shipdate), max(l_shipdate) from lineitem"},
 		{"hashgrp_topk", "select l_suppkey, sum(l_quantity) from lineitem group by l_suppkey order by 2 desc limit 10"},
 		{"adhoc_li_q6", "select sum(l_extendedprice * l_discount / 100) from lineitem " +

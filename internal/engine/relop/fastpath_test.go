@@ -26,6 +26,12 @@ func TestFastGroupPathSelection(t *testing.T) {
 		{"q1_expr", "select l_returnflag, l_linestatus, sum(l_extendedprice * (100 - l_discount) / 100), count(*) " +
 			"from lineitem where l_shipdate <= date '1998-09-02' group by l_returnflag, l_linestatus",
 			"direct/discard/180 codes/4 lanes"},
+		{"q1_sel", "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), count(*) " +
+			"from lineitem where l_shipdate >= date '1995-06-01' and l_shipdate < date '1995-07-01' " +
+			"group by l_returnflag, l_linestatus", "direct/discard/180 codes/4 lanes"},
+		{"q1_price_sel", "select l_returnflag, l_linestatus, sum(l_quantity), count(*) " +
+			"from lineitem where l_extendedprice < 250000 group by l_returnflag, l_linestatus",
+			"direct/discard/180 codes/4 lanes"},
 		{"q1 with min and a computed conjunct", "select l_returnflag, min(l_quantity) from lineitem " +
 			"where l_quantity + l_discount < 30 group by l_returnflag",
 			"direct/selection/18 codes/4 lanes"},
