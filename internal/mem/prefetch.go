@@ -142,7 +142,7 @@ func (d *streamDetector) observe(line uint64, maxDepth int) (depth int, dir int6
 // tracks, so a page has at most one: the last match, when it tracks
 // the page, is the entry this scan would return.
 func (d *streamDetector) find(key uint64) *streamEntry {
-	for i, k := range d.keys {
+	for i, k := range &d.keys {
 		if k == key {
 			d.last = i
 			return &d.entries[i]
