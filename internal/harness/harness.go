@@ -19,6 +19,7 @@ import (
 	"olapmicro/internal/join"
 	"olapmicro/internal/mem"
 	"olapmicro/internal/probe"
+	"olapmicro/internal/storage"
 	"olapmicro/internal/tmam"
 	"olapmicro/internal/tpch"
 )
@@ -112,7 +113,10 @@ type Harness struct {
 	Cfg  Config
 	Data *tpch.Data
 
-	cuts  map[int]engine.SelectionCutoffs
+	cuts map[int]engine.SelectionCutoffs
+	// dates holds lineitem's ship, commit and receipt dates sorted, on
+	// the first Cutoffs call: every selectivity indexes the same copies.
+	dates [3]*storage.Ints
 	cache map[string]Series
 }
 
@@ -136,11 +140,15 @@ func (h *Harness) Cutoffs(s float64) engine.SelectionCutoffs {
 	if c, ok := h.cuts[permil(s)]; ok {
 		return c
 	}
+	if h.dates[0] == nil {
+		l := &h.Data.Lineitem
+		h.dates = [3]*storage.Ints{tpch.SortedCopy(&l.ShipDate), tpch.SortedCopy(&l.CommitDate), tpch.SortedCopy(&l.ReceiptDate)}
+	}
 	c := engine.SelectionCutoffs{
 		Selectivity: s,
-		ShipDate:    tpch.Quantile(&h.Data.Lineitem.ShipDate, s),
-		CommitDate:  tpch.Quantile(&h.Data.Lineitem.CommitDate, s),
-		ReceiptDate: tpch.Quantile(&h.Data.Lineitem.ReceiptDate, s),
+		ShipDate:    tpch.Quantile(h.dates[0], s),
+		CommitDate:  tpch.Quantile(h.dates[1], s),
+		ReceiptDate: tpch.Quantile(h.dates[2], s),
 	}
 	h.cuts[permil(s)] = c
 	return c

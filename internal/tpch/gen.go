@@ -266,21 +266,27 @@ func pad9(n int) string {
 	return s
 }
 
-// Quantile returns the q-quantile (0..1) of an integer column without
-// modifying it. The selection micro-benchmark uses it to derive
-// predicate cutoffs with exact selectivities.
-func Quantile(col *storage.Ints, q float64) int64 {
-	if col.Len() == 0 {
+// SortedCopy returns a copy of an integer column with its values in
+// ascending order, at the narrowest width that holds them, leaving the
+// column as it is: the input Quantile indexes.
+func SortedCopy(col *storage.Ints) *storage.Ints {
+	v := col.Int64s()
+	slices.Sort(v)
+	sorted := storage.MakeInts(len(v))
+	for _, x := range v {
+		sorted.Append(x)
+	}
+	return &sorted
+}
+
+// Quantile returns the q-quantile (0..1) of a column whose values are in
+// ascending order (SortedCopy), 0 for none. The selection
+// micro-benchmark uses it to derive predicate cutoffs with exact
+// selectivities.
+func Quantile(sorted *storage.Ints, q float64) int64 {
+	n := sorted.Len()
+	if n == 0 {
 		return 0
 	}
-	cp := col.Int64s()
-	slices.Sort(cp)
-	idx := int(q * float64(len(cp)))
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return cp[idx]
+	return sorted.At(min(max(int(q*float64(n)), 0), n-1))
 }
