@@ -154,7 +154,10 @@ func CompileFast(pl *Pipeline, b *Bound) (*FastPlan, error) {
 		// whatever the other conjuncts say, so there is nothing to scan.
 		p.rows = 0
 	case p.codes != nil && len(rest) == 0 && len(p.joins) == 0:
-		p.codes.chunked, p.codes.conds = true, conds
+		p.codes.chunked = true
+		for _, c := range conds {
+			p.codes.masks = append(p.codes.masks, c.v.spanMask(c))
+		}
 	default:
 		p.filter0, p.filter = stageSpans(conds, rest)
 		p.foldRuns = p.filter0 == nil && p.filter == nil && p.joins == nil && !p.grouped
@@ -653,13 +656,12 @@ type intCol interface {
 	gatherVia(t int) vecKernel
 	probeUnique(x *joinIndex, rows, bout, pos []int32) int
 	fused(y intCol, quot bool, c [4]int64, m uint64) vecKernel
-	firstSpan(c spanCond) rangeSelKernel
+	spanMask(c spanCond) func(r, e int) uint64
 	gatherSpan(c spanCond) selKernel
 	foldSel(kind AggKind, acc int64, sel []int32) int64
 	foldRun(kind AggKind, acc int64, lo, hi int) int64
 	foldGroup(kind AggKind, acc []int64, sel, slots []int32)
 	keyCodes(codes []int32, lo, hi int, k codeKey, lanes int32)
-	discardRejected(codes []int32, lo, hi int, c spanCond, discard int32)
 	foldCodes(kind AggKind, acc []int64, codes []int32, lo, hi int)
 	gatherCodes(slots, sel []int32, k codeKey)
 }
@@ -1265,7 +1267,7 @@ func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel
 		kernels = append(kernels, c.v.gatherSpan(c))
 	}
 	kernels = append(kernels, rest...)
-	return conds[0].v.firstSpan(conds[0]), kernels
+	return firstSpan(conds[0].v.spanMask(conds[0])), kernels
 }
 
 // neverMatch is the range kernel of an unsatisfiable filter.
@@ -1405,15 +1407,11 @@ func (v hostCol[T]) foldSel(kind AggKind, acc int64, sel []int32) int64 {
 		}
 	case AggMin:
 		for _, r := range sel {
-			if x := int64(v[r]); x < acc {
-				acc = x
-			}
+			acc = min(acc, int64(v[r]))
 		}
 	case AggMax:
 		for _, r := range sel {
-			if x := int64(v[r]); x > acc {
-				acc = x
-			}
+			acc = max(acc, int64(v[r]))
 		}
 	}
 	return acc
@@ -1490,15 +1488,11 @@ func foldGroupVals(kind AggKind, acc []int64, vals []int64, slots []int32) {
 		}
 	case AggMin:
 		for i, s := range slots {
-			if x := vals[i]; x < acc[s] {
-				acc[s] = x
-			}
+			acc[s] = min(acc[s], vals[i])
 		}
 	case AggMax:
 		for i, s := range slots {
-			if x := vals[i]; x > acc[s] {
-				acc[s] = x
-			}
+			acc[s] = max(acc[s], vals[i])
 		}
 	}
 }

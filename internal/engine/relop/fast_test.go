@@ -1,6 +1,7 @@
 package relop
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -331,31 +332,125 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 			Aggs:    []Agg{sumA, count},
 		}},
 	}
+	check := func(t *testing.T, pl *Pipeline, bound *Bound, empty bool) {
+		p, err := CompileFast(pl, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scans := p.rows != 0; scans == empty {
+			t.Errorf("plan scans %d rows; proven empty: %v", p.rows, empty)
+		}
+		want := naiveResult(pl, bound)
+		for _, threads := range []int{1, 2, 5} {
+			got, _ := p.Execute(threads)
+			if got != want {
+				t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+			}
+		}
+		// Pooled workers must reset cleanly: a second pass over the
+		// same plan sees reused state.
+		if got, _ := p.Execute(3); got != want {
+			t.Errorf("second execution diverged: got %+v, want %+v", got, want)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.pl.Tables = []TableRef{tr}
 			for _, pl := range eachAggFirst(tc.pl) {
-				p, err := CompileFast(pl, bound)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if scans := p.rows != 0; scans == tc.empty {
-					t.Errorf("plan scans %d rows; proven empty: %v", p.rows, tc.empty)
-				}
-				want := naiveResult(pl, bound)
-				for _, threads := range []int{1, 2, 5} {
-					got, _ := p.Execute(threads)
-					if got != want {
-						t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
-					}
-				}
-				// Pooled workers must reset cleanly: a second pass over the
-				// same plan sees reused state.
-				if got, _ := p.Execute(3); got != want {
-					t.Errorf("second execution diverged: got %+v, want %+v", got, want)
-				}
+				check(t, pl, bound, tc.empty)
 			}
 		})
+	}
+
+	// Direct-coded groupings filtered by span tests alone, whose rejected
+	// rows go to the discard code 64 rows at a time, over tables of
+	// 64·k − 1, 64·k and 64·k + 1 rows: at k = 16 the last chunk is one
+	// row, a full chunk or a block and one row; at k = 33 it ends in a
+	// block of 63 rows, a full block, or a full block and one row.
+	for _, rows := range []int{64*16 - 1, 64 * 16, 64*16 + 1, 64*33 - 1, 64 * 33, 64*33 + 1} {
+		tr, bound := codedFixture(rows)
+		for _, tc := range codedDiscardCases() {
+			t.Run(fmt.Sprintf("coded discard/%d rows/%s", rows, tc.name), func(t *testing.T) {
+				tc.pl.Tables = []TableRef{tr}
+				check(t, tc.pl, bound, false)
+				if p, _ := CompileFast(tc.pl, bound); !p.codes.chunked || len(p.codes.masks) != tc.masks {
+					t.Errorf("%s, %d span masks; want the chunked coded path with %d", p.GroupPath(), len(p.codes.masks), tc.masks)
+				}
+			})
+		}
+	}
+}
+
+// Columns of codedFixture.
+const (
+	codedF, codedG, codedU8, codedD16, codedU32, codedS64, codedP, codedQ = 0, 1, 2, 3, 4, 5, 6, 7
+)
+
+// codedFixture is a table for direct-coded groupings under span tests at
+// every host width: byte keys f (3 values) and g (17); u8, d16 and u32,
+// whose values take 1, 2 and 4 bytes; s64, signed, which takes 8; and p,
+// constant over each 64-row block ((row/64) mod 3), and q = (p + 1) mod
+// 3, so a span on p passes every row of some blocks and none of others.
+func codedFixture(rows int) (TableRef, *Bound) {
+	rng := rand.New(rand.NewSource(int64(rows)))
+	f, g, u8, p, q := make([]byte, rows), make([]byte, rows), make([]byte, rows), make([]byte, rows), make([]byte, rows)
+	d16, u32, s64 := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range rows {
+		f[i], g[i], u8[i] = byte(rng.Intn(3)), byte(rng.Intn(17)), byte(rng.Intn(100))
+		p[i] = byte(i / 64 % 3)
+		q[i] = (p[i] + 1) % 3
+		d16[i] = 8000 + rng.Int63n(2526)
+		u32[i] = 70_000 + rng.Int63n(1_000_000)
+		s64[i] = rng.Int63n(1_000_001) - 500_000
+	}
+	// The points the negated spans of codedDiscardCases cut out.
+	u8[5], d16[5], u32[5], s64[5] = 7, 8001, 70_000, 0
+	return fastFixture(rows,
+		fastCol{name: "f", i8: f}, fastCol{name: "g", i8: g}, fastCol{name: "u8", i64: intsTo64(u8)},
+		fastCol{name: "d16", i64: d16}, fastCol{name: "u32", i64: u32}, fastCol{name: "s64", i64: s64},
+		fastCol{name: "p", i8: p}, fastCol{name: "q", i8: q})
+}
+
+func intsTo64(v []byte) []int64 {
+	out := make([]int64, len(v))
+	for i, x := range v {
+		out[i] = int64(x)
+	}
+	return out
+}
+
+// codedDiscardCase is a direct-coded grouping over codedFixture and the
+// number of span masks its filter compiles to.
+type codedDiscardCase struct {
+	name  string
+	pl    *Pipeline
+	masks int
+}
+
+// codedDiscardCases groups codedFixture by byte keys (the two-byte-key
+// pass and, for one key, the generic one) or by a 2-byte key beside a
+// byte key (past the lanes' code count), filtered by span tests alone.
+func codedDiscardCases() []codedDiscardCase {
+	aggs := []Agg{{Kind: AggSum, Arg: ColExpr(0, codedS64)}, {Kind: AggCount},
+		{Kind: AggMin, Arg: ColExpr(0, codedU32)}, {Kind: AggMax, Arg: ColExpr(0, codedD16)}}
+	fg := []*Expr{ColExpr(0, codedF), ColExpr(0, codedG)}
+	grouped := func(keys []*Expr, filter *Pred) *Pipeline {
+		return &Pipeline{Filter: filter, GroupBy: keys, Aggs: aggs}
+	}
+	every := and(and(cmp(Lt, codedU8, 60), between(codedD16, 8200, 10_000)),
+		and(cmp(Ge, codedU32, 300_000), cmp(Lt, codedS64, 250_000)))
+	return []codedDiscardCase{
+		{"1-byte span", grouped(fg, cmp(Lt, codedU8, 40)), 1},
+		{"2-byte span", grouped(fg, between(codedD16, 8500, 9100)), 1},
+		{"4-byte span", grouped(fg, cmp(Ge, codedU32, 500_000)), 1},
+		{"8-byte span", grouped(fg, cmp(Lt, codedS64, 12_345)), 1},
+		{"negated span at every width", grouped(fg, and(and(cmp(Ne, codedU8, 7), cmp(Ne, codedD16, 8001)),
+			and(cmp(Ne, codedU32, 70_000), cmp(Ne, codedS64, 0)))), 4},
+		{"spans at every width, one key", grouped([]*Expr{ColExpr(0, codedG)}, every), 4},
+		{"spans at every width, 2-byte key without lanes",
+			grouped([]*Expr{ColExpr(0, codedD16), ColExpr(0, codedF)}, every), 4},
+		{"whole blocks pass or fail", grouped(fg, and(cmp(Ne, codedP, 1), cmp(Le, codedU8, 90))), 2},
+		{"no row of any block passes", grouped(fg, and(cmp(Eq, codedP, 0), cmp(Ne, codedQ, 1))), 2},
 	}
 }
 

@@ -8,9 +8,10 @@
 // and each aggregate is a table indexed by code. One more code, the
 // discard code, absorbs rows the filter rejects. A filter made only of
 // span tests therefore never builds a selection vector: a chunk
-// computes one code vector over its contiguous rows, each span test
-// ORs the discard code into the rows it rejects, and every aggregate
-// folds column-at-a-time. Kernels are total (x/0 = 0, arithmetic
+// computes one code vector over its contiguous rows, the span tests'
+// masks (fastspan.go), ANDed per 64-row block, send the rows whose bit
+// is clear to the discard code, and every aggregate folds
+// column-at-a-time. Kernels are total (x/0 = 0, arithmetic
 // wraps), so evaluating a rejected row is harmless; its value lands in
 // the discard slot, which no output reads. Any other filter, and any
 // join, resolves codes through the selection vector instead. A key may
@@ -58,10 +59,10 @@ type codeGroups struct {
 	// discard ORed into any row's slot yields a discard slot: every code
 	// bit set, the row's lane kept.
 	discard int32
-	// chunked folds without a selection vector; conds are then every
-	// filter conjunct, applied as discard.
+	// chunked folds without a selection vector; masks are then every
+	// filter conjunct's stateless mask kernel (spanMask).
 	chunked bool
-	conds   []spanCond
+	masks   []func(r, e int) uint64
 }
 
 // codeGroups returns the direct-coded form of the pipeline's grouping,
@@ -129,8 +130,8 @@ func (w *fastWorker) initCodeTables() {
 }
 
 // runCoded scans driver rows [start, end) chunk by chunk with no
-// selection vector: the chunk's code vector, the discard code ORed in
-// by every span test, then each aggregate folded over the codes.
+// selection vector: the chunk's code vector, the discard code ORed into
+// the rows the span tests reject, then each aggregate folded over it.
 func (w *fastWorker) runCoded(start, end int) {
 	g := w.p.codes
 	for lo := start; lo < end; lo += fastChunk {
@@ -153,10 +154,26 @@ func (w *fastWorker) runCoded(start, end int) {
 			}
 			k.v.keyCodes(codes, lo, hi, k, lanes)
 		}
-		for _, c := range g.conds {
-			c.v.discardRejected(codes, lo, hi, c, g.discard)
+		for r := lo; r < hi && g.masks != nil; r += 64 {
+			g.discardRejected(codes[r-lo:], r, min(r+64, hi))
 		}
 		w.foldCoded(codes, lo, hi)
+	}
+}
+
+// discardRejected ORs the discard code into each row of the block
+// [r, e) (0 < e − r ≤ 64) whose bit in the ANDed span masks is clear.
+// blk holds the block's codes and room for 64: a chunk's tail block also
+// marks the slots past e, which no fold reads.
+func (g *codeGroups) discardRejected(blk []int32, r, e int) {
+	keep := ^uint64(0)
+	for _, m := range g.masks {
+		keep &= m(r, e)
+	}
+	rej, d := ^keep, g.discard
+	blk = blk[:64]
+	for ; rej != 0; rej &= rej - 1 {
+		blk[bits.TrailingZeros64(rej)&63] |= d
 	}
 }
 
@@ -178,27 +195,16 @@ func (c hostCol[T]) keyCodes(codes []int32, lo, hi int, k codeKey, lanes int32) 
 	}
 }
 
-// keyCodes2 sets a chunk's codes from two byte key columns at once.
+// keyCodes2 sets a chunk's codes from two byte key columns at once, out
+// of line: inlined into runCoded, its loop index spilled to the stack.
+//
+//go:noinline
 func keyCodes2(codes []int32, v0, v1 []byte, k0, k1 codeKey, lanes int32) {
-	codes = codes[:len(v0)]
-	v1 = v1[:len(v0)]
-	b0, s0 := int32(k0.base), k0.stride
-	b1, s1 := int32(k1.base), k1.stride
+	codes, v1 = codes[:len(v0)], v1[:len(v0)]
+	s0, s1 := k0.stride, k1.stride
+	off := -int32(k0.base)*s0 - int32(k1.base)*s1 // wraps as the codes do
 	for i, x := range v0 {
-		codes[i] = int32(i)&lanes + (int32(x)-b0)*s0 + (int32(v1[i])-b1)*s1
-	}
-}
-
-// discardRejected sends every row of [lo, hi) the span test rejects to
-// a discard slot, with the shift tests of gatherSpan.
-func (col hostCol[T]) discardRejected(codes []int32, lo, hi int, c spanCond, discard int32) {
-	v := col[lo:hi]
-	codes = codes[:len(v)]
-	base, a, s1, neg := c.base, c.a, c.s1, uint64(c.neg)
-	for i, x := range v {
-		d := uint64(x) - base
-		pass := ((d-s1)>>63)&(((d-a)>>63)^1) ^ neg
-		codes[i] |= int32(pass-1) & discard
+		codes[i] = int32(i)&lanes + int32(x)*s0 + int32(v1[i])*s1 + off
 	}
 }
 

@@ -3,6 +3,7 @@ package relop
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -248,4 +249,35 @@ func fuzzGroupPipeline(seed int64, keys, domain, shape, aggs, widths uint8) (*Pi
 		pl.Having = []OutPred{{Cmp: Gt, L: OutScalar{Col: OutCol{Idx: 0}}, R: OutScalar{Const: true, Val: 1}}}
 	}
 	return pl, bound
+}
+
+// One direct-coded plan whose filter is span tests at every host width
+// serves concurrent executions: its mask kernels are built once, with
+// the plan, and shared by every worker of every execution, so a kernel
+// that kept per-call state would race here (run with -race) or answer
+// wrong.
+func TestFastCodedDiscardConcurrentExecute(t *testing.T) {
+	tr, b := codedFixture(64*33 + 1)
+	for _, tc := range codedDiscardCases() {
+		pl := tc.pl
+		pl.Tables = []TableRef{tr}
+		p, err := CompileFast(pl, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveResult(pl, b)
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 3 {
+					if got, _ := p.Execute(1 + (g+i)%3); got != want {
+						t.Errorf("%s: goroutine %d run %d: got %+v, want %+v", tc.name, g, i, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

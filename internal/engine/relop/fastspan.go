@@ -1,7 +1,8 @@
-// fastspan.go is the fast plan's first filter stage: the most
-// selective span test over a chunk's contiguous rows, 64 rows at a time
-// into a bit mask, the mask expanded to the selection vector every later
-// stage reads. The mask never leaves the stage.
+// fastspan.go is the fast plan's span test over contiguous rows, 64
+// rows at a time into a bit mask. The selection path's first filter
+// stage expands the most selective test's mask into the selection vector
+// every later stage reads; a direct-coded grouping ANDs every test's
+// mask and discards the rows whose bit is clear (fastgroup.go).
 package relop
 
 import (
@@ -24,12 +25,11 @@ const (
 	pack16  = 0x0000200040008001 // 2^(15k), k = 0…3
 )
 
-// firstSpan scans c over the contiguous rows [lo, hi): per 64-row block
-// a mask of the passing rows (spanMask), expanded to row ids by
+// firstSpan scans a span test over the contiguous rows [lo, hi): per
+// 64-row block its mask kernel's passing rows, expanded to row ids by
 // expandMask. out must hold hi − lo rounded up to 64 entries, which a
 // chunk's selection buffer does.
-func (v hostCol[T]) firstSpan(c spanCond) rangeSelKernel {
-	mask := v.spanMask(c)
+func firstSpan(mask func(r, e int) uint64) rangeSelKernel {
 	return func(lo, hi int32, out []int32) []int32 {
 		n := 0
 		for r := lo; r < hi; r += 64 {
@@ -123,13 +123,14 @@ func laneTest(x, k1, k2, top uint64) uint64 {
 // (0 < len(v) ≤ 64). With lo = base + a and w = s1 − a, x − lo wraps to
 // d − a for the rebased d = x − base: below w exactly when a ≤ d < s1,
 // and at least 2⁶⁴ − 2⁶² when d < a. So each row costs one
-// subtraction's borrow and no flag-setting compare. flip negates the
+// subtraction's borrow, which m + m + borrow shifts into the mask as a
+// single add-with-carry, and no flag-setting compare. flip negates the
 // mask.
 func spanBits[T hostInt](v []T, lo, w, flip uint64) uint64 {
 	var m uint64
 	for j := len(v) - 1; j >= 0; j-- {
 		_, in := bits.Sub64(uint64(v[j])-lo, w, 0)
-		m = m<<1 | in
+		m, _ = bits.Add64(m, m, in)
 	}
 	return m ^ flip>>(64-len(v))
 }

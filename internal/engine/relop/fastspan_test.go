@@ -33,7 +33,7 @@ func checkSpan[T hostInt](t *testing.T, v hostCol[T], c spanCond, out []int32) {
 			t.Fatalf("%T a=%d s1=%d neg=%d: block at %d sets bits past its %d rows: %#x", v, c.a, c.s1, c.neg, r, e-r, m)
 		}
 	}
-	stage := v.firstSpan(c)
+	stage := firstSpan(mask)
 	for lo := 0; lo < len(v); lo += fastChunk {
 		hi := min(lo+fastChunk, len(v))
 		var want []int32

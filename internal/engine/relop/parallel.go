@@ -216,18 +216,11 @@ func tupleKey(t []int64) string {
 
 // merge combines a partial aggregate value into dst[i]. first marks
 // the group's first contribution (min/max need a seed, sum/count
-// accumulate from zero).
+// accumulate from zero). It is Fold, except that a partial count adds.
 func (a Agg) merge(dst []int64, i int, v int64, first bool) {
-	switch a.Kind {
-	case AggSum, AggCount:
+	if a.Kind == AggCount {
 		dst[i] += v
-	case AggMin:
-		if first || v < dst[i] {
-			dst[i] = v
-		}
-	case AggMax:
-		if first || v > dst[i] {
-			dst[i] = v
-		}
+		return
 	}
+	a.Fold(dst, i, v, first)
 }
