@@ -155,17 +155,17 @@ func (w *fastWorker) runCoded(start, end int) {
 			k.v.keyCodes(codes, lo, hi, k, lanes)
 		}
 		for r := lo; r < hi && g.masks != nil; r += 64 {
-			g.discardRejected(codes[r-lo:], r, min(r+64, hi))
+			g.discardBlock(codes[r-lo:], r, min(r+64, hi))
 		}
 		w.foldCoded(codes, lo, hi)
 	}
 }
 
-// discardRejected ORs the discard code into each row of the block
+// discardBlock ORs the discard code into each row of the block
 // [r, e) (0 < e − r ≤ 64) whose bit in the ANDed span masks is clear.
 // blk holds the block's codes and room for 64: a chunk's tail block also
 // marks the slots past e, which no fold reads.
-func (g *codeGroups) discardRejected(blk []int32, r, e int) {
+func (g *codeGroups) discardBlock(blk []int32, r, e int) {
 	keep := ^uint64(0)
 	for _, m := range g.masks {
 		keep &= m(r, e)
