@@ -406,17 +406,9 @@ func codedFixture(rows int) (TableRef, *Bound) {
 	// The points the negated spans of codedDiscardCases cut out.
 	u8[5], d16[5], u32[5], s64[5] = 7, 8001, 70_000, 0
 	return fastFixture(rows,
-		fastCol{name: "f", i8: f}, fastCol{name: "g", i8: g}, fastCol{name: "u8", i64: intsTo64(u8)},
+		fastCol{name: "f", i8: f}, fastCol{name: "g", i8: g}, fastCol{name: "u8", i8: u8},
 		fastCol{name: "d16", i64: d16}, fastCol{name: "u32", i64: u32}, fastCol{name: "s64", i64: s64},
 		fastCol{name: "p", i8: p}, fastCol{name: "q", i8: q})
-}
-
-func intsTo64(v []byte) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = int64(x)
-	}
-	return out
 }
 
 // codedDiscardCase is a direct-coded grouping over codedFixture and the
