@@ -146,9 +146,9 @@ func (h *Harness) Cutoffs(s float64) engine.SelectionCutoffs {
 	}
 	c := engine.SelectionCutoffs{
 		Selectivity: s,
-		ShipDate:    tpch.Quantile(h.dates[0], s),
-		CommitDate:  tpch.Quantile(h.dates[1], s),
-		ReceiptDate: tpch.Quantile(h.dates[2], s),
+		ShipDate:    tpch.QuantileSorted(h.dates[0], s),
+		CommitDate:  tpch.QuantileSorted(h.dates[1], s),
+		ReceiptDate: tpch.QuantileSorted(h.dates[2], s),
 	}
 	h.cuts[permil(s)] = c
 	return c
