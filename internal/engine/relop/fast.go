@@ -1407,11 +1407,15 @@ func (v hostCol[T]) foldSel(kind AggKind, acc int64, sel []int32) int64 {
 		}
 	case AggMin:
 		for _, r := range sel {
-			acc = min(acc, int64(v[r]))
+			if x := int64(v[r]); x < acc {
+				acc = x
+			}
 		}
 	case AggMax:
 		for _, r := range sel {
-			acc = max(acc, int64(v[r]))
+			if x := int64(v[r]); x > acc {
+				acc = x
+			}
 		}
 	}
 	return acc
@@ -1488,11 +1492,15 @@ func foldGroupVals(kind AggKind, acc []int64, vals []int64, slots []int32) {
 		}
 	case AggMin:
 		for i, s := range slots {
-			acc[s] = min(acc[s], vals[i])
+			if x := vals[i]; x < acc[s] {
+				acc[s] = x
+			}
 		}
 	case AggMax:
 		for i, s := range slots {
-			acc[s] = max(acc[s], vals[i])
+			if x := vals[i]; x > acc[s] {
+				acc[s] = x
+			}
 		}
 	}
 }

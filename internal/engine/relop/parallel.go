@@ -216,11 +216,18 @@ func tupleKey(t []int64) string {
 
 // merge combines a partial aggregate value into dst[i]. first marks
 // the group's first contribution (min/max need a seed, sum/count
-// accumulate from zero). It is Fold, except that a partial count adds.
+// accumulate from zero).
 func (a Agg) merge(dst []int64, i int, v int64, first bool) {
-	if a.Kind == AggCount {
+	switch a.Kind {
+	case AggSum, AggCount:
 		dst[i] += v
-		return
+	case AggMin:
+		if first || v < dst[i] {
+			dst[i] = v
+		}
+	case AggMax:
+		if first || v > dst[i] {
+			dst[i] = v
+		}
 	}
-	a.Fold(dst, i, v, first)
 }
