@@ -163,8 +163,10 @@ func (w *fastWorker) runCoded(start, end int) {
 
 // discardBlock ORs the discard code into each row of the block
 // [r, e) (0 < e − r ≤ 64) whose bit in the ANDed span masks is clear.
-// blk holds the block's codes and room for 64: a chunk's tail block also
-// marks the slots past e, which no fold reads.
+// blk is the worker's fastChunk-long code buffer from the block's first
+// row on, so it has room for 64 codes: blocks start at multiples of 64
+// into the chunk, and fastChunk is a multiple of 64 (checked below). A
+// chunk's tail block also marks the slots past e, which no fold reads.
 func (g *codeGroups) discardBlock(blk []int32, r, e int) {
 	keep := ^uint64(0)
 	for _, m := range g.masks {
@@ -176,6 +178,11 @@ func (g *codeGroups) discardBlock(blk []int32, r, e int) {
 		blk[bits.TrailingZeros64(rej)&63] |= d
 	}
 }
+
+// fastChunk must be a multiple of 64 for discardBlock's 64-code view of
+// a chunk's last block to stay inside the code buffer; any other value
+// makes this constant negative and the package fail to compile.
+const _ uint = -(fastChunk % 64)
 
 // keyCodes adds rows [lo, hi) of one key column to a chunk's codes;
 // with lanes ≥ 0 (the first key) it sets them instead, lane bits
