@@ -69,9 +69,9 @@ func TestFootprintExceedsL1I(t *testing.T) {
 func TestSelectionMatchesBruteForce(t *testing.T) {
 	cut := engine.SelectionCutoffs{
 		Selectivity: 0.1,
-		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, 0.1),
-		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, 0.1),
-		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, 0.1),
+		ShipDate:    tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ShipDate), 0.1),
+		CommitDate:  tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.CommitDate), 0.1),
+		ReceiptDate: tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ReceiptDate), 0.1),
 	}
 	l := &testData.Lineitem
 	var want int64

@@ -76,9 +76,9 @@ func TestSIMDReducesUops(t *testing.T) {
 func TestSelectionSelectionVectors(t *testing.T) {
 	cut := engine.SelectionCutoffs{
 		Selectivity: 0.5,
-		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, 0.5),
-		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, 0.5),
-		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, 0.5),
+		ShipDate:    tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ShipDate), 0.5),
+		CommitDate:  tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.CommitDate), 0.5),
+		ReceiptDate: tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ReceiptDate), 0.5),
 	}
 	l := &testData.Lineitem
 	var want int64

@@ -23,9 +23,9 @@ func newEnv() (*Engine, *probe.Probe, *probe.AddrSpace) {
 func cutoffs(sel float64) engine.SelectionCutoffs {
 	return engine.SelectionCutoffs{
 		Selectivity: sel,
-		ShipDate:    tpch.Quantile(&testData.Lineitem.ShipDate, sel),
-		CommitDate:  tpch.Quantile(&testData.Lineitem.CommitDate, sel),
-		ReceiptDate: tpch.Quantile(&testData.Lineitem.ReceiptDate, sel),
+		ShipDate:    tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ShipDate), sel),
+		CommitDate:  tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.CommitDate), sel),
+		ReceiptDate: tpch.QuantileSorted(tpch.SortedCopy(&testData.Lineitem.ReceiptDate), sel),
 	}
 }
 

@@ -266,16 +266,9 @@ func pad9(n int) string {
 	return s
 }
 
-// Quantile returns the q-quantile (0..1) of an integer column without
-// modifying it. The selection micro-benchmark uses it to derive
-// predicate cutoffs with exact selectivities.
-func Quantile(col *storage.Ints, q float64) int64 {
-	return QuantileSorted(SortedCopy(col), q)
-}
-
 // SortedCopy returns a copy of an integer column with its values in
 // ascending order, at the narrowest width that holds them, leaving the
-// column as it is.
+// column as it is: the input QuantileSorted indexes.
 func SortedCopy(col *storage.Ints) *storage.Ints {
 	v := col.Int64s()
 	slices.Sort(v)
@@ -286,8 +279,11 @@ func SortedCopy(col *storage.Ints) *storage.Ints {
 	return &sorted
 }
 
-// QuantileSorted is Quantile of a column already in ascending order
-// (SortedCopy): one lookup, so cutoffs for many selectivities sort once.
+// QuantileSorted returns the q-quantile (0..1) of a column whose values
+// are in ascending order (SortedCopy), 0 for none: one lookup, so
+// cutoffs for many selectivities sort once. The selection
+// micro-benchmark uses it to derive predicate cutoffs with exact
+// selectivities.
 func QuantileSorted(sorted *storage.Ints, q float64) int64 {
 	n := sorted.Len()
 	if n == 0 {
