@@ -25,10 +25,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// DefBucketsMs is the default latency bucket layout in milliseconds,
-// spanning sub-50µs compile hits to multi-second saturated queues.
+// DefBucketsMs is the default latency bucket layout in milliseconds:
+// 1, 2.5 and 5 per decade from 1µs, where a cached microsecond
+// statement's queue wait and submit-to-finish latency lie, to
+// multi-second saturated queues.
 var DefBucketsMs = []float64{
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 }
 
 // Histogram is a fixed-bucket histogram with Prometheus semantics:

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -100,11 +101,32 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// The default layout is log-linear, 1, 2.5 and 5 per decade from 1µs
+// to 10s, so a microsecond statement's latency is resolved to its
+// decade third rather than lumped into one bucket below 50µs.
 func TestHistogramDefaultBounds(t *testing.T) {
+	steps := []float64{1, 2.5, 5}
+	for i, b := range DefBucketsMs {
+		if want := steps[i%3] * math.Pow(10, float64(i/3-3)); math.Abs(b-want) > want*1e-12 {
+			t.Errorf("bound %d = %g, want %g", i, b, want)
+		}
+	}
+	if last := DefBucketsMs[len(DefBucketsMs)-1]; last != 10000 {
+		t.Errorf("last bound %g, want 10000", last)
+	}
 	h := NewHistogram(nil)
-	h.Observe(0.01) // below the smallest default bound
-	if got := h.count.Load(); got != 1 {
-		t.Errorf("Count = %d, want 1", got)
+	h.Observe(0.0005) // below the smallest default bound
+	for i := 0; i < 3; i++ {
+		h.Observe(0.03) // in (0.025, 0.05]
+	}
+	if got := h.count.Load(); got != 4 {
+		t.Errorf("Count = %d, want 4", got)
+	}
+	if got := h.counts[0].Load(); got != 1 {
+		t.Errorf("first bucket holds %d, want the one observation below 1µs", got)
+	}
+	if got := h.Quantile(0.75); got <= 0.025 || got > 0.05 {
+		t.Errorf("p75 = %g, want it inside (0.025, 0.05]", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -267,7 +268,10 @@ func (w *gatedWriter) waitLines(n int) (writes int, out string) {
 // is written or counted as about to be, so whatever the scheduling,
 // everything written behind it goes out in one more.
 // (The query leads the batch because the loop runs it itself: a flush
-// before it could not be held without holding the query too.)
+// before it could not be held without holding the query too. Whether
+// the submits' results join the acks' flush depends on where the
+// scheduler runs them; TestSessionBatchOneWrite pins the one-processor
+// case, where they always do.)
 func TestSessionCoalescesBatch(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	var ses *Session
@@ -305,6 +309,71 @@ func TestSessionCoalescesBatch(t *testing.T) {
 	inW.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Four submits arriving in one read are answered in one write: the
+// loop yields to the submissions it started before it goes idle, so
+// their results join the acks in its flush. On one processor the
+// submissions wait on the loop's own run queue, so they always run
+// within the yield.
+func TestSessionBatchOneWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestServer(t, Config{Workers: 2})
+	w := &gatedWriter{release: func([]byte) {}}
+	ses := s.newSession(w)
+	inR, inW := io.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- ses.serve(inR) }()
+	const q = "select count(*) from nation\n"
+	if _, err := io.WriteString(inW, "fast on\nquery "+q); err != nil { // the batch then hits a compiled plan
+		t.Fatal(err)
+	}
+	if _, out := w.waitLines(2); !strings.HasPrefix(out, "ok fast=true\nresult id=1 ok ") {
+		t.Fatalf("warm-up answered %q", out)
+	}
+	w.arm()
+	if _, err := io.WriteString(inW, strings.Repeat("submit "+q, 4)); err != nil {
+		t.Fatal(err)
+	}
+	writes, out := w.waitLines(8)
+	if n := strings.Count(out, "\n"); n != 8 {
+		t.Fatalf("want 8 lines (4 acks, 4 results), got %d:\n%s", n, out)
+	}
+	if writes != 1 {
+		t.Errorf("batch took %d writes, want 1:\n%s", writes, out)
+	}
+	inW.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The yield never holds an ack behind a submission that keeps running:
+// with the only scan slot taken, a measured submit cannot finish, yet
+// its ok line reaches the peer while the loop waits for input.
+func TestSessionAckNotHeldBySubmission(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	s.slots <- struct{}{}
+	held := true
+	release := func() {
+		if held {
+			held = false
+			<-s.slots
+		}
+	}
+	defer release()
+	ls := startSession(t, s)
+	ls.send(t, "submit select count(*) from nation\n")
+	if line := ls.next(t); line != "ok id=1" {
+		t.Fatalf("submit acked %q", line)
+	}
+	if st := s.Stats(); st.InFlight != 1 {
+		t.Errorf("acked with %d in flight, want the submission still running", st.InFlight)
+	}
+	release()
+	if line := ls.next(t); !strings.HasPrefix(line, "result id=1 ok ") {
+		t.Fatalf("submit answered %q", line)
 	}
 }
 

@@ -253,10 +253,37 @@ func TestMetricsExposition(t *testing.T) {
 	if got := metricValue(t, text, "olap_in_flight"); got != 0 {
 		t.Errorf("drained server reports in_flight = %g", got)
 	}
+	// The latency buckets start at 1µs, where cached microsecond
+	// statements finish.
+	if !strings.Contains(text, "\nolap_fast_wall_ms_bucket{le=\"0.001\"} 0\n") {
+		t.Errorf("exposition has no 1µs fast-wall bucket:\n%s", text)
+	}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if !expositionLine.MatchString(line) {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+
+	// Every write a session makes to its peer is counted, so the
+	// counter over submitted_total is the writes per statement.
+	if got := metricValue(t, text, "olap_session_writes_total"); got != 0 {
+		t.Errorf("session_writes_total = %g before any session", got)
+	}
+	w := &gatedWriter{release: func([]byte) {}}
+	w.arm()
+	if err := s.ServeSession(strings.NewReader("submit "+testQueries[0]+"\nwait\nmetrics\nquery "+testQueries[1]+"\n"), w); err != nil {
+		t.Fatal(err)
+	}
+	writes, out := w.snapshot()
+	if writes < 2 {
+		t.Fatalf("session made %d writes, want the metrics dump beyond the buffer and the final flush:\n%s", writes, out)
+	}
+	b.Reset()
+	if err := s.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, b.String(), "olap_session_writes_total"); got != float64(writes) {
+		t.Errorf("session_writes_total = %g, the session wrote %d times", got, writes)
 	}
 }
 

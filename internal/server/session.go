@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"unicode"
 
 	"olapmicro/internal/faults"
+	"olapmicro/internal/obs"
 	"olapmicro/internal/sql"
 )
 
@@ -74,10 +76,26 @@ type Session struct {
 	// whose result line is not written yet (added once the lifecycle
 	// returns, taken away by emit): while it is above zero, a writer is
 	// about to come, and the last of them flushes for all.
+	//
+	// running counts the asynchronous submissions whose lifecycle has
+	// not returned. Before the loop blocks on its reader with running
+	// above zero, it yields its processor: the scheduler runs the
+	// goroutines the loop just started first, so a batch's microsecond
+	// statements write their results while the loop is not idle, and
+	// the loop's one flush carries acks and results together. A yield
+	// can hand the loop back before they ran (an idle processor takes
+	// it up, or the scheduler's fairness check serves the global queue
+	// first), so the loop yields once per running submission, stopping
+	// as soon as none runs. A submission still running after that
+	// flushes its own line as before. No line waits on input or on
+	// another statement: each yield delays the loop's flush only until
+	// a processor takes the loop up again, at once when one is idle,
+	// else at a busy one's next scheduling point.
 	mu      sync.Mutex
 	line    []byte
 	idle    bool
 	ready   atomic.Int64
+	running atomic.Int64
 	pending sync.WaitGroup
 
 	// prepped, fast and the timeout pair are session-local command
@@ -116,9 +134,20 @@ func (s *Server) ServeSession(r io.Reader, w io.Writer) error {
 
 // newSession returns a session that answers on w.
 func (s *Server) newSession(w io.Writer) *Session {
-	ses := &Session{srv: s, out: bufio.NewWriter(w)}
+	ses := &Session{srv: s, out: bufio.NewWriter(countedWriter{w, s.tel.SessionWrites})}
 	ses.ctx, ses.cancel = context.WithCancel(context.Background())
 	return ses
+}
+
+// countedWriter counts the writes that reach a session's peer.
+type countedWriter struct {
+	w io.Writer
+	n *obs.Counter
+}
+
+func (c countedWriter) Write(p []byte) (int, error) {
+	c.n.Inc()
+	return c.w.Write(p)
 }
 
 // serve runs the command loop on r, as ServeSession describes.
@@ -147,9 +176,13 @@ func (ses *Session) serve(r io.Reader) (err error) {
 
 // readLine returns the next line, newline included. When no complete
 // line is buffered, the read may block, so the session goes idle
-// around it: what the loop wrote is flushed first.
+// around it: what the loop wrote is flushed first, after yielding to
+// the session's running submissions (see Session).
 func (ses *Session) readLine(in *bufio.Reader) ([]byte, error) {
 	if buffered, _ := in.Peek(in.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
+		for n := ses.running.Load(); n > 0 && ses.running.Load() > 0; n-- {
+			runtime.Gosched()
+		}
 		ses.setIdle(true)
 		defer ses.setIdle(false)
 	}
@@ -297,10 +330,12 @@ func (ses *Session) submit(text string, blocking bool, p *prepared, args []int64
 	}
 	ses.emit(nil, func(b []byte) []byte { return append(strconv.AppendUint(append(b, "ok id="...), t.ID, 10), '\n') })
 	ses.pending.Add(1)
+	ses.running.Add(1)
 	go func() {
 		defer ses.pending.Done()
 		ses.srv.run(t, text)
 		ses.ready.Add(1)
+		ses.running.Add(-1)
 		ses.safeReport(t, text)
 	}()
 }

@@ -34,8 +34,10 @@ type Telemetry struct {
 	// each one a query that failed instead of a process that died.
 	// Deadlines counts queries that exceeded their server-side deadline;
 	// RetryHints counts overload rejections that carried a retry-after
-	// hint.
-	Panics, Deadlines, RetryHints *obs.Counter
+	// hint. SessionWrites counts the writes sessions made to their
+	// peers: over olap_queries_submitted_total, the writes per
+	// statement.
+	Panics, Deadlines, RetryHints, SessionWrites *obs.Counter
 }
 
 // newTelemetry wires the registry against a server's counters.
@@ -69,6 +71,7 @@ func newTelemetry(s *Server) *Telemetry {
 	t.Panics = r.Counter("olap_panic_recovered_total")
 	t.Deadlines = r.Counter("olap_deadline_exceeded_total")
 	t.RetryHints = r.Counter("olap_retry_after_hints_total")
+	t.SessionWrites = r.Counter("olap_session_writes_total")
 	r.CounterFunc("olap_breaker_open_total", s.brk.openCount)
 	t.QueueMs = r.Histogram("olap_queue_ms", nil)
 	t.CompileMs = r.Histogram("olap_compile_ms", nil)
