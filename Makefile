@@ -34,7 +34,7 @@ govulncheck:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 race:
-	go test -race -short ./internal/engine/... ./internal/sql/... ./internal/server/... ./internal/obs/... ./internal/probe/...
+	go test -race -short ./internal/engine/... ./internal/sql/... ./internal/server/... ./internal/obs/... ./internal/probe/... ./internal/tpch/...
 
 fmt:
 	gofmt -l -w .

@@ -1270,6 +1270,42 @@ func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel
 	return firstSpan(conds[0].v.spanMask(conds[0])), kernels
 }
 
+// SampleFilter counts the driver rows 0, stride, 2·stride, … that pass
+// pl's filter, and how many it tested, through the fast plan's span and
+// selection kernels, fastChunk rows at a time: the planner's sampled
+// selectivity at kernel speed. ok is false where no kernel compiles, a
+// driver past MaxInt32 rows, and the caller tests the rows itself.
+func SampleFilter(pl *Pipeline, b *Bound, stride int) (sampled, passed int, ok bool) {
+	n := pl.Tables[0].Rows
+	if n > math.MaxInt32 {
+		return 0, 0, false
+	}
+	sampled = (n + stride - 1) / stride
+	fc := &fastCompiler{pl: pl, b: b}
+	conds, rest, never := fc.pred(pl.Filter)
+	if never {
+		return sampled, 0, true
+	}
+	kernels := make([]selKernel, 0, len(conds)+len(rest))
+	for _, c := range conds {
+		kernels = append(kernels, c.v.gatherSpan(c))
+	}
+	kernels = append(kernels, rest...)
+	w := &fastWorker{scratch: scratchBufs(fc.nbufs)}
+	buf := make([]int32, fastChunk)
+	for r := 0; r < n; {
+		sel := buf[:0]
+		for ; len(sel) < fastChunk && r < n; r += stride {
+			sel = append(sel, int32(r))
+		}
+		for _, f := range kernels {
+			sel = f(w, sel)
+		}
+		passed += len(sel)
+	}
+	return sampled, passed, true
+}
+
 // neverMatch is the range kernel of an unsatisfiable filter.
 func neverMatch(lo, hi int32, out []int32) []int32 { return out[:0] }
 

@@ -583,7 +583,8 @@ func andPred(l, r *relop.Pred) *relop.Pred {
 const estimateSamples = 4096
 
 // estimate fills EstSel and EstGroups by sampling the generated data —
-// the planner's stand-in for a real optimizer's statistics.
+// the planner's stand-in for a real optimizer's statistics. The filter
+// tests its sample through the fast plan's kernels (relop.SampleFilter).
 func estimate(pl *relop.Pipeline, d *tpch.Data) {
 	pl.EstSel = 1
 	pb := relop.BindData(pl, d)
@@ -597,12 +598,15 @@ func estimate(pl *relop.Pipeline, d *tpch.Data) {
 	}
 	rows := make([]int, len(pl.Tables))
 	if pl.Filter != nil {
-		sampled, passed := 0, 0
-		for i := 0; i < n; i += stride {
-			rows[0] = i
-			sampled++
-			if pl.Filter.Eval(pb, rows) {
-				passed++
+		sampled, passed, ok := relop.SampleFilter(pl, pb, stride)
+		if !ok {
+			sampled, passed = 0, 0
+			for i := 0; i < n; i += stride {
+				rows[0] = i
+				sampled++
+				if pl.Filter.Eval(pb, rows) {
+					passed++
+				}
 			}
 		}
 		pl.EstSel = float64(passed) / float64(sampled)

@@ -18,12 +18,17 @@ import (
 
 // Ints is an integer column's host values at the narrowest of four
 // widths that holds every value: uint8, uint16, uint32, or int64 for a
-// column with a negative value or one past 2³²−1. The first Append
-// allocates at its value's width and, on a later value that does not
-// fit, widens and copies the prefix, so the width is chosen while the
-// column is built, with no second pass. Append also keeps the column's
-// extremes. Readers call At; the vectorized kernels take the typed
-// slice from Host once per column and instantiate for its width.
+// column with a negative value or one past 2³²−1. A column is built one
+// of two ways. Append adds values in order: the first allocates at its
+// value's width and, on a later value that does not fit, the column
+// widens and copies the prefix, so the width is chosen while the column
+// is built, with no second pass. SizedInts allocates every value up
+// front at the width of a known domain; Set then writes values by index,
+// from any number of goroutines at distinct indexes, and Seal records
+// the extremes and narrows the column to the width they need. Either way the column ends
+// at the same width with the same extremes. Readers call At; the
+// vectorized kernels take the typed slice from Host once per column and
+// instantiate for its width.
 type Ints struct {
 	width  int // bytes per host value: 1, 2, 4 or 8; 0 before the first Append
 	hint   int // the capacity the first Append allocates
@@ -62,31 +67,95 @@ func (c *Ints) Append(x int64) {
 // current width does not, keeping the capacity (an empty column's
 // hint). An empty column's extremes start at x.
 func (c *Ints) widen(x int64) {
-	old := *c
-	n := old.Len()
-	capacity := max(cap(old.u8), cap(old.u16), cap(old.u32), cap(old.i64), old.hint)
-	*c = Ints{lo: old.lo, hi: old.hi}
-	if n == 0 {
+	if c.Len() == 0 {
 		c.lo, c.hi = x, x
 	}
+	c.convert(widthOf(x, x), max(cap(c.u8), cap(c.u16), cap(c.u32), cap(c.i64), c.hint))
+}
+
+// widthOf is the narrowest host width that holds every value in lo..hi.
+func widthOf(lo, hi int64) int {
 	switch {
-	case uint64(x) <= math.MaxUint8:
-		c.width, c.u8 = 1, widened[uint8](&old, n, capacity)
-	case uint64(x) <= math.MaxUint16:
-		c.width, c.u16 = 2, widened[uint16](&old, n, capacity)
-	case uint64(x) <= math.MaxUint32:
-		c.width, c.u32 = 4, widened[uint32](&old, n, capacity)
+	case lo < 0 || hi > math.MaxUint32:
+		return 8
+	case hi > math.MaxUint16:
+		return 4
+	case hi > math.MaxUint8:
+		return 2
+	}
+	return 1
+}
+
+// convert moves the values to width bytes each, in a slice of the given
+// capacity, keeping the extremes.
+func (c *Ints) convert(width, capacity int) {
+	old := *c
+	n := old.Len()
+	*c = Ints{width: width, lo: old.lo, hi: old.hi}
+	switch width {
+	case 1:
+		c.u8 = converted[uint8](&old, n, capacity)
+	case 2:
+		c.u16 = converted[uint16](&old, n, capacity)
+	case 4:
+		c.u32 = converted[uint32](&old, n, capacity)
 	default:
-		c.width, c.i64 = 8, widened[int64](&old, n, capacity)
+		c.i64 = converted[int64](&old, n, capacity)
 	}
 }
 
-func widened[T uint8 | uint16 | uint32 | int64](c *Ints, n, capacity int) []T {
+func converted[T uint8 | uint16 | uint32 | int64](c *Ints, n, capacity int) []T {
 	v := make([]T, n, capacity)
 	for i := range v {
 		v[i] = T(c.At(i))
 	}
 	return v
+}
+
+// SizedInts returns a column of n values, zero until Set, at the
+// narrowest width that holds every value in lo..hi: the domain the
+// values will be drawn from. Its extremes are unknown until Seal.
+func SizedInts(n int, lo, hi int64) Ints {
+	c := Ints{width: widthOf(lo, hi)}
+	switch c.width {
+	case 1:
+		c.u8 = make([]uint8, n)
+	case 2:
+		c.u16 = make([]uint16, n)
+	case 4:
+		c.u32 = make([]uint32, n)
+	default:
+		c.i64 = make([]int64, n)
+	}
+	return c
+}
+
+// Set writes value i of a SizedInts column; x must lie in the domain
+// the column was sized for. Sets of distinct indexes may run
+// concurrently. Set keeps no extremes: the caller tracks those of the
+// values it writes and hands them to Seal.
+func (c *Ints) Set(i int, x int64) {
+	switch c.width {
+	case 1:
+		c.u8[i] = uint8(x)
+	case 2:
+		c.u16[i] = uint16(x)
+	case 4:
+		c.u32[i] = uint32(x)
+	default:
+		c.i64[i] = x
+	}
+}
+
+// Seal finishes a SizedInts column once every value is Set: lo and hi
+// are the smallest and largest value written, and a column whose
+// extremes fit a narrower width than its domain's moves to it, so the
+// column equals one built by Append from the same values.
+func (c *Ints) Seal(lo, hi int64) {
+	c.lo, c.hi = lo, hi
+	if w := widthOf(lo, hi); w < c.width {
+		c.convert(w, c.Len())
+	}
 }
 
 // At reads value i.

@@ -133,3 +133,40 @@ func TestIntsWidthBoundaries(t *testing.T) {
 		t.Errorf("zero Ints after 300, 5: host values %T, want []uint16", z.Host())
 	}
 }
+
+// TestSizedIntsMatchAppend builds each of TestIntsWidthBoundaries'
+// columns by index as well, sized for the widest domain holding its
+// values, in reverse order: once sealed, the column must equal the one
+// Append builds in host type, values and extremes, so Seal narrows it
+// to every width.
+func TestSizedIntsMatchAppend(t *testing.T) {
+	for _, vals := range [][]int64{
+		{0, 7, 255},
+		{3, 255, 256},
+		{1, 65535, 65536},
+		{math.MaxUint32, 0},
+		{9, 255, 65536, math.MaxUint32, 1 << 32},
+		{5, -1},
+		{math.MinInt64, math.MaxInt64},
+	} {
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		c := SizedInts(len(vals), min(lo, 0), math.MaxInt64)
+		for i := len(vals) - 1; i >= 0; i-- {
+			c.Set(i, vals[i])
+		}
+		c.Seal(lo, hi)
+		want := intsOf(vals)
+		if got, wt := reflect.TypeOf(c.Host()), reflect.TypeOf(want.Host()); got != wt {
+			t.Errorf("%v: host values %v, want %v", vals, got, wt)
+		}
+		if got := c.Int64s(); !slices.Equal(got, vals) {
+			t.Errorf("%v: values %v", vals, got)
+		}
+		if glo, ghi, ok := c.Extremes(); !ok || glo != lo || ghi != hi {
+			t.Errorf("%v: Extremes = %d..%d %v", vals, glo, ghi, ok)
+		}
+	}
+	if c := SizedInts(3, 0, 300); reflect.TypeOf(c.Host()) != reflect.TypeOf([]uint16(nil)) {
+		t.Errorf("SizedInts(3, 0, 300): host values %T, want []uint16", c.Host())
+	}
+}

@@ -2,8 +2,12 @@ package tpch
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"olapmicro/internal/storage"
 )
@@ -42,22 +46,32 @@ var colorWords = []string{
 
 // Generate builds a complete TPC-H database at scale factor sf.
 // sf = 1 is the standard 1 GB database; the paper uses sf = 5 for
-// single-core and sf = 70 for multi-core runs. Tests and benches in
-// this repo default to small fractions (0.01-0.1); all figure metrics
+// single-core and sf = 70 for multi-core runs. Quick mode and the
+// benchmark serve sf = 0.25 and most tests 0.01; all figure metrics
 // are ratios that are scale-invariant once the data is out-of-cache.
-// Every integer column is built by Append, which picks its host width
-// and records its extremes as the values arrive.
+//
+// Generation uses every core: the five small tables build on one
+// goroutine while GOMAXPROCS workers fill orders and lineitem (see
+// genOrdersLineitem). Every value is a function of its row alone, so
+// the database is the same, value for value, host width for host width,
+// whatever GOMAXPROCS is.
 func Generate(sf float64) *Data {
 	if sf <= 0 {
 		panic(fmt.Sprintf("tpch: invalid scale factor %v", sf))
 	}
 	d := &Data{SF: sf}
-	d.genNationRegion()
-	d.genSupplier()
-	d.genCustomer()
-	d.genPart()
-	d.genPartSupp()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		d.genNationRegion()
+		d.genSupplier()
+		d.genCustomer()
+		d.genPart()
+		d.genPartSupp()
+	}()
 	d.genOrdersLineitem()
+	wg.Wait()
 	return d
 }
 
@@ -172,49 +186,191 @@ func (d *Data) genPartSupp() {
 	}
 }
 
-func (d *Data) genOrdersLineitem() {
-	nOrders := scale(d.SF, OrdersPerSF)
-	customers := int64(d.Customer.CustKey.Len())
-	parts := int64(d.Part.PartKey.Len())
-	supps := int64(d.Supplier.SuppKey.Len())
+// The orders stream's per-line offsets, in days from the order date
+// (ship, commit) or the ship date (receipt), and its lines per order.
+const (
+	shipMin, shipMax       = 1, 121
+	commitMin, commitMax   = 30, 90
+	receiptMin, receiptMax = 1, 30
+	linesMin, linesMax     = 1, 7
+)
 
-	o := &d.Orders
-	o.OrderKey = storage.MakeInts(nOrders)
-	o.CustKey = storage.MakeInts(nOrders)
-	o.OrderDate = storage.MakeInts(nOrders)
-	o.TotalPrice = storage.MakeInts(nOrders)
-	o.ShipPriority = storage.MakeInts(nOrders)
+// ordersPerChunk is the orders one fill task generates.
+const ordersPerChunk = 2048
 
-	l := &d.Lineitem
-	estLines := nOrders * 4
-	l.OrderKey = storage.MakeInts(estLines)
-	l.PartKey = storage.MakeInts(estLines)
-	l.SuppKey = storage.MakeInts(estLines)
-	l.Quantity = storage.MakeInts(estLines)
-	l.ExtendedPrice = storage.MakeInts(estLines)
-	l.Discount = storage.MakeInts(estLines)
-	l.Tax = storage.MakeInts(estLines)
-	l.ShipDate = storage.MakeInts(estLines)
-	l.CommitDate = storage.MakeInts(estLines)
-	l.ReceiptDate = storage.MakeInts(estLines)
-	l.ReturnFlag = storage.MakeInts(estLines)
-	l.LineStatus = storage.MakeInts(estLines)
+// ordersChunk is one fill task: orders [first, end), whose lines start
+// at lineitem row line, drawn from r, the orders stream opened at the
+// chunk's first draw.
+type ordersChunk struct {
+	first, end, line int
+	r                rng
+}
 
+// skimOrders walks the orders stream once, drawing only what decides
+// how many draws an order takes: three for the order (customer, date,
+// line count), eight per line, and one more for a line's return flag
+// when it is received by DateStatusCut, which takes the date, the line
+// count and each line's ship and receipt offsets. An order whose every
+// line is received by the cut, or none is, needs no line's offsets.
+// It returns each chunk's start and the lineitem row count.
+func skimOrders(nOrders int) (chunks []ordersChunk, lines int) {
 	r := newRNG(505)
 	for i := 0; i < nOrders; i++ {
-		// Sparse order keys like dbgen (8 used out of each 32-key block).
-		block := int64(i) / 8
-		off := int64(i) % 8
-		orderKey := block*32 + off + 1
-		o.OrderKey.Append(orderKey)
-		o.CustKey.Append(r.intn(customers) + 1)
-		orderDate := r.intn(OrderDateSpan)
-		o.OrderDate.Append(orderDate)
-		o.ShipPriority.Append(0) // dbgen emits a constant 0
+		if i%ordersPerChunk == 0 {
+			chunks = append(chunks, ordersChunk{first: i, end: min(i+ordersPerChunk, nOrders), line: lines, r: *r})
+		}
+		r.skip(1) // customer
+		date := r.intn(OrderDateSpan)
+		n := int(r.between(linesMin, linesMax))
+		lines += n
+		switch {
+		case date+shipMax+receiptMax <= DateStatusCut:
+			r.skip(9 * n)
+		case date+shipMin+receiptMin > DateStatusCut:
+			r.skip(8 * n)
+		default:
+			for range n {
+				r.skip(5) // quantity, part, supplier, discount, tax
+				ship := date + r.between(shipMin, shipMax)
+				r.skip(1) // commit
+				if ship+r.between(receiptMin, receiptMax) <= DateStatusCut {
+					r.skip(1) // return flag
+				}
+			}
+		}
+	}
+	return chunks, lines
+}
 
-		nLines := int(r.between(1, 7))
+// The orders and lineitem columns, as indexes into a worker's writers.
+const (
+	oOrderKey = iota
+	oCustKey
+	oOrderDate
+	oTotalPrice
+	oShipPriority
+	lOrderKey
+	lPartKey
+	lSuppKey
+	lQuantity
+	lExtendedPrice
+	lDiscount
+	lTax
+	lShipDate
+	lCommitDate
+	lReceiptDate
+	lReturnFlag
+	lLineStatus
+	nOrderCols
+)
+
+// colWriter is one worker's writes into one column, with the extremes
+// of the values it wrote.
+type colWriter struct {
+	c      *storage.Ints
+	lo, hi int64
+}
+
+func (w *colWriter) set(i int, x int64) {
+	w.c.Set(i, x)
+	w.lo, w.hi = min(w.lo, x), max(w.hi, x)
+}
+
+// orderWriters is one worker's writers into the orders and lineitem
+// columns.
+type orderWriters [nOrderCols]colWriter
+
+// orderKey is order i's key: sparse like dbgen's, 8 used out of each
+// 32-key block.
+func orderKey(i int) int64 { return int64(i)/8*32 + int64(i)%8 + 1 }
+
+// genOrdersLineitem builds orders and lineitem in parallel and exactly:
+// skimOrders finds every chunk's first draw and first lineitem row, each
+// column is allocated once at its exact length and at the width of its
+// domain, GOMAXPROCS workers fill the chunks by row index, and each
+// column is sealed with the extremes its workers saw. The customer,
+// part and supplier counts come from the scale factor, not from those
+// tables, which another goroutine is building.
+func (d *Data) genOrdersLineitem() {
+	nOrders := scale(d.SF, OrdersPerSF)
+	customers := int64(scale(d.SF, CustomersPerSF))
+	parts := int64(scale(d.SF, PartsPerSF))
+	supps := int64(scale(d.SF, SuppliersPerSF))
+	chunks, nLines := skimOrders(nOrders)
+
+	// The largest price any part can take (retailPrice's three terms at
+	// their maxima) bounds the price domains; Seal narrows a column
+	// whose values fall short of its domain's width.
+	const maxPrice = 50 * (90000 + 20000 + 100*999) / 10
+	lastDate := int64(OrderDateSpan - 1)
+	o, l := &d.Orders, &d.Lineitem
+	cols := [nOrderCols]struct {
+		c      *storage.Ints
+		n      int
+		lo, hi int64
+	}{
+		oOrderKey:      {&o.OrderKey, nOrders, 1, orderKey(nOrders - 1)},
+		oCustKey:       {&o.CustKey, nOrders, 1, customers},
+		oOrderDate:     {&o.OrderDate, nOrders, 0, lastDate},
+		oTotalPrice:    {&o.TotalPrice, nOrders, 0, linesMax * maxPrice},
+		oShipPriority:  {&o.ShipPriority, nOrders, 0, 0},
+		lOrderKey:      {&l.OrderKey, nLines, 1, orderKey(nOrders - 1)},
+		lPartKey:       {&l.PartKey, nLines, 1, parts},
+		lSuppKey:       {&l.SuppKey, nLines, 1, supps},
+		lQuantity:      {&l.Quantity, nLines, 1, 50},
+		lExtendedPrice: {&l.ExtendedPrice, nLines, 0, maxPrice},
+		lDiscount:      {&l.Discount, nLines, 0, 10},
+		lTax:           {&l.Tax, nLines, 0, 8},
+		lShipDate:      {&l.ShipDate, nLines, shipMin, lastDate + shipMax},
+		lCommitDate:    {&l.CommitDate, nLines, commitMin, lastDate + commitMax},
+		lReceiptDate:   {&l.ReceiptDate, nLines, shipMin + receiptMin, lastDate + shipMax + receiptMax},
+		lReturnFlag:    {&l.ReturnFlag, nLines, 'A', 'R'},
+		lLineStatus:    {&l.LineStatus, nLines, 'F', 'O'},
+	}
+	var empty orderWriters
+	for k, col := range cols {
+		*col.c = storage.SizedInts(col.n, col.lo, col.hi)
+		empty[k] = colWriter{c: col.c, lo: math.MaxInt64, hi: math.MinInt64}
+	}
+
+	ws := make([]orderWriters, min(runtime.GOMAXPROCS(0), len(chunks)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for t := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := empty // a private copy: the writers' extremes change per value
+			for ci := int(next.Add(1)) - 1; ci < len(chunks); ci = int(next.Add(1)) - 1 {
+				w.fill(chunks[ci], customers, parts, supps)
+			}
+			ws[t] = w
+		}()
+	}
+	wg.Wait()
+	for k, col := range cols {
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for t := range ws {
+			lo, hi = min(lo, ws[t][k].lo), max(hi, ws[t][k].hi)
+		}
+		col.c.Seal(lo, hi)
+	}
+}
+
+// fill generates one chunk's orders and their lines.
+func (w *orderWriters) fill(c ordersChunk, customers, parts, supps int64) {
+	r, line := c.r, c.line
+	for i := c.first; i < c.end; i++ {
+		key := orderKey(i)
+		w[oOrderKey].set(i, key)
+		w[oCustKey].set(i, r.intn(customers)+1)
+		orderDate := r.intn(OrderDateSpan)
+		w[oOrderDate].set(i, orderDate)
+		w[oShipPriority].set(i, 0) // dbgen emits a constant 0
+
+		nLines := int(r.between(linesMin, linesMax))
 		var total int64
-		for li := 0; li < nLines; li++ {
+		for range nLines {
 			qty := r.between(1, 50)
 			partKey := r.intn(parts) + 1
 			// One of the part's four suppliers, consistent with partsupp.
@@ -223,9 +379,9 @@ func (d *Data) genOrdersLineitem() {
 			price := qty * retailPrice(partKey) / 10
 			disc := r.between(0, 10)
 			tax := r.between(0, 8)
-			ship := orderDate + r.between(1, 121)
-			commit := orderDate + r.between(30, 90)
-			receipt := ship + r.between(1, 30)
+			ship := orderDate + r.between(shipMin, shipMax)
+			commit := orderDate + r.between(commitMin, commitMax)
+			receipt := ship + r.between(receiptMin, receiptMax)
 
 			var rf int64 = 'N'
 			if receipt <= DateStatusCut {
@@ -240,21 +396,22 @@ func (d *Data) genOrdersLineitem() {
 				ls = 'F'
 			}
 
-			l.OrderKey.Append(orderKey)
-			l.PartKey.Append(partKey)
-			l.SuppKey.Append(suppKey)
-			l.Quantity.Append(qty)
-			l.ExtendedPrice.Append(price)
-			l.Discount.Append(disc)
-			l.Tax.Append(tax)
-			l.ShipDate.Append(ship)
-			l.CommitDate.Append(commit)
-			l.ReceiptDate.Append(receipt)
-			l.ReturnFlag.Append(rf)
-			l.LineStatus.Append(ls)
+			w[lOrderKey].set(line, key)
+			w[lPartKey].set(line, partKey)
+			w[lSuppKey].set(line, suppKey)
+			w[lQuantity].set(line, qty)
+			w[lExtendedPrice].set(line, price)
+			w[lDiscount].set(line, disc)
+			w[lTax].set(line, tax)
+			w[lShipDate].set(line, ship)
+			w[lCommitDate].set(line, commit)
+			w[lReceiptDate].set(line, receipt)
+			w[lReturnFlag].set(line, rf)
+			w[lLineStatus].set(line, ls)
 			total += price
+			line++
 		}
-		o.TotalPrice.Append(total)
+		w[oTotalPrice].set(i, total)
 	}
 }
 
